@@ -29,8 +29,6 @@ import numpy as np
 
 from . import __version__, flowmatch, sampler, se3, synthworld, trajeval, vfnet
 
-TRAJECTORY_KINDS = ("line", "arc", "figure8", "random-walk")
-
 
 class UsageError(Exception):
     """Bad arguments or missing/invalid input files; exits with code 2."""
@@ -126,35 +124,26 @@ def _step_list(text: str) -> list:
     return steps
 
 
-def _require_file(path, what: str) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    return path
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _read_trajectory(path, what: str):
-    _require_file(path, what)
+def _read_input(path, what: str, reader):
+    """reader(path), with a missing file or a ValueError from the reader
+    turned into a usage error."""
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"{what} not found: {path}")
     try:
-        return trajeval.read_tum(path)
+        return reader(path)
     except ValueError as err:
         raise UsageError(f"bad {what}: {err}")
 
 
-def _load_dataset(path):
-    _require_file(path, "dataset")
-    header = synthworld.read_dataset_header(path)
-    try:
-        rows = synthworld.ingest_features(path)
-    except ValueError as err:
-        raise UsageError(f"bad dataset: {err}")
-    return header, rows
+def _read_dataset(path):
+    return synthworld.read_dataset_header(path), synthworld.ingest_features(path)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -200,27 +189,23 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    dataset_path = _require_file(args.dataset, "dataset")
+    dataset_path = Path(args.dataset)
+    header, rows = _read_input(dataset_path, "dataset", _read_dataset)
 
     config = flowmatch.TrainConfig()
     if args.config is not None:
-        _require_file(args.config, "config file")
-        try:
-            config = flowmatch.load_train_config(args.config, config)
-        except ValueError as err:
-            raise UsageError(str(err))
+        config = _read_input(args.config, "config file",
+                             lambda path: flowmatch.load_train_config(path, config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    header, rows = _load_dataset(dataset_path)
     pairs = [pair for _, pair in rows if pair is not None]
     if not pairs:
         raise UsageError(f"dataset has no ground-truth rows: {dataset_path}")
 
     net = None
     if args.checkpoint is not None:
-        _require_file(args.checkpoint, "checkpoint")
-        net = vfnet.load_checkpoint(args.checkpoint)
+        net = _read_input(args.checkpoint, "checkpoint", vfnet.load_checkpoint)
         if net.config.cond_dim != header.cond_dim:
             raise UsageError(
                 f"checkpoint expects condition dim {net.config.cond_dim}, "
@@ -259,10 +244,10 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     out = _out_dir(args)
-    checkpoint_path = _require_file(args.checkpoint, "checkpoint")
-    net = vfnet.load_checkpoint(checkpoint_path)
+    checkpoint_path = Path(args.checkpoint)
+    net = _read_input(checkpoint_path, "checkpoint", vfnet.load_checkpoint)
 
-    header, rows = _load_dataset(args.dataset)
+    header, rows = _read_input(args.dataset, "dataset", _read_dataset)
     conds = [cond for cond, _ in rows]
     if not conds:
         raise UsageError(f"dataset has no rows: {args.dataset}")
@@ -316,17 +301,16 @@ def _scale_aligned(est, gt, scale_mode: str):
     return synthworld.Trajectory(est.stamps, rebuilt.poses)
 
 
-def _mean_spread(estimates_path):
+def _mean_spread(rows):
     """Mean per-component sampling std, split into rotation/translation."""
-    rows = sampler.read_estimates_csv(estimates_path)
     stds = np.stack([std for _, std in rows])
     return float(np.mean(stds[:, :3])), float(np.mean(stds[:, 3:]))
 
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
-    est = _read_trajectory(args.est, "estimated trajectory")
-    gt = _read_trajectory(args.gt, "ground-truth trajectory")
+    est = _read_input(args.est, "estimated trajectory", trajeval.read_tum)
+    gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
     if len(est) != len(gt):
         raise UsageError(
             f"trajectory length mismatch: estimate has {len(est)} poses, "
@@ -344,7 +328,8 @@ def cmd_eval(args) -> int:
     aligned_est = _scale_aligned(est, gt, args.scale)
     ate_rmse = trajeval.ate(aligned_est, gt, args.align)
     std_rot, std_trans = (
-        _mean_spread(_require_file(args.estimates, "estimates file"))
+        _mean_spread(_read_input(args.estimates, "estimates file",
+                                 sampler.read_estimates_csv))
         if args.estimates is not None else (float("nan"), float("nan")))
     watch.lap("evaluate")
 
@@ -363,15 +348,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_steps(args) -> int:
     out = _out_dir(args)
-    checkpoint_path = _require_file(args.checkpoint, "checkpoint")
-    net = vfnet.load_checkpoint(checkpoint_path)
-    header, rows = _load_dataset(args.dataset)
+    checkpoint_path = Path(args.checkpoint)
+    net = _read_input(checkpoint_path, "checkpoint", vfnet.load_checkpoint)
+    header, rows = _read_input(args.dataset, "dataset", _read_dataset)
     conds = [cond for cond, _ in rows]
     if header.cond_dim != net.config.cond_dim:
         raise UsageError(
             f"checkpoint expects condition dim {net.config.cond_dim}, "
             f"dataset has {header.cond_dim}")
-    gt = _read_trajectory(args.gt, "ground-truth trajectory")
+    gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
     if len(conds) != len(gt) - 1:
         raise UsageError(
             f"dataset has {len(conds)} motions but ground truth has "
@@ -436,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="synthesize a scenario dataset")
-    gen.add_argument("--kind", choices=TRAJECTORY_KINDS, default="figure8")
+    gen.add_argument("--kind", choices=synthworld.TRAJECTORY_KINDS, default="figure8")
     gen.add_argument("--n", type=_pose_count, default=200,
                      help="number of trajectory poses (pairs = n - 1)")
     gen.add_argument("--ambiguity", type=_unit_interval, default=0.0,

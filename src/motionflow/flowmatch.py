@@ -44,24 +44,6 @@ class TrainingPair:
             raise ValueError("target rotation vector leaves the principal ball")
 
 
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """One interpolation point on the straight path from x0 to the target."""
-
-    tau: float
-    x0: se3.MotionState
-    x_tau: se3.MotionState
-    target_velocity: np.ndarray
-    cond: vfnet.ConditionVector
-
-    def __post_init__(self):
-        vel = np.array(self.target_velocity, dtype=np.float64).reshape(6)
-        vel.flags.writeable = False
-        object.__setattr__(self, "target_velocity", vel)
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization hyperparameters.  Defaults fit a laptop-scale run."""
@@ -102,49 +84,24 @@ class TrainConfig:
         return self.lr
 
 
-def sample_path(pair: TrainingPair, rng: np.random.Generator,
-                tau: float = None) -> PathSample:
-    """Draw one path point for a training pair.
-
-    tau can be forced (used by the endpoint-identity tests); when None it is
-    drawn uniformly.  x0 always comes from the reference distribution.
-    """
-    if tau is None:
-        tau = float(rng.uniform())
-    elif not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    x0 = se3.sample_initial(rng)
-    v0 = x0.as_vector()
-    v1 = pair.target.as_vector()
-    x_tau = (1.0 - tau) * v0 + tau * v1
-    return PathSample(
-        tau=tau,
-        x0=x0,
-        x_tau=se3.MotionState.from_vector(x_tau),
-        target_velocity=v1 - v0,
-        cond=pair.cond,
-    )
+def path_point(x0: np.ndarray, x1: np.ndarray, taus: np.ndarray):
+    """Points at taus on the straight paths from rows x0 to rows x1, and
+    the constant path velocities x1 - x0 the field is regressed onto."""
+    return (1.0 - taus)[:, None] * x0 + taus[:, None] * x1, x1 - x0
 
 
-def cfm_loss(net: vfnet.VectorFieldNet, batch, rot_weight: float = 1.0,
+def cfm_loss(net: vfnet.VectorFieldNet, states: np.ndarray, taus: np.ndarray,
+             conds: np.ndarray, targets: np.ndarray, rot_weight: float = 1.0,
              trans_weight: float = 1.0):
-    """Mean weighted squared residual over a batch of PathSamples.
+    """Mean weighted squared residual of the field against path velocities.
 
-    Returns (loss, Gradients).  The gradient is exact for the returned
-    loss, including the 1/B normalization and the component weights.
+    states (B, 6) are path points at times taus (B,) under conditions
+    conds (B, k); targets (B, 6) are their path velocities.  Returns
+    (loss, Gradients).  The gradient is exact for the returned loss,
+    including the 1/B normalization and the component weights.
     """
-    batch = list(batch)
-    if not batch:
+    if len(states) == 0:
         raise ValueError("cfm_loss needs a nonempty batch")
-    states = np.stack([s.x_tau.as_vector() for s in batch])
-    taus = np.array([s.tau for s in batch])
-    conds = np.stack([s.cond.values for s in batch])
-    targets = np.stack([s.target_velocity for s in batch])
-    return _loss_from_arrays(net, states, taus, conds, targets,
-                             rot_weight, trans_weight)
-
-
-def _loss_from_arrays(net, states, taus, conds, targets, rot_weight, trans_weight):
     weights = np.repeat([rot_weight, trans_weight], 3)
     out, cache = vfnet.forward_batch(net, states, taus, conds, keep_cache=True)
     resid = out - targets
@@ -248,12 +205,9 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
             b = idx.size
             taus = rng.uniform(size=b)
             x0 = se3.sample_initial_batch(rng, b)
-            x1 = targets[idx]
-            x_tau = (1.0 - taus)[:, None] * x0 + taus[:, None] * x1
-            loss, grads = _loss_from_arrays(
-                net, x_tau, taus, conds[idx], x1 - x0,
-                config.rot_weight, config.trans_weight,
-            )
+            x_tau, velocity = path_point(x0, targets[idx], taus)
+            loss, grads = cfm_loss(net, x_tau, taus, conds[idx], velocity,
+                                   config.rot_weight, config.trans_weight)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {lo // config.batch_size}"
@@ -288,7 +242,10 @@ def read_loss_history(path):
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            history.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            try:
+                history.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
     return history
 
 

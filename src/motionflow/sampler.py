@@ -13,7 +13,6 @@ so their convergence orders can be verified directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +115,6 @@ def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector):
     return field
 
 
-def integrate(net: vfnet.VectorFieldNet, x0: se3.MotionState,
-              cond: vfnet.ConditionVector, config: SolverConfig) -> se3.MotionState:
-    """One flow trajectory: reference state in, motion state out."""
-    out = integrate_field(_net_field(net, cond), x0.as_vector(), config)
-    return se3.MotionState.from_vector(out)
-
-
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
                   rng: np.random.Generator) -> PoseSampleSet:
@@ -196,6 +188,9 @@ def read_estimates_csv(path):
             parts = line.split(",")
             if len(parts) != 13:
                 raise ValueError(f"{path}:{lineno}: expected 13 columns, got {len(parts)}")
-            vals = [float(x) for x in parts[1:]]
-            out.append((se3.MotionState.from_vector(vals[:6]), np.array(vals[6:])))
+            try:
+                vals = [float(x) for x in parts[1:]]
+                out.append((se3.MotionState.from_vector(vals[:6]), np.array(vals[6:])))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
     return out

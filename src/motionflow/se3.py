@@ -244,32 +244,22 @@ def geodesic_angle(a: Rotation, b: Rotation) -> float:
     return 2.0 * math.atan2(s, abs(float(q[0])))
 
 
-def sample_initial(rng: np.random.Generator) -> MotionState:
-    """Reference-distribution draw: trans ~ N(0, I_3), rotation uniform on SO(3).
-
-    The uniform rotation comes from a normalized 4-dim standard Gaussian,
-    which is the uniform (Haar) measure on the quaternion sphere.  The
-    state stores its principal log, so |rho| <= pi.
-    """
-    trans = rng.standard_normal(3)
-    quat = rng.standard_normal(4)
-    return MotionState(log_map(Rotation(quat)), trans)
-
-
 def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """n reference draws as an (n, 6) array of (rho, trans) rows.
 
-    Consumes the generator in the same per-draw order as sample_initial
-    (3 normals for translation, then 4 for the quaternion) so that a batch
-    of n matches n sequential single draws from the same stream.
+    trans ~ N(0, I_3) and the rotation is uniform on SO(3): a normalized
+    4-dim standard Gaussian is the uniform (Haar) measure on the
+    quaternion sphere, and each row stores its principal log, so
+    |rho| <= pi.  Every row consumes 3 normals for the translation, then 4
+    for the quaternion, so a batch of n equals n batches of 1 drawn from
+    the same stream.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     out = np.empty((n, 6))
     for i in range(n):
-        state = sample_initial(rng)
-        out[i, :3] = state.rho
-        out[i, 3:] = state.trans
+        out[i, 3:] = rng.standard_normal(3)
+        out[i, :3] = log_map(Rotation(rng.standard_normal(4)))
     return out
 
 

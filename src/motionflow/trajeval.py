@@ -32,9 +32,6 @@ SCALE_MODES = ("none", "per_pair", "global")
 # (relative to the first) span no plane; rotation is then unrecoverable.
 COLLINEAR_TOL = 1e-9
 
-# Stamp association window (seconds) for externally recorded files.
-STAMP_WINDOW = 0.02
-
 
 class DegenerateTrajectoryError(ValueError):
     """Point cloud is collinear (or a single point); alignment is underdetermined."""
@@ -166,50 +163,6 @@ def ate(est: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
     return umeyama_align(est, gt, with_scale=(align == "sim3")).ate_rmse
 
 
-def rotational_rmse(est: Trajectory, gt: Trajectory) -> float:
-    """Supplementary metric: RMSE of per-pose geodesic angles (radians)."""
-    if len(est) != len(gt):
-        raise ValueError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
-    angles = [
-        se3.geodesic_angle(a.rotation, b.rotation)
-        for a, b in zip(est.poses, gt.poses)
-    ]
-    return float(np.sqrt(np.mean(np.square(angles))))
-
-
-def associate_by_stamps(est: Trajectory, gt: Trajectory,
-                        window: float = STAMP_WINDOW):
-    """Greedy nearest-stamp matching for externally recorded trajectories.
-
-    Returns (est_indices, gt_indices), both sorted by estimate index, with
-    each pose matched at most once and stamp gaps below window seconds.
-    """
-    candidates = []
-    for i, s_est in enumerate(est.stamps):
-        diffs = np.abs(gt.stamps - s_est)
-        j = int(np.argmin(diffs))
-        if diffs[j] <= window:
-            candidates.append((float(diffs[j]), i, j))
-    candidates.sort()
-    used_est, used_gt = set(), set()
-    matches = []
-    for _, i, j in candidates:
-        if i in used_est or j in used_gt:
-            continue
-        used_est.add(i)
-        used_gt.add(j)
-        matches.append((i, j))
-    matches.sort()
-    est_idx = [i for i, _ in matches]
-    gt_idx = [j for _, j in matches]
-    return est_idx, gt_idx
-
-
-def subset(traj: Trajectory, indices) -> Trajectory:
-    return Trajectory(traj.stamps[list(indices)],
-                      [traj.poses[i] for i in indices])
-
-
 # --- file formats -------------------------------------------------------------
 
 
@@ -243,34 +196,6 @@ def read_tum(path) -> Trajectory:
     if not poses:
         raise ValueError(f"{path}: no poses found")
     return Trajectory(np.array(stamps), poses)
-
-
-def write_kitti(path, traj: Trajectory) -> None:
-    """KITTI format: 12 reals per line, the row-major 3x4 [R|t]."""
-    with open(path, "w") as fh:
-        for pose in traj.poses:
-            m = np.hstack([pose.rotation.matrix(), pose.translation[:, None]])
-            fh.write(" ".join("%.17g" % v for v in m.reshape(-1)) + "\n")
-
-
-def read_kitti(path) -> Trajectory:
-    poses = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = line.split()
-            if len(vals) != 12:
-                raise ValueError(f"{path}:{lineno}: expected 12 fields, got {len(vals)}")
-            try:
-                m = np.array([float(v) for v in vals]).reshape(3, 4)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from err
-            poses.append(se3.RelativePose(se3.rotation_from_matrix(m[:, :3]), m[:, 3]))
-    if not poses:
-        raise ValueError(f"{path}: no poses found")
-    return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
 
 
 METRICS_HEADER = "scenario,align_mode,scale_mode,ate_rmse,mean_std_rot,mean_std_trans"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -195,36 +195,15 @@ def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFie
     return _build_tree(config, make)
 
 
-def time_embedding(tau: float, dim: int = 16) -> np.ndarray:
-    """Sinusoidal features [sin(2^j pi tau), cos(2^j pi tau)], j = 0..dim/2-1."""
-    if dim % 2 != 0 or dim < 2:
-        raise ValueError("time embedding dim must be a positive even number")
-    if not (0.0 <= tau <= 1.0) or not math.isfinite(tau):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return _time_features(np.array([float(tau)]), dim)[0]
-
-
 def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
-    """(B,) times -> (B, dim) sinusoid matrix; no parameters involved."""
+    """(B,) times -> (B, dim) features [sin(2^j pi tau), cos(2^j pi tau)],
+    j = 0..dim/2-1; no parameters involved."""
     freqs = math.pi * (2.0 ** np.arange(dim // 2))
     angles = taus[:, None] * freqs[None, :]
     out = np.empty((taus.size, dim))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
-
-
-def _check_inputs(net: VectorFieldNet, state_vec: np.ndarray, tau: float,
-                  cond: ConditionVector) -> None:
-    if cond.dim != net.config.cond_dim:
-        raise ValueError(
-            f"condition dim {cond.dim} does not match network cond_dim "
-            f"{net.config.cond_dim}"
-        )
-    if not (0.0 <= tau <= 1.0) or not math.isfinite(tau):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if state_vec.shape[-1] != net.config.STATE_DIM:
-        raise ValueError(f"state must have {net.config.STATE_DIM} components")
 
 
 def forward_batch(net: VectorFieldNet, states: np.ndarray, taus: np.ndarray,
@@ -316,29 +295,6 @@ def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> Gradient
     return Gradients(g_state, [g_c1, g_c2], g_trunk, g_rot, g_trans)
 
 
-def forward(net: VectorFieldNet, state, tau: float, cond: ConditionVector) -> np.ndarray:
-    """Single-sample field evaluation; state is a MotionState or 6-vector."""
-    state_vec = state.as_vector() if hasattr(state, "as_vector") else np.asarray(state, float)
-    _check_inputs(net, state_vec, tau, cond)
-    out = forward_batch(net, state_vec[None, :], np.array([float(tau)]),
-                        cond.values[None, :])
-    return out[0]
-
-
-def backward(net: VectorFieldNet, state, tau: float, cond: ConditionVector,
-             upstream) -> Gradients:
-    """Gradient of <forward(state, tau, cond), upstream> w.r.t. all parameters.
-
-    Recomputes the forward pass internally; upstream is a 6-vector.
-    """
-    state_vec = state.as_vector() if hasattr(state, "as_vector") else np.asarray(state, float)
-    _check_inputs(net, state_vec, tau, cond)
-    upstream = np.asarray(upstream, dtype=np.float64).reshape(6)
-    _, cache = forward_batch(net, state_vec[None, :], np.array([float(tau)]),
-                             cond.values[None, :], keep_cache=True)
-    return backward_batch(net, cache, upstream[None, :])
-
-
 # --- checkpoint format -------------------------------------------------------
 #
 # Plain text, self-describing.  Header lines are key=value (one per config
@@ -358,13 +314,10 @@ def save_checkpoint(path, net: VectorFieldNet) -> None:
     cfg = net.config
     buf = io.StringIO()
     buf.write(CHECKPOINT_MAGIC + "\n")
-    buf.write(f"cond_dim={cfg.cond_dim}\n")
-    buf.write(f"time_embed_dim={cfg.time_embed_dim}\n")
-    buf.write(f"state_embed_dim={cfg.state_embed_dim}\n")
-    buf.write(f"cond_hidden_dim={cfg.cond_hidden_dim}\n")
-    buf.write(f"cond_embed_dim={cfg.cond_embed_dim}\n")
-    buf.write("trunk_widths=" + ",".join(str(w) for w in cfg.trunk_widths) + "\n")
-    buf.write("head_widths=" + ",".join(str(w) for w in cfg.head_widths) + "\n")
+    for f in fields(NetConfig):
+        value = getattr(cfg, f.name)
+        text = ",".join(str(w) for w in value) if isinstance(value, tuple) else str(value)
+        buf.write(f"{f.name}={text}\n")
     for name, arr in _named_arrays(net):
         mat = arr if arr.ndim == 2 else arr[None, :]
         buf.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
@@ -389,20 +342,18 @@ def load_checkpoint(path) -> VectorFieldNet:
         if "=" not in line:
             raise ValueError(f"{path}:{pos}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        header[key.strip()] = value.strip()
-    try:
-        config = NetConfig(
-            cond_dim=int(header["cond_dim"]),
-            time_embed_dim=int(header["time_embed_dim"]),
-            state_embed_dim=int(header["state_embed_dim"]),
-            cond_hidden_dim=int(header["cond_hidden_dim"]),
-            cond_embed_dim=int(header["cond_embed_dim"]),
-            trunk_widths=tuple(int(w) for w in header["trunk_widths"].split(",")),
-            head_widths=tuple(int(w) for w in header["head_widths"].split(",")),
-        )
-    except KeyError as err:
-        raise ValueError(f"{path}: missing header field {err}") from err
-    net = _zero_net(config)
+        header[key.strip()] = (value.strip(), pos)
+    sizes = {}
+    for f in fields(NetConfig):
+        if f.name not in header:
+            raise ValueError(f"{path}: missing header field {f.name!r}")
+        value, lineno = header[f.name]
+        try:
+            sizes[f.name] = (tuple(int(w) for w in value.split(","))
+                              if f.name.endswith("_widths") else int(value))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {f.name}: {err}") from err
+    net = _zero_net(NetConfig(**sizes))
     expected = dict(_named_arrays(net))
     seen = set()
     while pos < len(lines):
@@ -413,7 +364,11 @@ def load_checkpoint(path) -> VectorFieldNet:
         parts = line.split()
         if parts[0] != "tensor" or len(parts) != 4:
             raise ValueError(f"{path}:{pos}: expected tensor header, got {line!r}")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        name = parts[1]
+        try:
+            rows, cols = int(parts[2]), int(parts[3])
+        except ValueError as err:
+            raise ValueError(f"{path}:{pos}: tensor {name} shape: {err}") from err
         if name not in expected:
             raise ValueError(f"{path}:{pos}: unknown tensor {name!r}")
         target = expected[name]
@@ -426,7 +381,10 @@ def load_checkpoint(path) -> VectorFieldNet:
         for r in range(rows):
             if pos >= len(lines):
                 raise ValueError(f"{path}: truncated tensor {name}")
-            row = np.array(lines[pos].split(), dtype=np.float64)
+            try:
+                row = np.array(lines[pos].split(), dtype=np.float64)
+            except ValueError as err:
+                raise ValueError(f"{path}:{pos + 1}: {err}") from err
             pos += 1
             if row.size != cols:
                 raise ValueError(f"{path}:{pos}: row has {row.size} values, expected {cols}")

@@ -215,14 +215,20 @@ def test_criterion_2_gradient_oracle():
         # reach the trunk through both heads.
         for head in (net.head_rot, net.head_trans):
             head[-1][0][:] = 0.3 * rng.standard_normal(head[-1][0].shape)
-        batch = []
+        x1, conds, taus, x0 = [], [], [], []
         for _ in range(4):
             pair = flowmatch.TrainingPair(
                 se3.MotionState(rng.uniform(-0.5, 0.5, 3),
                                 rng.uniform(-0.5, 0.5, 3)),
                 vfnet.ConditionVector(rng.standard_normal(config.cond_dim)))
-            batch.append(flowmatch.sample_path(pair, rng))
-        _, grads = flowmatch.cfm_loss(net, batch)
+            x1.append(pair.target.as_vector())
+            conds.append(pair.cond.values)
+            taus.append(rng.uniform())
+            x0.append(se3.sample_initial_batch(rng, 1)[0])
+        taus = np.array(taus)
+        states, targets = flowmatch.path_point(np.stack(x0), np.stack(x1), taus)
+        batch = (states, taus, np.stack(conds), targets)
+        _, grads = flowmatch.cfm_loss(net, *batch)
         arrays = dict(vfnet._named_arrays(net))
         grad_arrays = dict(vfnet._named_arrays(grads))
         for name, arr in arrays.items():
@@ -230,9 +236,9 @@ def test_criterion_2_gradient_oracle():
             for k in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = flowmatch.cfm_loss(net, batch)
+                up, _ = flowmatch.cfm_loss(net, *batch)
                 flat[k] = orig - h
-                dn, _ = flowmatch.cfm_loss(net, batch)
+                dn, _ = flowmatch.cfm_loss(net, *batch)
                 flat[k] = orig
                 fd = (up - dn) / (2 * h)
                 an = grad_arrays[name].reshape(-1)[k]

@@ -307,3 +307,51 @@ class TestTopLevel:
             for path in list(manifest["inputs"].values()) + \
                     list(manifest["outputs"].values()):
                 assert Path(path).is_file()
+
+
+class TestMalformedInputs:
+    """A malformed input file is a usage error (exit 2), whichever reader
+    finds the fault."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        data = gen_small(tmp_path)
+        good = tmp_path / "good.txt"
+        net = vfnet.init_params(RNG(0), vfnet.NetConfig(cond_dim=synthworld.DEFAULT_COND_DIM))
+        vfnet.save_checkpoint(good, net)
+        text = good.read_text()
+        truncated = tmp_path / "truncated.txt"
+        truncated.write_text(text[:len(text) // 2])
+        bad_shape = tmp_path / "bad_shape.txt"
+        bad_shape.write_text("\n".join(
+            "tensor state_embed.w x 6" if line.startswith("tensor state_embed.w ") else line
+            for line in text.splitlines()) + "\n")
+        headerless = tmp_path / "headerless.csv"
+        headerless.write_text("".join(
+            line for line in (data / "dataset.csv").read_text().splitlines(keepends=True)
+            if not line.startswith("#")))
+        bad_estimates = tmp_path / "estimates.csv"
+        bad_estimates.write_text("pair_index,rho_x,rho_y,rho_z,t_x,t_y,t_z,"
+                                 "std_1,std_2,std_3,std_4,std_5,std_6\n"
+                                 "0" + ",x" * 12 + "\n")
+        return {"dataset": data / "dataset.csv", "gt": data / "gt.tum", "good": good,
+                "truncated": truncated, "bad_shape": bad_shape,
+                "headerless": headerless, "bad_estimates": bad_estimates}
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "{headerless}"],
+        ["infer", "--checkpoint", "{good}", "--dataset", "{headerless}"],
+        ["train", "--dataset", "{dataset}", "--checkpoint", "{truncated}"],
+        ["infer", "--checkpoint", "{truncated}", "--dataset", "{dataset}"],
+        ["ablate-steps", "--checkpoint", "{truncated}", "--dataset", "{dataset}",
+         "--gt", "{gt}"],
+        ["infer", "--checkpoint", "{bad_shape}", "--dataset", "{dataset}"],
+        ["eval", "{gt}", "{gt}", "--estimates", "{bad_estimates}"],
+    ], ids=["train-headerless-dataset", "infer-headerless-dataset",
+            "train-truncated-checkpoint", "infer-truncated-checkpoint",
+            "ablate-truncated-checkpoint", "infer-bad-tensor-shape",
+            "eval-non-numeric-estimates"])
+    def test_exits_2(self, files, argv, tmp_path, capsys):
+        args = [arg.format(**files) for arg in argv]
+        assert run_cli(*args, "--out", tmp_path / "out") == 2
+        assert "error: bad " in capsys.readouterr().err

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from motionflow import flowmatch, se3, synthworld, vfnet
+from motionflow import flowmatch, se3, vfnet
 
 RNG = np.random.default_rng
 
@@ -43,8 +43,14 @@ def random_pair(rng, cond_dim=5):
 
 
 def random_batch(rng, net_cfg, size):
+    """Path points for random pairs, as the arrays cfm_loss takes:
+    (states, taus, conds, target velocities)."""
     pairs = [random_pair(rng, net_cfg.cond_dim) for _ in range(size)]
-    return [flowmatch.sample_path(p, rng) for p in pairs]
+    taus = rng.uniform(size=size)
+    x0 = se3.sample_initial_batch(rng, size)
+    x1 = np.stack([p.target.as_vector() for p in pairs])
+    states, targets = flowmatch.path_point(x0, x1, taus)
+    return states, taus, np.stack([p.cond.values for p in pairs]), targets
 
 
 class TestTrainingPair:
@@ -64,64 +70,53 @@ class TestTrainingPair:
 
 
 class TestSamplePath:
+    """Path points and velocities as train places them: reference rows x0
+    from se3.sample_initial_batch, target rows x1."""
+
     def test_endpoints(self):
         rng = RNG(1)
-        pair = random_pair(rng)
-        at0 = flowmatch.sample_path(pair, rng, tau=0.0)
-        assert np.max(np.abs(at0.x_tau.as_vector() - at0.x0.as_vector())) < 1e-12
-        at1 = flowmatch.sample_path(pair, rng, tau=1.0)
-        assert np.max(np.abs(at1.x_tau.as_vector()
-                             - pair.target.as_vector())) < 1e-12
+        x0 = se3.sample_initial_batch(rng, 8)
+        x1 = rng.uniform(-0.5, 0.5, (8, 6))
+        at0, _ = flowmatch.path_point(x0, x1, np.zeros(8))
+        at1, _ = flowmatch.path_point(x0, x1, np.ones(8))
+        assert np.array_equal(at0, x0)
+        assert np.array_equal(at1, x1)
 
     def test_linear_interpolation_invariant(self):
         rng = RNG(2)
-        pair = random_pair(rng)
-        for tau in (0.1, 0.25, 0.5, 0.9):
-            s = flowmatch.sample_path(pair, rng, tau=tau)
-            want = (1 - tau) * s.x0.as_vector() + tau * pair.target.as_vector()
-            assert np.max(np.abs(s.x_tau.as_vector() - want)) < 1e-12
+        taus = np.array([0.1, 0.25, 0.5, 0.9])
+        x0 = se3.sample_initial_batch(rng, 4)
+        x1 = rng.uniform(-0.5, 0.5, (4, 6))
+        x_tau, _ = flowmatch.path_point(x0, x1, taus)
+        # x_tau - x0 = tau (x1 - x0): the point lies on the segment at tau.
+        want = taus[:, None] * (x1 - x0)
+        assert np.max(np.abs((x_tau - x0) - want)) < 1e-12
 
     def test_target_velocity_is_displacement(self):
         rng = RNG(3)
-        pair = random_pair(rng)
-        for _ in range(20):
-            s = flowmatch.sample_path(pair, rng)
-            want = pair.target.as_vector() - s.x0.as_vector()
-            assert np.array_equal(s.target_velocity, want)
-
-    def test_rejects_tau_out_of_range(self):
-        rng = RNG(4)
-        pair = random_pair(rng)
-        for tau in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                flowmatch.sample_path(pair, rng, tau=tau)
+        x0 = se3.sample_initial_batch(rng, 20)
+        x1 = rng.uniform(-0.5, 0.5, (20, 6))
+        _, velocity = flowmatch.path_point(x0, x1, rng.uniform(size=20))
+        assert np.array_equal(velocity, x1 - x0)
 
     def test_reference_endpoint_statistics(self):
         # E[x1 - x0] = x1 because both the translation reference and the
         # rotation-vector image of uniform rotations have zero mean.
         rng = RNG(5)
-        pair = random_pair(rng)
+        target = random_pair(rng).target.as_vector()
         n = 40_000
-        acc = np.zeros(6)
-        for _ in range(n):
-            acc += flowmatch.sample_path(pair, rng).target_velocity
-        mean = acc / n
-        assert np.max(np.abs(mean - pair.target.as_vector())) < 0.04
-
-    def test_tau_uniform_when_unforced(self):
-        rng = RNG(6)
-        pair = random_pair(rng)
-        taus = np.array([flowmatch.sample_path(pair, rng).tau
-                         for _ in range(4000)])
-        assert abs(taus.mean() - 0.5) < 0.02
-        assert abs(np.mean(taus < 0.25) - 0.25) < 0.03
+        x0 = se3.sample_initial_batch(rng, n)
+        _, velocity = flowmatch.path_point(x0, np.tile(target, (n, 1)),
+                                           rng.uniform(size=n))
+        assert np.max(np.abs(velocity.mean(axis=0) - target)) < 0.04
 
 
 class TestCfmLoss:
     def test_empty_batch_rejected(self):
         net = vfnet.init_params(RNG(7), SMALL_CONFIG)
         with pytest.raises(ValueError):
-            flowmatch.cfm_loss(net, [])
+            flowmatch.cfm_loss(net, np.empty((0, 6)), np.empty(0),
+                               np.empty((0, 5)), np.empty((0, 6)))
 
     def test_zero_initialized_net_loss_is_target_power(self):
         # Final head layers start at zero, so the field is identically
@@ -129,8 +124,8 @@ class TestCfmLoss:
         rng = RNG(8)
         net = vfnet.init_params(rng, SMALL_CONFIG)
         batch = random_batch(rng, SMALL_CONFIG, 16)
-        loss, _ = flowmatch.cfm_loss(net, batch)
-        want = float(np.mean([np.sum(s.target_velocity ** 2) for s in batch]))
+        loss, _ = flowmatch.cfm_loss(net, *batch)
+        want = float(np.mean(np.sum(batch[3] ** 2, axis=1)))
         assert abs(loss - want) < 1e-12 * max(1.0, want)
 
     def test_matches_per_sample_forward_oracle(self):
@@ -139,25 +134,26 @@ class TestCfmLoss:
         # Give the heads nonzero weights so the network output matters.
         net.head_rot[-1][0][:] = rng.standard_normal(net.head_rot[-1][0].shape)
         net.head_trans[-1][0][:] = rng.standard_normal(net.head_trans[-1][0].shape)
-        batch = random_batch(rng, SMALL_CONFIG, 12)
+        states, taus, conds, targets = random_batch(rng, SMALL_CONFIG, 12)
         rw, tw = 2.0, 0.5
-        loss, _ = flowmatch.cfm_loss(net, batch, rot_weight=rw, trans_weight=tw)
+        loss, _ = flowmatch.cfm_loss(net, states, taus, conds, targets,
+                                     rot_weight=rw, trans_weight=tw)
         weights = np.repeat([rw, tw], 3)
         acc = 0.0
-        for s in batch:
-            out = vfnet.forward(net, s.x_tau.as_vector(), s.tau, s.cond)
-            acc += float(((out - s.target_velocity) ** 2) @ weights)
-        want = acc / len(batch)
+        for i in range(len(states)):
+            out = vfnet.forward_batch(net, states[i:i + 1], taus[i:i + 1],
+                                      conds[i:i + 1])[0]
+            acc += float(((out - targets[i]) ** 2) @ weights)
+        want = acc / len(states)
         assert abs(loss - want) < 1e-9 * max(1.0, abs(want))
 
     def test_weight_zero_silences_component(self):
         rng = RNG(10)
         net = vfnet.init_params(rng, SMALL_CONFIG)
         batch = random_batch(rng, SMALL_CONFIG, 8)
-        loss_rot, _ = flowmatch.cfm_loss(net, batch, rot_weight=1.0,
+        loss_rot, _ = flowmatch.cfm_loss(net, *batch, rot_weight=1.0,
                                          trans_weight=0.0)
-        want = float(np.mean([np.sum(s.target_velocity[:3] ** 2)
-                              for s in batch]))
+        want = float(np.mean(np.sum(batch[3][:, :3] ** 2, axis=1)))
         assert abs(loss_rot - want) < 1e-12 * max(1.0, want)
 
     def test_gradient_matches_finite_differences(self):
@@ -167,7 +163,7 @@ class TestCfmLoss:
         net.head_trans[-1][0][:] = rng.standard_normal(net.head_trans[-1][0].shape) * 0.3
         batch = random_batch(rng, SMALL_CONFIG, 6)
         rw, tw = 1.5, 0.7
-        _, grads = flowmatch.cfm_loss(net, batch, rot_weight=rw, trans_weight=tw)
+        _, grads = flowmatch.cfm_loss(net, *batch, rot_weight=rw, trans_weight=tw)
 
         arrays = dict(vfnet._named_arrays(net))
         grad_arrays = dict(vfnet._named_arrays(grads))
@@ -179,10 +175,10 @@ class TestCfmLoss:
                                 replace=False):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = flowmatch.cfm_loss(net, batch, rot_weight=rw,
+                up, _ = flowmatch.cfm_loss(net, *batch, rot_weight=rw,
                                            trans_weight=tw)
                 flat[k] = orig - h
-                dn, _ = flowmatch.cfm_loss(net, batch, rot_weight=rw,
+                dn, _ = flowmatch.cfm_loss(net, *batch, rot_weight=rw,
                                            trans_weight=tw)
                 flat[k] = orig
                 fd = (up - dn) / (2 * h)
@@ -275,6 +271,26 @@ class TestTrain:
         for (_, a), (_, b) in zip(vfnet._named_arrays(net_a),
                                   vfnet._named_arrays(net_b)):
             assert np.array_equal(a, b)
+
+    def test_first_loss_follows_draw_order(self):
+        # After the initial parameters, each epoch draws a permutation and
+        # each batch draws its taus, then its reference states.  Seeds keep
+        # their meaning only while this order holds.
+        rng = RNG(24)
+        dataset = self.small_dataset(rng)
+        config = flowmatch.TrainConfig(batch_size=4, epochs=1, seed=6)
+        _, history = flowmatch.train(dataset, config, SMALL_CONFIG)
+
+        rng = RNG(6)
+        net = vfnet.init_params(rng, SMALL_CONFIG)
+        idx = rng.permutation(len(dataset))[:4]
+        taus = rng.uniform(size=4)
+        x0 = se3.sample_initial_batch(rng, 4)
+        x1 = np.stack([dataset[i].target.as_vector() for i in idx])
+        states, targets = flowmatch.path_point(x0, x1, taus)
+        conds = np.stack([dataset[i].cond.values for i in idx])
+        loss, _ = flowmatch.cfm_loss(net, states, taus, conds, targets)
+        assert history[0][2] == loss
 
     def test_history_reflects_lr_schedule(self):
         rng = RNG(18)
@@ -421,4 +437,10 @@ class TestLossHistoryFile:
         path = tmp_path / "loss.csv"
         path.write_text("step,lr,loss\n1,0.001\n")
         with pytest.raises(ValueError, match=":2"):
+            flowmatch.read_loss_history(path)
+
+    def test_non_numeric_cell_reports_line(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("step,lr,loss\n1,0.001,3.0\n2,0.001,lots\n")
+        with pytest.raises(ValueError, match=r"loss\.csv:3: .*'lots'"):
             flowmatch.read_loss_history(path)

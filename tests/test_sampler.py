@@ -125,33 +125,36 @@ class TestIntegrateField:
                                     sampler.SolverConfig("euler", 8))
 
 
+def integrate_net(net, x0, cond, config):
+    """One flow trajectory, integrated as estimate_pose integrates its rows."""
+    return sampler.integrate_field(sampler._net_field(net, cond), x0, config)
+
+
 class TestIntegrateNet:
     def test_single_euler_step_is_one_forward_eval(self):
         net = small_net(2)
         cond = vfnet.ConditionVector(np.array([0.1, -0.2, 0.3, 0.4]))
-        x0 = se3.MotionState([0.1, 0.0, -0.1], [0.5, -0.5, 0.25])
-        got = sampler.integrate(net, x0, cond, sampler.SolverConfig("euler", 1))
-        want = x0.as_vector() + vfnet.forward(net, x0, 0.0, cond)
-        assert np.max(np.abs(got.as_vector() - want)) < 1e-15
+        x0 = np.array([0.1, 0.0, -0.1, 0.5, -0.5, 0.25])
+        got = integrate_net(net, x0, cond, sampler.SolverConfig("euler", 1))
+        want = x0 + vfnet.forward_batch(net, x0[None, :], np.zeros(1),
+                                        cond.values[None, :])[0]
+        assert np.max(np.abs(got - want)) < 1e-15
 
     def test_constant_net_exact_for_all_schemes(self):
         v = np.array([0.02, -0.01, 0.03, 0.4, 0.1, -0.2])
         net = constant_net(v)
         cond = vfnet.ConditionVector(np.zeros(4))
-        x0 = se3.MotionState([0.2, -0.1, 0.0], [1.0, 2.0, -1.0])
-        want = x0.as_vector() + v
+        x0 = np.array([0.2, -0.1, 0.0, 1.0, 2.0, -1.0])
         for method in sampler.SOLVER_METHODS:
             for steps in (1, 2, 5, 9):
-                got = sampler.integrate(net, x0, cond,
-                                        sampler.SolverConfig(method, steps))
-                assert np.max(np.abs(got.as_vector() - want)) < 1e-15
+                got = integrate_net(net, x0, cond, sampler.SolverConfig(method, steps))
+                assert np.max(np.abs(got - (x0 + v))) < 1e-15
 
     def test_rejects_mismatched_condition(self):
         net = small_net(3)
-        with pytest.raises(ValueError):
-            sampler.integrate(net, se3.MotionState([0, 0, 0], [0, 0, 0]),
-                              vfnet.ConditionVector(np.zeros(7)),
-                              sampler.SolverConfig())
+        with pytest.raises(ValueError, match="condition dim"):
+            sampler.estimate_pose(net, vfnet.ConditionVector(np.zeros(7)),
+                                  sampler.SolverConfig(), 1, RNG(0))
 
 
 class TestEstimatePose:
@@ -251,3 +254,17 @@ class TestEstimatesCsv:
                             "std_1,std_2,std_3,std_4,std_5,std_6")
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "0"
+
+    def test_non_numeric_cell_reports_line(self, tmp_path):
+        net = small_net(25)
+        conds = [vfnet.ConditionVector(np.ones(4))] * 2
+        results = sampler.estimate_sequence(net, conds, sampler.SolverConfig(), 2, RNG(26))
+        path = tmp_path / "estimates.csv"
+        sampler.write_estimates_csv(path, results)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[4] = "wide"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"estimates\.csv:3: .*'wide'"):
+            sampler.read_estimates_csv(path)

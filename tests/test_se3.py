@@ -265,10 +265,18 @@ class TestReferenceSampling:
         assert np.max(np.abs(axes.mean(axis=0))) < 0.02
 
     def test_batch_matches_sequential_draws(self):
+        # A batch of n equals n batches of 1 drawn from one stream.
         batch = se3.sample_initial_batch(RNG(103), 16)
         rng = RNG(103)
-        singles = np.stack([se3.sample_initial(rng).as_vector() for _ in range(16)])
+        singles = np.concatenate([se3.sample_initial_batch(rng, 1) for _ in range(16)])
         assert np.array_equal(batch, singles)
+
+    def test_each_row_reads_translation_then_quaternion(self):
+        batch = se3.sample_initial_batch(RNG(105), 16)
+        normals = RNG(105).standard_normal((16, 7))
+        assert np.array_equal(batch[:, 3:], normals[:, :3])
+        rho = np.stack([se3.log_map(se3.Rotation(q)) for q in normals[:, 3:]])
+        assert np.max(np.abs(batch[:, :3] - rho)) < 1e-15
 
     def test_determinism(self):
         a = se3.sample_initial_batch(RNG(104), 64)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from motionflow import se3, vfnet
+from motionflow import vfnet
 
 RNG = np.random.default_rng
 
@@ -31,6 +31,22 @@ def random_net(rng, config):
     for _, arr in vfnet._named_arrays(net):
         arr[...] = rng.standard_normal(arr.shape) * 0.4
     return net
+
+
+def forward_one(net, state, tau, cond):
+    """The field at one (state, tau, cond) row, through forward_batch."""
+    return vfnet.forward_batch(net, state[None, :], np.array([tau]), cond[None, :])[0]
+
+
+def backward_one(net, state, tau, cond, upstream):
+    """Gradient of <forward_one(...), upstream>, through backward_batch."""
+    _, cache = vfnet.forward_batch(net, state[None, :], np.array([tau]),
+                                   cond[None, :], keep_cache=True)
+    return vfnet.backward_batch(net, cache, upstream[None, :])
+
+
+def time_features(tau, dim):
+    return vfnet._time_features(np.array([tau]), dim)[0]
 
 
 def naive_forward(net, state_vec, tau, cond_vec):
@@ -69,28 +85,23 @@ def naive_forward(net, state_vec, tau, cond_vec):
 
 class TestTimeEmbedding:
     def test_tau_zero(self):
-        emb = vfnet.time_embedding(0.0, 8)
+        emb = time_features(0.0, 8)
         assert np.array_equal(emb, [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_known_values(self):
-        emb = vfnet.time_embedding(0.5, 4)
+        emb = time_features(0.5, 4)
         # sin(pi/2), cos(pi/2), sin(pi), cos(pi)
         want = [1.0, math.cos(math.pi / 2), math.sin(math.pi), -1.0]
         assert np.allclose(emb, want, atol=1e-15)
 
     def test_injective_on_grid(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        embs = {vfnet.time_embedding(t, 16).tobytes() for t in grid}
+        embs = {row.tobytes() for row in vfnet._time_features(grid, 16)}
         assert len(embs) == grid.size
 
-    def test_rejects_out_of_range(self):
-        for bad in (-0.01, 1.01, float("nan")):
-            with pytest.raises(ValueError):
-                vfnet.time_embedding(bad, 8)
-
     def test_rejects_odd_dim(self):
-        with pytest.raises(ValueError):
-            vfnet.time_embedding(0.5, 7)
+        with pytest.raises(ValueError, match="even"):
+            vfnet.NetConfig(time_embed_dim=7)
 
 
 class TestConfigAndInit:
@@ -143,14 +154,9 @@ class TestConfigAndInit:
     def test_initial_velocity_is_exactly_zero(self):
         net = vfnet.init_params(RNG(1), vfnet.NetConfig())
         rng = RNG(2)
-        for _ in range(10):
-            out = vfnet.forward(
-                net,
-                rng.standard_normal(6),
-                float(rng.uniform()),
-                vfnet.ConditionVector(rng.standard_normal(16)),
-            )
-            assert np.array_equal(out, np.zeros(6))
+        out = vfnet.forward_batch(net, rng.standard_normal((10, 6)),
+                                  rng.uniform(size=10), rng.standard_normal((10, 16)))
+        assert np.array_equal(out, np.zeros((10, 6)))
 
     def test_init_is_deterministic(self):
         a = vfnet.init_params(RNG(3), SMALL_CONFIG)
@@ -167,7 +173,7 @@ class TestForward:
             state = rng.standard_normal(6)
             tau = float(rng.uniform())
             cond = rng.standard_normal(5)
-            got = vfnet.forward(net, state, tau, vfnet.ConditionVector(cond))
+            got = forward_one(net, state, tau, cond)
             want = naive_forward(net, state, tau, cond)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -177,7 +183,7 @@ class TestForward:
         net = vfnet._zero_net(SMALL_CONFIG)
         net.head_rot[-1][1][:] = [1.0, 2.0, 3.0]
         net.head_trans[-1][1][:] = [4.0, 5.0, 6.0]
-        out = vfnet.forward(net, np.zeros(6), 0.5, vfnet.ConditionVector(np.zeros(5)))
+        out = forward_one(net, np.zeros(6), 0.5, np.zeros(5))
         assert np.array_equal(out, [1, 2, 3, 4, 5, 6])
 
     def test_batch_matches_singles(self):
@@ -188,29 +194,13 @@ class TestForward:
         conds = rng.standard_normal((7, 5))
         batch = vfnet.forward_batch(net, states, taus, conds)
         for i in range(7):
-            single = vfnet.forward(net, states[i], float(taus[i]),
-                                   vfnet.ConditionVector(conds[i]))
+            single = forward_one(net, states[i], taus[i], conds[i])
             assert np.max(np.abs(batch[i] - single)) < 1e-12
-
-    def test_accepts_motion_state(self):
-        rng = RNG(6)
-        net = random_net(rng, SMALL_CONFIG)
-        state = se3.MotionState([0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
-        a = vfnet.forward(net, state, 0.3, vfnet.ConditionVector(np.ones(5)))
-        b = vfnet.forward(net, state.as_vector(), 0.3, vfnet.ConditionVector(np.ones(5)))
-        assert np.array_equal(a, b)
 
     def test_rejects_mismatched_condition(self):
         net = vfnet.init_params(RNG(7), SMALL_CONFIG)
-        with pytest.raises(ValueError):
-            vfnet.forward(net, np.zeros(6), 0.5, vfnet.ConditionVector(np.zeros(9)))
-
-    def test_rejects_bad_tau(self):
-        net = vfnet.init_params(RNG(8), SMALL_CONFIG)
-        cond = vfnet.ConditionVector(np.zeros(5))
-        for bad in (-0.1, 1.1, float("nan")):
-            with pytest.raises(ValueError):
-                vfnet.forward(net, np.zeros(6), bad, cond)
+        with pytest.raises(ValueError, match="condition dim"):
+            forward_one(net, np.zeros(6), 0.5, np.zeros(9))
 
 
 class TestBackward:
@@ -223,9 +213,9 @@ class TestBackward:
         for _ in range(20):
             state = rng.standard_normal(6)
             tau = float(rng.uniform())
-            cond = vfnet.ConditionVector(rng.standard_normal(5))
+            cond = rng.standard_normal(5)
             upstream = rng.standard_normal(6)
-            grads = vfnet.backward(net, state, tau, cond, upstream)
+            grads = backward_one(net, state, tau, cond, upstream)
             for (_, param), (_, grad) in zip(
                 vfnet._named_arrays(net), vfnet._named_arrays(grads)
             ):
@@ -234,9 +224,9 @@ class TestBackward:
                 for idx in range(flat_p.size):
                     orig = flat_p[idx]
                     flat_p[idx] = orig + h
-                    up = float(vfnet.forward(net, state, tau, cond) @ upstream)
+                    up = float(forward_one(net, state, tau, cond) @ upstream)
                     flat_p[idx] = orig - h
-                    down = float(vfnet.forward(net, state, tau, cond) @ upstream)
+                    down = float(forward_one(net, state, tau, cond) @ upstream)
                     flat_p[idx] = orig
                     fd = (up - down) / (2.0 * h)
                     rel = abs(flat_g[idx] - fd) / max(abs(flat_g[idx]), abs(fd), 1e-8)
@@ -254,8 +244,7 @@ class TestBackward:
         batch_grads = vfnet.backward_batch(net, cache, ups)
         total = vfnet.zero_gradients(net)
         for i in range(4):
-            single = vfnet.backward(net, states[i], float(taus[i]),
-                                    vfnet.ConditionVector(conds[i]), ups[i])
+            single = backward_one(net, states[i], taus[i], conds[i], ups[i])
             for (_, acc), (_, g) in zip(vfnet._named_arrays(total),
                                         vfnet._named_arrays(single)):
                 acc += g
@@ -309,3 +298,19 @@ class TestCheckpoint:
         path.write_text(text)
         with pytest.raises(ValueError):
             vfnet.load_checkpoint(path)
+
+    def test_bad_cells_report_line(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        vfnet.save_checkpoint(path, random_net(RNG(15), SMALL_CONFIG))
+        lines = path.read_text().splitlines()
+        shape = lines.index("tensor state_embed.w 6 6")
+        first_row = lines[shape + 1].split()
+        for index, text, cell in (
+                (1, "cond_dim=five", "five"),
+                (shape, "tensor state_embed.w x 6", "x"),
+                (shape + 1, " ".join(["zero"] + first_row[1:]), "zero")):
+            bad = list(lines)
+            bad[index] = text
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ValueError, match=rf"ckpt\.txt:{index + 1}: .*'{cell}'"):
+                vfnet.load_checkpoint(path)
