@@ -327,10 +327,14 @@ def cmd_eval(args) -> int:
 
     aligned_est = _scale_aligned(est, gt, args.scale)
     ate_rmse = trajeval.ate(aligned_est, gt, args.align)
-    std_rot, std_trans = (
-        _mean_spread(_read_input(args.estimates, "estimates file",
-                                 sampler.read_estimates_csv))
-        if args.estimates is not None else (float("nan"), float("nan")))
+    std_rot, std_trans = float("nan"), float("nan")
+    if args.estimates is not None:
+        rows = _read_input(args.estimates, "estimates file", sampler.read_estimates_csv)
+        if len(rows) != len(est) - 1:
+            raise UsageError(
+                f"bad estimates file: {args.estimates} has {len(rows)} rows, but the "
+                f"trajectories have {len(est)} poses; expected {len(est) - 1}")
+        std_rot, std_trans = _mean_spread(rows)
     watch.lap("evaluate")
 
     metrics_path = out / "metrics.csv"

@@ -113,10 +113,11 @@ def cfm_loss(net: vfnet.VectorFieldNet, states: np.ndarray, taus: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators, flat like VectorFieldNet.flat,
+    plus the shared step counter."""
 
-    m: vfnet.Gradients
-    v: vfnet.Gradients
+    m: np.ndarray
+    v: np.ndarray
     step: int
     beta1: float
     beta2: float
@@ -126,8 +127,8 @@ class AdamState:
 def adam_init(net: vfnet.VectorFieldNet, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
     return AdamState(
-        m=vfnet.zero_gradients(net),
-        v=vfnet.zero_gradients(net),
+        m=np.zeros_like(net.flat),
+        v=np.zeros_like(net.flat),
         step=0,
         beta1=beta1,
         beta2=beta2,
@@ -137,28 +138,36 @@ def adam_init(net: vfnet.VectorFieldNet, beta1: float = 0.9, beta2: float = 0.99
 
 def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.Gradients, state: AdamState,
               lr: float) -> None:
-    """One in-place Adam update with bias correction.
+    """One in-place Adam update with bias correction, on the flat buffers.
 
     From a zero state the very first step moves each parameter by
     -lr * g / (|g| + eps), which the tests pin down.  Raises
-    TrainingDivergedError if any parameter leaves the finite range.
+    TrainingDivergedError, naming the first tensor in _named_arrays order
+    with a non-finite entry, if any parameter leaves the finite range.
     """
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for (name, p), (_, g), (_, m), (_, v) in zip(
-        vfnet._named_arrays(net), vfnet._named_arrays(grads),
-        vfnet._named_arrays(state.m), vfnet._named_arrays(state.v),
-    ):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if not np.all(np.isfinite(p)):
-            raise TrainingDivergedError(
-                f"parameter {name} became non-finite at optimizer step {state.step}"
-            )
+    g, m, v = grads.flat, state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    denom = np.sqrt(v / c2)
+    denom += state.eps
+    update = m / c1
+    update *= lr
+    update /= denom
+    net.flat -= update
+    if not np.isfinite(net.flat).all():
+        bad = int(np.argmin(np.isfinite(net.flat)))
+        for name, arr in vfnet._named_arrays(net):
+            if bad < arr.size:
+                break
+            bad -= arr.size
+        raise TrainingDivergedError(
+            f"parameter {name} became non-finite at optimizer step {state.step}"
+        )
 
 
 def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,

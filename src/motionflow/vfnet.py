@@ -17,6 +17,7 @@ initializing Generator.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, fields
@@ -80,7 +81,12 @@ class ConditionVector:
 
 @dataclass
 class VectorFieldNet:
-    """Parameter container.  Layers are (weight, bias) pairs, weight (out, in)."""
+    """Parameter container.  Layers are (weight, bias) pairs, weight (out, in).
+
+    Every weight and bias is a view into flat, one float64 buffer of
+    parameter_count(config) entries in _named_arrays order, so the
+    optimizer updates all parameters with a few vector operations.
+    """
 
     config: NetConfig
     state_embed: list  # [W, b]
@@ -88,24 +94,26 @@ class VectorFieldNet:
     layers: list       # trunk: [[W, b], ...]
     head_rot: list     # [[W, b], ..., final linear]
     head_trans: list
+    flat: np.ndarray
 
 
 @dataclass
 class Gradients:
-    """Same tree shape as VectorFieldNet's parameters."""
+    """Same tree shape as VectorFieldNet's parameters, also views into flat."""
 
     state_embed: list
     cond_embed: list
     layers: list
     head_rot: list
     head_trans: list
+    flat: np.ndarray
 
 
 def _named_arrays(tree):
     """Flat iteration over (name, array) in a fixed traversal order.
 
     Works on both VectorFieldNet and Gradients; the order defines the
-    checkpoint layout and the optimizer's parameter ordering.
+    checkpoint layout and the arrays' places in the flat buffer.
     """
     yield "state_embed.w", tree.state_embed[0]
     yield "state_embed.b", tree.state_embed[1]
@@ -122,8 +130,7 @@ def _named_arrays(tree):
 
 
 def parameter_count(config: NetConfig) -> int:
-    net = _zero_net(config)
-    return sum(arr.size for _, arr in _named_arrays(net))
+    return _layout(config)[1]
 
 
 def _layer_shapes(config: NetConfig):
@@ -145,35 +152,44 @@ def _layer_shapes(config: NetConfig):
     return shapes
 
 
-def _build_tree(config: NetConfig, make):
-    """Assemble the parameter tree, calling make(name, out, in) per layer."""
-    state_embed = None
-    cond_embed = []
-    layers = []
-    head_rot = []
-    head_trans = []
+@functools.lru_cache(maxsize=16)
+def _layout(config: NetConfig):
+    """Where each layer lives in the flat buffer, in _named_arrays order:
+    ((tree field, weight start, bias start, bias end, weight shape), ...)
+    and the buffer size."""
+    spans = []
+    offset = 0
     for name, out_dim, in_dim in _layer_shapes(config):
-        pair = make(name, out_dim, in_dim)
-        if name == "state_embed":
-            state_embed = pair
-        elif name.startswith("cond_embed"):
-            cond_embed.append(pair)
-        elif name.startswith("trunk"):
-            layers.append(pair)
-        elif name.startswith("head_rot"):
-            head_rot.append(pair)
+        group = name.split(".")[0]
+        bias = offset + out_dim * in_dim
+        spans.append(("layers" if group == "trunk" else group, offset, bias,
+                      bias + out_dim, (out_dim, in_dim)))
+        offset = bias + out_dim
+    return tuple(spans), offset
+
+
+def _build_tree(config: NetConfig) -> dict:
+    """Tree fields over one zeroed buffer: "flat" holds parameter_count
+    entries, and each layer's [weight, bias] pair is a view into it."""
+    spans, size = _layout(config)
+    flat = np.zeros(size)
+    tree = {"state_embed": None, "cond_embed": [], "layers": [], "head_rot": [],
+            "head_trans": [], "flat": flat}
+    for group, start, bias, end, shape in spans:
+        pair = [flat[start:bias].reshape(shape), flat[bias:end]]
+        if group == "state_embed":
+            tree[group] = pair
         else:
-            head_trans.append(pair)
-    return VectorFieldNet(config, state_embed, cond_embed, layers, head_rot, head_trans)
+            tree[group].append(pair)
+    return tree
 
 
 def _zero_net(config: NetConfig) -> VectorFieldNet:
-    return _build_tree(config, lambda name, o, i: [np.zeros((o, i)), np.zeros(o)])
+    return VectorFieldNet(config, **_build_tree(config))
 
 
 def zero_gradients(net: VectorFieldNet) -> Gradients:
-    z = _zero_net(net.config)
-    return Gradients(z.state_embed, z.cond_embed, z.layers, z.head_rot, z.head_trans)
+    return Gradients(**_build_tree(net.config))
 
 
 def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFieldNet:
@@ -185,14 +201,13 @@ def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFie
     """
     config = config if config is not None else NetConfig()
     final = {f"head_rot.{len(config.head_widths)}", f"head_trans.{len(config.head_widths)}"}
-
-    def make(name, out_dim, in_dim):
-        if name in final:
-            return [np.zeros((out_dim, in_dim)), np.zeros(out_dim)]
-        bound = math.sqrt(6.0 / in_dim)
-        return [rng.uniform(-bound, bound, size=(out_dim, in_dim)), np.zeros(out_dim)]
-
-    return _build_tree(config, make)
+    net = _zero_net(config)
+    arrays = dict(_named_arrays(net))
+    for name, out_dim, in_dim in _layer_shapes(config):
+        if name not in final:
+            bound = math.sqrt(6.0 / in_dim)
+            arrays[f"{name}.w"][...] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    return net
 
 
 def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
@@ -249,50 +264,52 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus: np.ndarray,
     return out, cache
 
 
+def _linear_grads(pair, d_pre: np.ndarray, x: np.ndarray) -> None:
+    """Write one linear layer's weight and bias gradients into pair, given
+    the gradient d_pre at its output and its input x."""
+    np.matmul(d_pre.T, x, out=pair[0])
+    np.sum(d_pre, axis=0, out=pair[1])
+
+
 def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of sum_b <forward_b, upstream_b>.
 
     cache comes from forward_batch(..., keep_cache=True); upstream is (B, 6).
+    The gradients are written into the views of one fresh flat buffer.
     """
     states, conds, c_hidden, trunk_acts, rot_acts, trans_acts = cache
     cfg = net.config
+    grads = zero_gradients(net)
 
-    def head_backward(head_layers, acts, d_out):
-        grads = []
-        w_last, _ = head_layers[-1]
-        grads.append([d_out.T @ acts[-1], d_out.sum(axis=0)])
-        d = d_out @ w_last
+    def head_backward(head_layers, head_grads, acts, d_out):
+        _linear_grads(head_grads[-1], d_out, acts[-1])
+        d = d_out @ head_layers[-1][0]
         for idx in range(len(head_layers) - 2, -1, -1):
-            w, _ = head_layers[idx]
             d_pre = d * (1.0 - acts[idx + 1] ** 2)
-            grads.append([d_pre.T @ acts[idx], d_pre.sum(axis=0)])
-            d = d_pre @ w
-        return list(reversed(grads)), d
+            _linear_grads(head_grads[idx], d_pre, acts[idx])
+            d = d_pre @ head_layers[idx][0]
+        return d
 
-    g_rot, d_rot = head_backward(net.head_rot, rot_acts, upstream[:, :3])
-    g_trans, d_trans = head_backward(net.head_trans, trans_acts, upstream[:, 3:])
+    d_rot = head_backward(net.head_rot, grads.head_rot, rot_acts, upstream[:, :3])
+    d_trans = head_backward(net.head_trans, grads.head_trans, trans_acts, upstream[:, 3:])
 
     d = d_rot + d_trans
-    g_trunk = []
     for idx in range(len(net.layers) - 1, -1, -1):
-        w, _ = net.layers[idx]
         d_pre = d * (1.0 - trunk_acts[idx + 1] ** 2)
-        g_trunk.append([d_pre.T @ trunk_acts[idx], d_pre.sum(axis=0)])
-        d = d_pre @ w
-    g_trunk = list(reversed(g_trunk))
+        _linear_grads(grads.layers[idx], d_pre, trunk_acts[idx])
+        d = d_pre @ net.layers[idx][0]
 
     # Split the fused-input gradient back into the three branches.
     t_dim, s_dim = cfg.time_embed_dim, cfg.state_embed_dim
     d_state = d[:, t_dim:t_dim + s_dim]
     d_cond = d[:, t_dim + s_dim:]
-    g_state = [d_state.T @ states, d_state.sum(axis=0)]
+    _linear_grads(grads.state_embed, d_state, states)
 
     w2 = net.cond_embed[1][0]
-    g_c2 = [d_cond.T @ c_hidden, d_cond.sum(axis=0)]
+    _linear_grads(grads.cond_embed[1], d_cond, c_hidden)
     d_hidden_pre = (d_cond @ w2) * (1.0 - c_hidden ** 2)
-    g_c1 = [d_hidden_pre.T @ conds, d_hidden_pre.sum(axis=0)]
-
-    return Gradients(g_state, [g_c1, g_c2], g_trunk, g_rot, g_trans)
+    _linear_grads(grads.cond_embed[0], d_hidden_pre, conds)
+    return grads
 
 
 # --- checkpoint format -------------------------------------------------------
@@ -388,6 +405,8 @@ def load_checkpoint(path) -> VectorFieldNet:
             pos += 1
             if row.size != cols:
                 raise ValueError(f"{path}:{pos}: row has {row.size} values, expected {cols}")
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{pos}: tensor {name} has a non-finite value")
             mat[r, :] = row
         seen.add(name)
     missing = set(expected) - seen

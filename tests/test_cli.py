@@ -330,13 +330,24 @@ class TestMalformedInputs:
         headerless.write_text("".join(
             line for line in (data / "dataset.csv").read_text().splitlines(keepends=True)
             if not line.startswith("#")))
+        estimates_header = ("pair_index,rho_x,rho_y,rho_z,t_x,t_y,t_z,"
+                            "std_1,std_2,std_3,std_4,std_5,std_6\n")
         bad_estimates = tmp_path / "estimates.csv"
-        bad_estimates.write_text("pair_index,rho_x,rho_y,rho_z,t_x,t_y,t_z,"
-                                 "std_1,std_2,std_3,std_4,std_5,std_6\n"
-                                 "0" + ",x" * 12 + "\n")
+        bad_estimates.write_text(estimates_header + "0" + ",x" * 12 + "\n")
+        header_only_estimates = tmp_path / "header_only.csv"
+        header_only_estimates.write_text(estimates_header)
+        short_estimates = tmp_path / "short.csv"
+        short_estimates.write_text(estimates_header + "0" + ",0.5" * 12 + "\n")
+        nan_checkpoint = tmp_path / "nan.txt"
+        lines = text.splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("tensor state_embed.b ")) + 1
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        nan_checkpoint.write_text("\n".join(lines) + "\n")
         return {"dataset": data / "dataset.csv", "gt": data / "gt.tum", "good": good,
                 "truncated": truncated, "bad_shape": bad_shape,
-                "headerless": headerless, "bad_estimates": bad_estimates}
+                "headerless": headerless, "bad_estimates": bad_estimates,
+                "header_only_estimates": header_only_estimates,
+                "short_estimates": short_estimates, "nan_checkpoint": nan_checkpoint}
 
     @pytest.mark.parametrize("argv", [
         ["train", "--dataset", "{headerless}"],
@@ -347,11 +358,23 @@ class TestMalformedInputs:
          "--gt", "{gt}"],
         ["infer", "--checkpoint", "{bad_shape}", "--dataset", "{dataset}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{bad_estimates}"],
+        ["eval", "{gt}", "{gt}", "--estimates", "{header_only_estimates}"],
+        ["eval", "{gt}", "{gt}", "--estimates", "{short_estimates}"],
+        ["infer", "--checkpoint", "{nan_checkpoint}", "--dataset", "{dataset}"],
     ], ids=["train-headerless-dataset", "infer-headerless-dataset",
             "train-truncated-checkpoint", "infer-truncated-checkpoint",
             "ablate-truncated-checkpoint", "infer-bad-tensor-shape",
-            "eval-non-numeric-estimates"])
+            "eval-non-numeric-estimates", "eval-header-only-estimates",
+            "eval-estimates-row-count", "infer-nan-checkpoint"])
     def test_exits_2(self, files, argv, tmp_path, capsys):
         args = [arg.format(**files) for arg in argv]
         assert run_cli(*args, "--out", tmp_path / "out") == 2
         assert "error: bad " in capsys.readouterr().err
+
+    def test_estimates_row_count_names_file_and_counts(self, files, tmp_path, capsys):
+        poses = len(trajeval.read_tum(files["gt"]))
+        assert run_cli("eval", files["gt"], files["gt"], "--estimates",
+                       files["short_estimates"], "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{files['short_estimates']} has 1 rows" in err
+        assert f"{poses} poses; expected {poses - 1}" in err

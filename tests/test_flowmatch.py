@@ -234,6 +234,51 @@ class TestAdam:
                 want = lr * g / (np.abs(g) + state.eps)
                 assert np.max(np.abs(step - want)) < 1e-12
 
+    def test_matches_per_tensor_reference_bitwise(self):
+        # The flat update does the per-tensor arithmetic elementwise in the
+        # same order, so it reproduces a loop over the tensors exactly.
+        rng = RNG(19)
+        net = vfnet.init_params(rng, SMALL_CONFIG)
+        ref = {name: a.copy() for name, a in vfnet._named_arrays(net)}
+        ref_m = {name: np.zeros_like(a) for name, a in ref.items()}
+        ref_v = {name: np.zeros_like(a) for name, a in ref.items()}
+        state = flowmatch.adam_init(net, 0.8, 0.99, 1e-6)
+        for step in range(1, 6):
+            grads = self.filled_gradients(net, rng, scale=10.0 ** -step)
+            lr = 1e-3 * step
+            flowmatch.adam_step(net, grads, state, lr)
+            c1, c2 = 1.0 - 0.8 ** step, 1.0 - 0.99 ** step
+            for name, g in vfnet._named_arrays(grads):
+                m, v, p = ref_m[name], ref_v[name], ref[name]
+                m *= 0.8
+                m += (1.0 - 0.8) * g
+                v *= 0.99
+                v += (1.0 - 0.99) * (g * g)
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-6)
+        for name, a in vfnet._named_arrays(net):
+            assert np.array_equal(a, ref[name]), name
+
+    def test_moments_are_flat_like_the_parameters(self):
+        net = vfnet.init_params(RNG(16), SMALL_CONFIG)
+        state = flowmatch.adam_init(net)
+        assert state.m.shape == state.v.shape == net.flat.shape
+        assert not np.shares_memory(state.m, state.v)
+
+    def test_divergence_maps_flat_index_to_tensor_name(self):
+        # Each tensor, at its last entry, is named in the message.
+        for name, _ in vfnet._named_arrays(vfnet.init_params(RNG(17), SMALL_CONFIG)):
+            rng = RNG(18)
+            net = vfnet.init_params(rng, SMALL_CONFIG)
+            grads = self.filled_gradients(net, rng)
+            dict(vfnet._named_arrays(grads))[name].reshape(-1)[-1] = np.nan
+            state = flowmatch.adam_init(net)
+            flowmatch.adam_step(net, self.filled_gradients(net, rng), state, 1e-3)
+            with np.errstate(all="ignore"):
+                with pytest.raises(flowmatch.TrainingDivergedError) as err:
+                    flowmatch.adam_step(net, grads, state, 1e-3)
+            assert str(err.value) == (
+                f"parameter {name} became non-finite at optimizer step 2")
+
     def test_divergence_names_parameter_and_step(self):
         rng = RNG(15)
         net = vfnet.init_params(rng, SMALL_CONFIG)

@@ -210,6 +210,17 @@ class TestPoseAlgebra:
             assert np.allclose(other.translation, p.translation, atol=1e-15)
 
 
+class TestQuatRotate:
+    def test_matches_cross_product_form_bitwise(self):
+        rng = RNG(106)
+        for _ in range(500):
+            q = se3.Rotation(rng.standard_normal(4)).q
+            v = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4)
+            u = q[1:4]
+            t = 2.0 * np.cross(u, v)
+            assert np.array_equal(se3._quat_rotate(q, v), v + q[0] * t + np.cross(u, t))
+
+
 class TestStateChart:
     @given(rotvec_strategy(), st.tuples(*[st.floats(-10, 10)] * 3))
     @settings(max_examples=100, deadline=None)
@@ -272,11 +283,46 @@ class TestReferenceSampling:
         assert np.array_equal(batch, singles)
 
     def test_each_row_reads_translation_then_quaternion(self):
-        batch = se3.sample_initial_batch(RNG(105), 16)
-        normals = RNG(105).standard_normal((16, 7))
+        # The array path is Rotation and log_map in the same operation
+        # order, so each row equals the per-row log bit for bit.
+        batch = se3.sample_initial_batch(RNG(105), 2000)
+        normals = RNG(105).standard_normal((2000, 7))
         assert np.array_equal(batch[:, 3:], normals[:, :3])
         rho = np.stack([se3.log_map(se3.Rotation(q)) for q in normals[:, 3:]])
-        assert np.max(np.abs(batch[:, :3] - rho)) < 1e-15
+        assert np.array_equal(batch[:, :3], rho)
+
+    def test_edge_rows_match_rotation_and_log(self):
+        class Stub:
+            """Generator whose standard_normal returns crafted rows."""
+
+            def __init__(self, rows):
+                self.rows = np.array(rows, dtype=np.float64)
+
+            def standard_normal(self, shape):
+                assert shape == self.rows.shape
+                return self.rows.copy()
+
+        t = [0.1, -0.2, 0.3]
+        quats = [
+            [-0.5, 0.1, 0.2, 0.3],        # w < 0: sign flip
+            [0.0, 0.0, -0.6, 0.8],        # w == 0, first nonzero component < 0
+            [-0.0, -1.0, 0.0, 0.0],       # angle exactly pi, negative zero w
+            [0.0, 0.0, 0.0, 1.0],         # angle exactly pi, kept sign
+            [2.0, 1e-7, -2e-7, 3e-8],     # |v| < SMALL_ANGLE after normalizing
+            [-1.0, 1e-8, 0.0, -0.0],      # small angle, unit norm kept, w < 0
+            [1.0, 0.0, 0.0, 0.0],         # identity, exact zeros
+            [-1.0, 0.0, 0.0, 0.0],        # identity with flipped sign
+            [1e-3, 0.6, -0.8, 0.0],       # angle just below pi
+        ]
+        batch = se3.sample_initial_batch(Stub([t + q for q in quats]), len(quats))
+        for row, q in zip(batch, quats):
+            want = se3.log_map(se3.Rotation(q))
+            assert np.array_equal(row[:3], want), q
+            assert np.array_equal(np.signbit(row[:3]), np.signbit(want)), q
+            assert np.array_equal(row[3:], t)
+        assert np.allclose(batch[1, :3], [0.0, 0.6 * math.pi, -0.8 * math.pi])
+        with pytest.raises(ValueError, match="norm is zero"):
+            se3.sample_initial_batch(Stub([t + [0.0, 0.0, 0.0, 0.0]]), 1)
 
     def test_determinism(self):
         a = se3.sample_initial_batch(RNG(104), 64)

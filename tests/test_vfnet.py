@@ -253,6 +253,44 @@ class TestBackward:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+def assert_views_of_flat(tree):
+    """Every array of the tree is a contiguous view into tree.flat, laid out
+    back to back in _named_arrays order."""
+    base = tree.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, arr in vfnet._named_arrays(tree):
+        assert arr.flags.c_contiguous and np.shares_memory(arr, tree.flat), name
+        start = (arr.__array_interface__["data"][0] - base) // tree.flat.itemsize
+        assert start == offset, name
+        offset += arr.size
+    assert offset == tree.flat.size
+
+
+class TestFlatBuffer:
+    def test_parameters_are_views_in_traversal_order(self):
+        net = vfnet.init_params(RNG(16), SMALL_CONFIG)
+        assert net.flat.shape == (vfnet.parameter_count(SMALL_CONFIG),)
+        assert_views_of_flat(net)
+        arrays = list(vfnet._named_arrays(net))
+        names = [name for name, _ in arrays]
+        start = sum(a.size for _, a in arrays[:names.index("trunk.0.w")])
+        net.flat[start + 5] = 123.5
+        assert net.layers[0][0].reshape(-1)[5] == 123.5
+        net.head_trans[-1][1][2] = -7.25
+        assert net.flat[-1] == -7.25
+
+    def test_gradients_are_views_in_traversal_order(self):
+        rng = RNG(17)
+        net = random_net(rng, SMALL_CONFIG)
+        assert_views_of_flat(vfnet.zero_gradients(net))
+        _, cache = vfnet.forward_batch(net, rng.standard_normal((3, 6)), rng.uniform(size=3),
+                                       rng.standard_normal((3, 5)), keep_cache=True)
+        grads = vfnet.backward_batch(net, cache, rng.standard_normal((3, 6)))
+        assert_views_of_flat(grads)
+        assert np.array_equal(grads.flat, np.concatenate(
+            [g.reshape(-1) for _, g in vfnet._named_arrays(grads)]))
+
+
 class TestCheckpoint:
     def test_round_trip_is_value_exact(self, tmp_path):
         rng = RNG(11)
@@ -272,6 +310,26 @@ class TestCheckpoint:
         vfnet.save_checkpoint(p1, net)
         vfnet.save_checkpoint(p2, net)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        vfnet.save_checkpoint(p1, random_net(RNG(19), SMALL_CONFIG))
+        loaded = vfnet.load_checkpoint(p1)
+        assert_views_of_flat(loaded)
+        vfnet.save_checkpoint(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_cells(self, tmp_path, cell):
+        path = tmp_path / "ckpt.txt"
+        vfnet.save_checkpoint(path, random_net(RNG(20), SMALL_CONFIG))
+        lines = path.read_text().splitlines()
+        row = lines.index("tensor state_embed.b 1 6") + 1
+        lines[row] = " ".join(lines[row].split()[:3] + [cell] + lines[row].split()[4:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"ckpt\.txt:{row + 1}: tensor state_embed\.b .*non-finite"):
+            vfnet.load_checkpoint(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
