@@ -9,7 +9,8 @@ One binary, five subcommands:
   ablate-steps  ATE as a function of the integrator step count
 
 Every command takes --seed and --out, writes a manifest.json describing
-exactly what ran (configs, seed, artifact paths, timings), and follows
+exactly what ran (configs, seed, artifact paths, counts, phase timings,
+and the Python, numpy and platform it ran on), and follows
 one exit-code contract: 0 success, 2 usage or argument error, 1 runtime
 failure.  All randomness derives from the single seed, so rerunning a
 command with the manifest's config and seed reproduces its artifacts
@@ -20,6 +21,7 @@ one file excluded from that guarantee).
 import argparse
 import dataclasses
 import json
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,12 +39,19 @@ class UsageError(Exception):
 # --- manifest -----------------------------------------------------------------
 
 
+def _environment() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform()}
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run, plus what it produced.
 
     The seed is recorded at construction time, before any randomness is
-    consumed; outputs and timings are filled in as the command runs.
+    consumed; outputs, counts and timings are filled in as the command
+    runs.  counts holds the work a run did that its config implies, such
+    as the field evaluations per flow sample of infer and ablate-steps.
     """
 
     command: str
@@ -50,7 +59,9 @@ class RunManifest:
     config: dict
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=_environment)
     version: str = __version__
 
     def write(self, path) -> None:
@@ -265,6 +276,7 @@ def cmd_infer(args) -> int:
             "samples": args.samples,
         },
         inputs={"checkpoint": str(checkpoint_path), "dataset": str(args.dataset)},
+        counts={"nfe_per_sample": solver.nfe_per_sample},
     )
     watch = _Stopwatch()
 
@@ -341,6 +353,7 @@ def cmd_eval(args) -> int:
     trajeval.write_metrics_csv(metrics_path, [
         (name, args.align, args.scale, ate_rmse, std_rot, std_trans),
     ])
+    watch.lap("write")
     watch.total()
 
     manifest.outputs = {"metrics": str(metrics_path)}
@@ -381,6 +394,8 @@ def cmd_ablate_steps(args) -> int:
             "dataset": str(args.dataset),
             "gt": str(args.gt),
         },
+        counts={"nfe_per_sample": [sampler.SolverConfig(args.method, steps).nfe_per_sample
+                                   for steps in args.steps]},
     )
     watch = _Stopwatch()
 

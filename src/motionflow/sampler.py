@@ -13,13 +13,16 @@ so their convergence orders can be verified directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import se3, vfnet
 
-SOLVER_METHODS = ("euler", "midpoint", "rk4")
+# Field evaluations each solver makes per step.
+STAGES = {"euler": 1, "midpoint": 2, "rk4": 4}
+SOLVER_METHODS = tuple(STAGES)
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -41,6 +44,11 @@ class SolverConfig:
         if int(self.steps) < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
+    @property
+    def nfe_per_sample(self) -> int:
+        """Field evaluations one flow sample takes from tau 0 to 1."""
+        return self.steps * STAGES[self.method]
+
 
 @dataclass(frozen=True, eq=False)
 class PoseSampleSet:
@@ -56,9 +64,9 @@ class PoseSampleSet:
 
     def __post_init__(self):
         std = np.array(self.std_state, dtype=np.float64).reshape(6)
-        if np.any(std < 0) or not np.all(np.isfinite(std)):
+        if not all(math.isfinite(x) and x >= 0.0 for x in std.tolist()):
             raise ValueError("std_state must be finite and non-negative")
-        std.flags.writeable = False
+        std.setflags(write=False)
         object.__setattr__(self, "std_state", std)
 
     @property
@@ -91,7 +99,7 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
             k3 = field(x + 0.5 * h * k2, tau + 0.5 * h)
             k4 = field(x + h * k3, tau + h)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
             raise IntegrationDivergedError(
                 f"non-finite state after step {i + 1}/{config.steps} "
@@ -107,10 +115,13 @@ def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector):
             f"{net.config.cond_dim}"
         )
 
+    conds = {}  # row count -> the condition broadcast to that many rows
+
     def field(x, tau):
-        taus = np.full(x.shape[0], float(tau))
-        conds = np.broadcast_to(cond.values, (x.shape[0], cond.dim))
-        return vfnet.forward_batch(net, x, taus, conds)
+        rows = x.shape[0]
+        if rows not in conds:
+            conds[rows] = np.broadcast_to(cond.values, (rows, cond.dim))
+        return vfnet.forward_batch(net, x, np.full(rows, float(tau)), conds[rows])
 
     return field
 
@@ -128,7 +139,7 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     x0 = se3.sample_initial_batch(rng, m)
     final = integrate_field(_net_field(net, cond), x0, config)
     samples = [se3.state_to_pose(se3.MotionState.from_vector(row)) for row in final]
-    states = np.stack([se3.pose_to_state(p).as_vector() for p in samples])
+    states = np.array([se3.pose_to_state(p).as_vector() for p in samples])
     mean = states.mean(axis=0)
     std = states.std(axis=0, ddof=0)
     return PoseSampleSet(samples, se3.MotionState.from_vector(mean), std)

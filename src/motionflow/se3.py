@@ -33,9 +33,9 @@ def _finite_vector(values, n: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64).reshape(-1)
     if arr.shape != (n,):
         raise ValueError(f"{name} must have {n} components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} contains non-finite values: {arr}")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -49,25 +49,21 @@ class Rotation:
         q = np.array(self.q, dtype=np.float64).reshape(-1)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
+        values = q.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"quaternion contains non-finite values: {q}")
-        norm = float(np.linalg.norm(q))
+        # np.linalg.norm of a 1-d float vector is this same sqrt of a dot.
+        norm = math.sqrt(q.dot(q))
         if norm < 1e-12:
             raise ValueError("quaternion norm is zero; direction is undefined")
         if abs(norm - 1.0) > UNIT_NORM_TOL:
-            q = q / norm
-        if q[0] < 0.0:
-            q = -q
-        elif q[0] == 0.0:
-            # Angle-pi quaternion: resolve the q/-q ambiguity by making the
-            # first nonzero vector component positive.
-            for component in q[1:]:
-                if component != 0.0:
-                    if component < 0.0:
-                        q = -q
-                    break
-        q = q + 0.0  # drop any negative zeros introduced by the sign flip
-        q.flags.writeable = False
+            values = [c / norm for c in values]
+        # Canonical sign: the first nonzero component is positive, which is
+        # w > 0, or at w == 0 (angle pi) the first nonzero vector component.
+        if next((c for c in values if c != 0.0), 0.0) < 0.0:
+            values = [-c for c in values]
+        q = np.array([c + 0.0 for c in values])  # + 0.0 drops negative zeros
+        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     @classmethod
@@ -148,9 +144,9 @@ class MotionState:
 
 
 def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of two (w, x, y, z) quaternions."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Hamilton product of two (w, x, y, z) quaternions, on Python floats."""
+    aw, ax, ay, az = a.tolist()
+    bw, bx, by, bz = b.tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -193,16 +189,17 @@ def exp_map(rho) -> Rotation:
     series, which keeps the map exact to double precision there.
     """
     rho = _finite_vector(rho, 3, "rho")
-    theta = float(np.linalg.norm(rho))
+    theta = math.sqrt(rho.dot(rho))
     if theta < SMALL_ANGLE:
         # cos(t/2) ~ 1 - t^2/8,  sin(t/2)/t ~ 1/2 - t^2/48
         w = 1.0 - theta * theta / 8.0
-        xyz = rho * (0.5 - theta * theta / 48.0)
+        ratio = 0.5 - theta * theta / 48.0
     else:
         half = 0.5 * theta
         w = math.cos(half)
-        xyz = rho * (math.sin(half) / theta)
-    return Rotation(np.array([w, xyz[0], xyz[1], xyz[2]]))
+        ratio = math.sin(half) / theta
+    x, y, z = rho.tolist()
+    return Rotation(np.array([w, x * ratio, y * ratio, z * ratio]))
 
 
 def log_map(rotation: Rotation) -> np.ndarray:
@@ -217,7 +214,7 @@ def log_map(rotation: Rotation) -> np.ndarray:
         raise TypeError("log_map expects a Rotation")
     w = float(rotation.q[0])
     v = rotation.q[1:4]
-    s = float(np.linalg.norm(v))
+    s = math.sqrt(v.dot(v))
     if s < SMALL_ANGLE:
         # w = sqrt(1 - s^2) ~ 1 here, so the quotient is well conditioned:
         # theta/s = 2/w * (1 - s^2 / (3 w^2)) + O(s^4)
@@ -279,32 +276,37 @@ def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     n batches of 1 drawn from the same stream.
 
     The normalization, sign rule and log are Rotation and log_map written
-    as array operations in the same order, so every row equals
-    log_map(Rotation(q)) exactly.  The angle takes math.atan2 per row, as
-    log_map does: np.arctan2 may use its own vector kernel, which differs
-    from the C library's in the last bit for about one row in twenty.
-    Rows with w == 0 (the angle-pi tie rule) or a vanishing norm have
-    probability zero and go through Rotation itself.
+    as array operations and per-row float arithmetic in the same order, so
+    every row equals log_map(Rotation(q)) exactly.  The normalizing
+    division and the sign flip are one division by a signed divisor per
+    row (raw / -d is -(raw / d) bit for bit, and raw / 1.0 is raw), and
+    the angle takes math.atan2 per row, as log_map does: np.arctan2 may
+    use its own vector kernel, which differs from the C library's in the
+    last bit for about one row in twenty.  Rows with w == 0 (the angle-pi
+    tie rule) or a vanishing norm have probability zero and go through
+    Rotation itself; they divide by nan, which keeps the row arithmetic
+    free of zero divisions until they are redone.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     normals = rng.standard_normal((n, 7))
     raw = normals[:, 3:]
-    norm = _row_norms(raw)
-    # Both branches of each np.where are evaluated on every row; the
-    # discarded ones, and the rows redone below, may divide by zero.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(np.abs(norm - 1.0)[:, None] > UNIT_NORM_TOL, raw / norm[:, None], raw)
-        q = np.where(q[:, :1] < 0.0, -q, q) + 0.0
-        w, v = q[:, 0], q[:, 1:]
-        s = _row_norms(v)
-        theta = 2.0 * np.array([math.atan2(a, b) for a, b in zip(s.tolist(), w.tolist())])
-        ratio = np.where(s < SMALL_ANGLE,
-                         2.0 / w * (1.0 - s * s / (3.0 * w * w)), theta / s)
+    divisors, redo = [], []
+    for i, (norm, w) in enumerate(zip(_row_norms(raw).tolist(), raw[:, 0].tolist())):
+        d = norm if abs(norm - 1.0) > UNIT_NORM_TOL else 1.0
+        if norm < 1e-12 or w / d == 0.0:
+            redo.append(i)
+            d = math.nan
+        divisors.append(-d if w < 0.0 else d)
+    q = raw / np.array(divisors)[:, None] + 0.0
+    v = q[:, 1:]
+    ratios = [2.0 / w * (1.0 - s * s / (3.0 * w * w)) if s < SMALL_ANGLE
+              else 2.0 * math.atan2(s, w) / s
+              for s, w in zip(_row_norms(v).tolist(), q[:, 0].tolist())]
     out = np.empty((n, 6))
-    out[:, :3] = v * ratio[:, None]
+    out[:, :3] = v * np.array(ratios)[:, None]
     out[:, 3:] = normals[:, :3]
-    for i in np.flatnonzero((w == 0.0) | (norm < 1e-12)):
+    for i in redo:
         out[i, :3] = log_map(Rotation(raw[i]))
     return out
 

@@ -210,11 +210,18 @@ def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFie
     return net
 
 
+@functools.lru_cache(maxsize=16)
+def _time_frequencies(dim: int) -> np.ndarray:
+    """Read-only (1, dim/2) row of the frequencies 2^j pi."""
+    freqs = math.pi * (2.0 ** np.arange(dim // 2))
+    freqs.flags.writeable = False
+    return freqs[None, :]
+
+
 def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
     """(B,) times -> (B, dim) features [sin(2^j pi tau), cos(2^j pi tau)],
     j = 0..dim/2-1; no parameters involved."""
-    freqs = math.pi * (2.0 ** np.arange(dim // 2))
-    angles = taus[:, None] * freqs[None, :]
+    angles = taus[:, None] * _time_frequencies(dim)
     out = np.empty((taus.size, dim))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)

@@ -6,6 +6,7 @@ subject here, not model quality.
 """
 
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,16 @@ def gen_small(tmp_path, name="data", seed=7, n=9, kind="figure8", **extra):
         args += [f"--{key}", value]
     assert run_cli(*args) == 0
     return out
+
+
+def untrained_checkpoint(tmp_path):
+    path = tmp_path / "untrained.txt"
+    vfnet.save_checkpoint(path, vfnet.init_params(RNG(0), vfnet.NetConfig()))
+    return path
+
+
+def read_manifest(directory):
+    return json.loads((Path(directory) / "manifest.json").read_text())
 
 
 def train_small(tmp_path, dataset, name="run", epochs=30, seed=3):
@@ -168,6 +179,16 @@ class TestInfer:
         assert (outs[0] / "est.tum").read_bytes() == \
             (outs[1] / "est.tum").read_bytes()
 
+    def test_manifest_records_nfe_per_sample(self, tmp_path):
+        data = gen_small(tmp_path)
+        ckpt = untrained_checkpoint(tmp_path)
+        for method, steps, nfe in (("midpoint", 5, 10), ("rk4", 3, 12), ("euler", 4, 4)):
+            out = tmp_path / f"inf_{method}"
+            assert run_cli("infer", "--checkpoint", ckpt, "--dataset", data / "dataset.csv",
+                           "--method", method, "--steps", steps, "--samples", 2,
+                           "--out", out) == 0
+            assert read_manifest(out)["counts"] == {"nfe_per_sample": nfe}
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         data = gen_small(tmp_path)
         code = run_cli("infer", "--checkpoint", tmp_path / "nope.txt",
@@ -201,6 +222,14 @@ class TestEval:
         assert lines[0] == trajeval.METRICS_HEADER
         cells = lines[1].split(",")
         assert float(cells[3]) < 1e-12
+
+    def test_manifest_times_write_phase(self, tmp_path):
+        data = gen_small(tmp_path)
+        out = tmp_path / "ev"
+        assert run_cli("eval", data / "gt.tum", data / "gt.tum", "--out", out) == 0
+        timings = read_manifest(out)["timings"]
+        assert set(timings) == {"evaluate", "write", "total"}
+        assert timings["total"] == timings["evaluate"] + timings["write"]
 
     def test_length_mismatch_exits_2(self, tmp_path):
         a = gen_small(tmp_path, "a", n=9)
@@ -274,6 +303,15 @@ class TestAblateSteps:
         lines = (out / "ablation.csv").read_text().splitlines()
         assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 3, 7, 9]
 
+    def test_manifest_records_nfe_per_sample(self, tmp_path):
+        data = gen_small(tmp_path)
+        out = tmp_path / "abl"
+        assert run_cli("ablate-steps", "--checkpoint", untrained_checkpoint(tmp_path),
+                       "--dataset", data / "dataset.csv", "--gt", data / "gt.tum",
+                       "--method", "rk4", "--steps", "2,5", "--samples", 1,
+                       "--out", out) == 0
+        assert read_manifest(out)["counts"] == {"nfe_per_sample": [8, 20]}
+
     def test_bad_step_list_exits_2(self, tmp_path):
         data = gen_small(tmp_path)
         run = train_small(tmp_path, data)
@@ -307,6 +345,25 @@ class TestTopLevel:
             for path in list(manifest["inputs"].values()) + \
                     list(manifest["outputs"].values()):
                 assert Path(path).is_file()
+
+
+    def test_every_manifest_records_environment(self, tmp_path):
+        data = gen_small(tmp_path)
+        ckpt = untrained_checkpoint(tmp_path)
+        run = train_small(tmp_path, data, epochs=2)
+        dataset, gt = data / "dataset.csv", data / "gt.tum"
+        argvs = {
+            "inf": ["infer", "--checkpoint", ckpt, "--dataset", dataset, "--samples", 2],
+            "ev": ["eval", gt, gt],
+            "abl": ["ablate-steps", "--checkpoint", ckpt, "--dataset", dataset, "--gt", gt,
+                    "--steps", "1", "--samples", 1],
+        }
+        for name, argv in argvs.items():
+            assert run_cli(*argv, "--out", tmp_path / name) == 0
+        want = {"python": platform.python_version(), "numpy": np.__version__,
+                "platform": platform.platform()}
+        for directory in [data, run] + [tmp_path / name for name in argvs]:
+            assert read_manifest(directory)["environment"] == want
 
 
 class TestMalformedInputs:

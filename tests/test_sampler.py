@@ -49,6 +49,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             sampler.SolverConfig(steps=0)
 
+    @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
+    def test_nfe_per_sample_counts_field_evaluations(self, method):
+        calls = []
+
+        def field(x, tau):
+            calls.append(tau)
+            return np.zeros_like(x)
+
+        config = sampler.SolverConfig(method, 3)
+        sampler.integrate_field(field, np.zeros((2, 6)), config)
+        assert config.nfe_per_sample == len(calls)
+        assert config.nfe_per_sample == 3 * {"euler": 1, "midpoint": 2, "rk4": 4}[method]
+
 
 class TestIntegrateField:
     def test_constant_field_exact_all_methods(self):
@@ -155,6 +168,23 @@ class TestIntegrateNet:
         with pytest.raises(ValueError, match="condition dim"):
             sampler.estimate_pose(net, vfnet.ConditionVector(np.zeros(7)),
                                   sampler.SolverConfig(), 1, RNG(0))
+
+
+class TestPoseSampleSet:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_non_finite_and_negative_std(self, bad):
+        mean = se3.MotionState(np.zeros(3), np.zeros(3))
+        std = np.full(6, 0.1)
+        std[4] = bad
+        with pytest.raises(ValueError) as err:
+            sampler.PoseSampleSet([], mean, std)
+        assert str(err.value) == "std_state must be finite and non-negative"
+
+    def test_accepts_zero_std_of_either_sign(self):
+        mean = se3.MotionState(np.zeros(3), np.zeros(3))
+        result = sampler.PoseSampleSet([], mean, [0.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(result.std_state, [0, 0, 0, 1, 2, 3])
+        assert not result.std_state.flags.writeable
 
 
 class TestEstimatePose:

@@ -221,6 +221,139 @@ class TestQuatRotate:
             assert np.array_equal(se3._quat_rotate(q, v), v + q[0] * t + np.cross(u, t))
 
 
+class TestQuatMultiply:
+    def test_matches_numpy_scalar_form_bitwise(self):
+        rng = RNG(107)
+        for _ in range(2000):
+            a, b = rng.standard_normal((2, 4)) * 10.0 ** rng.integers(-3, 4, size=(2, 1))
+            aw, ax, ay, az = a  # numpy float64 scalars
+            bw, bx, by, bz = b
+            want = np.array([
+                aw * bw - ax * bx - ay * by - az * bz,
+                aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw,
+            ])
+            assert np.array_equal(se3._quat_multiply(a, b), want)
+
+
+def norm_rotation(q):
+    """Rotation's normalization and sign rule with np.linalg.norm."""
+    q = np.array(q, dtype=np.float64).reshape(-1)
+    norm = float(np.linalg.norm(q))
+    if abs(norm - 1.0) > se3.UNIT_NORM_TOL:
+        q = q / norm
+    if q[0] < 0.0:
+        q = -q
+    elif q[0] == 0.0:
+        for component in q[1:]:
+            if component != 0.0:
+                if component < 0.0:
+                    q = -q
+                break
+    return q + 0.0
+
+
+def norm_exp(rho):
+    """exp_map's quaternion with np.linalg.norm."""
+    rho = np.array(rho, dtype=np.float64)
+    theta = float(np.linalg.norm(rho))
+    if theta < se3.SMALL_ANGLE:
+        w = 1.0 - theta * theta / 8.0
+        xyz = rho * (0.5 - theta * theta / 48.0)
+    else:
+        w = math.cos(0.5 * theta)
+        xyz = rho * (math.sin(0.5 * theta) / theta)
+    return norm_rotation(np.array([w, xyz[0], xyz[1], xyz[2]]))
+
+
+def norm_log(q):
+    """log_map of a canonical quaternion with np.linalg.norm."""
+    w, v = float(q[0]), q[1:4]
+    s = float(np.linalg.norm(v))
+    if s < se3.SMALL_ANGLE:
+        return v * (2.0 / w * (1.0 - s * s / (3.0 * w * w)))
+    return v * (2.0 * math.atan2(s, w) / s)
+
+
+def edge_inputs(rng, n):
+    """n quaternions and n rotation vectors, a fifth each of generic draws,
+    unit-norm (or |rho| <= pi) draws, angles below SMALL_ANGLE, angles
+    within 1e-9 of pi, and norms off 1 by more than UNIT_NORM_TOL
+    (quaternions) or the near-pi vectors negated (rotation vectors)."""
+    k = n // 5
+    axes = rng.standard_normal((k, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    small = rng.uniform(0.0, se3.SMALL_ANGLE, (k, 1))
+    near_pi = math.pi - rng.uniform(0.0, 1e-9, (k, 1))
+    unit = rng.standard_normal((k, 4))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    off_unit = unit * (1.0 + rng.choice([-1.0, 1.0], (k, 1)) * rng.uniform(2e-9, 1e-3, (k, 1)))
+    quats = np.concatenate([
+        rng.standard_normal((k, 4)) * 10.0 ** rng.integers(-4, 4, size=(k, 1)),
+        unit,
+        np.concatenate([np.cos(small / 2), axes * np.sin(small / 2)], axis=1),
+        np.concatenate([np.cos(near_pi / 2), axes * np.sin(near_pi / 2)], axis=1)
+        * rng.choice([-1.0, 1.0], (k, 1)),
+        off_unit,
+    ])
+    rhos = np.concatenate([
+        rng.standard_normal((k, 3)) * rng.uniform(0.0, 3 * math.pi, (k, 1)),
+        axes * rng.uniform(0.0, math.pi, (k, 1)),
+        axes * small,
+        axes * near_pi,
+        -axes * near_pi,
+    ])
+    return quats, rhos
+
+
+class TestTrimmedFormsMatchNorm:
+    """Rotation, exp_map and log_map take norms as sqrt of a dot product;
+    np.linalg.norm of a 1-d float vector is that same computation."""
+
+    def test_rotation_exp_and_log_bitwise(self):
+        quats, rhos = edge_inputs(RNG(108), 2500)
+        assert np.sum(np.abs(np.linalg.norm(quats, axis=1) - 1.0) > se3.UNIT_NORM_TOL) >= 1000
+        for q in quats:
+            got = se3.Rotation(q)
+            want = norm_rotation(q)
+            assert np.array_equal(got.q, want), q
+            assert np.array_equal(np.signbit(got.q), np.signbit(want)), q
+            assert np.array_equal(se3.log_map(got), norm_log(want)), q
+        for rho in rhos:
+            got = se3.exp_map(rho).q
+            want = norm_exp(rho)
+            assert np.array_equal(got, want), rho
+            assert np.array_equal(np.signbit(got), np.signbit(want)), rho
+            assert np.array_equal(se3.log_map(se3.Rotation(got)), norm_log(want)), rho
+
+    def test_exact_zeros_and_half_turns_bitwise(self):
+        for q in ([0.0, -0.0, 0.6, -0.8], [-0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -0.0, 2.0],
+                  [-1.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, -3.0], [3.0, -0.0, -0.0, -0.0]):
+            got = se3.Rotation(q).q
+            assert np.array_equal(got, norm_rotation(q)), q
+            assert np.array_equal(np.signbit(got), np.signbit(norm_rotation(q))), q
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_messages_are_unchanged(self, bad):
+        vec = np.array([0.5, bad, -0.5])
+        cases = [
+            (lambda: se3.MotionState(vec, np.zeros(3)), f"rho contains non-finite values: {vec}"),
+            (lambda: se3.MotionState(np.zeros(3), vec), f"trans contains non-finite values: {vec}"),
+            (lambda: se3.RelativePose(se3.Rotation.identity(), vec),
+             f"translation contains non-finite values: {vec}"),
+            (lambda: se3.exp_map(vec), f"rho contains non-finite values: {vec}"),
+            (lambda: se3.Rotation(np.append(vec, 1.0)),
+             f"quaternion contains non-finite values: {np.append(vec, 1.0)}"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+
 class TestStateChart:
     @given(rotvec_strategy(), st.tuples(*[st.floats(-10, 10)] * 3))
     @settings(max_examples=100, deadline=None)
