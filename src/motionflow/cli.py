@@ -21,6 +21,7 @@ one file excluded from that guarantee).
 import argparse
 import dataclasses
 import json
+import math
 import platform
 import sys
 import time
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, flowmatch, sampler, se3, synthworld, trajeval, vfnet
+from . import __version__, flowmatch, sampler, se3, synthworld, textio, trajeval, vfnet
 
 
 class UsageError(Exception):
@@ -64,10 +65,11 @@ class RunManifest:
     environment: dict = field(default_factory=_environment)
     version: str = __version__
 
-    def write(self, path) -> None:
-        payload = dataclasses.asdict(self)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    def write(self, out: Path, watch: "_Stopwatch") -> None:
+        """Write out/manifest.json with watch's phase timings and their total."""
+        self.timings = {**watch.timings, "total": sum(watch.timings.values())}
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -83,56 +85,25 @@ class _Stopwatch:
         self.timings[name] = now - self._t0
         self._t0 = now
 
-    def total(self) -> None:
-        self.timings["total"] = sum(self.timings.values())
-
 
 # --- argument plumbing ---------------------------------------------------------
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+def _number(kind, low, high=None):
+    """argparse type: a finite kind (int or float) value in [low, high]."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and low <= value and (high is None or value <= high)):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
 
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _pose_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 poses, got {text}")
-    return value
+    parse.__name__ = kind.__name__  # argparse names it for unparsable text
+    return parse
 
 
 def _step_list(text: str) -> list:
-    try:
-        steps = [int(cell) for cell in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-    if not steps or any(s < 1 for s in steps):
-        raise argparse.ArgumentTypeError(f"step counts must be >= 1, got {text!r}")
-    return steps
+    return [_number(int, 1)(cell) for cell in text.split(",")]
 
 
 def _out_dir(args) -> Path:
@@ -155,6 +126,18 @@ def _read_input(path, what: str, reader):
 
 def _read_dataset(path):
     return synthworld.read_dataset_header(path), synthworld.ingest_features(path)
+
+
+def _check_cond_dim(net, header) -> None:
+    if net.config.cond_dim != header.cond_dim:
+        raise UsageError(f"checkpoint expects condition dim {net.config.cond_dim}, "
+                         f"dataset has {header.cond_dim}")
+
+
+def _chained(estimates):
+    """The trajectory the estimates' chart means chain to from the identity."""
+    return trajeval.compose_trajectory(
+        se3.RelativePose.identity(), [se3.state_to_pose(e.mean_state) for e in estimates])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -189,11 +172,9 @@ def cmd_gen(args) -> int:
     synthworld.write_scenario_dataset(dataset_path, scenario)
     trajeval.write_tum(gt_path, scenario.gt_trajectory)
     watch.lap("write")
-    watch.total()
 
     manifest.outputs = {"dataset": str(dataset_path), "gt": str(gt_path)}
-    manifest.timings = watch.timings
-    manifest.write(out / "manifest.json")
+    manifest.write(out, watch)
     print(f"wrote {len(scenario.pairs)} pairs to {dataset_path}")
     return 0
 
@@ -217,10 +198,7 @@ def cmd_train(args) -> int:
     net = None
     if args.checkpoint is not None:
         net = _read_input(args.checkpoint, "checkpoint", vfnet.load_checkpoint)
-        if net.config.cond_dim != header.cond_dim:
-            raise UsageError(
-                f"checkpoint expects condition dim {net.config.cond_dim}, "
-                f"dataset has {header.cond_dim}")
+        _check_cond_dim(net, header)
 
     net_config = vfnet.NetConfig(cond_dim=header.cond_dim)
     manifest = RunManifest(
@@ -243,11 +221,9 @@ def cmd_train(args) -> int:
     vfnet.save_checkpoint(checkpoint_path, net)
     flowmatch.write_loss_history(loss_path, history)
     watch.lap("write")
-    watch.total()
 
     manifest.outputs = {"checkpoint": str(checkpoint_path), "loss": str(loss_path)}
-    manifest.timings = watch.timings
-    manifest.write(out / "manifest.json")
+    manifest.write(out, watch)
     print(f"trained {len(history)} steps, final loss {history[-1][2]:.6g}, "
           f"checkpoint at {checkpoint_path}")
     return 0
@@ -262,10 +238,7 @@ def cmd_infer(args) -> int:
     conds = [cond for cond, _ in rows]
     if not conds:
         raise UsageError(f"dataset has no rows: {args.dataset}")
-    if header.cond_dim != net.config.cond_dim:
-        raise UsageError(
-            f"checkpoint expects condition dim {net.config.cond_dim}, "
-            f"dataset has {header.cond_dim}")
+    _check_cond_dim(net, header)
 
     solver = sampler.SolverConfig(method=args.method, steps=args.steps)
     manifest = RunManifest(
@@ -282,9 +255,7 @@ def cmd_infer(args) -> int:
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
-    traj = trajeval.compose_trajectory(
-        se3.RelativePose.identity(),
-        [se3.state_to_pose(e.mean_state) for e in estimates])
+    traj = _chained(estimates)
     watch.lap("sample")
 
     estimates_path = out / "estimates.csv"
@@ -292,11 +263,9 @@ def cmd_infer(args) -> int:
     sampler.write_estimates_csv(estimates_path, estimates)
     trajeval.write_tum(est_traj_path, traj)
     watch.lap("write")
-    watch.total()
 
     manifest.outputs = {"estimates": str(estimates_path), "trajectory": str(est_traj_path)}
-    manifest.timings = watch.timings
-    manifest.write(out / "manifest.json")
+    manifest.write(out, watch)
     print(f"estimated {len(estimates)} motions ({args.samples} samples each) "
           f"to {estimates_path}")
     return 0
@@ -354,12 +323,10 @@ def cmd_eval(args) -> int:
         (name, args.align, args.scale, ate_rmse, std_rot, std_trans),
     ])
     watch.lap("write")
-    watch.total()
 
     manifest.outputs = {"metrics": str(metrics_path)}
-    manifest.timings = watch.timings
-    manifest.write(out / "manifest.json")
-    print(f"ate_rmse {ate_rmse:.17g} (align={args.align}, scale={args.scale})")
+    manifest.write(out, watch)
+    print(f"ate_rmse {textio.fmt([ate_rmse])} (align={args.align}, scale={args.scale})")
     return 0
 
 
@@ -369,10 +336,7 @@ def cmd_ablate_steps(args) -> int:
     net = _read_input(checkpoint_path, "checkpoint", vfnet.load_checkpoint)
     header, rows = _read_input(args.dataset, "dataset", _read_dataset)
     conds = [cond for cond, _ in rows]
-    if header.cond_dim != net.config.cond_dim:
-        raise UsageError(
-            f"checkpoint expects condition dim {net.config.cond_dim}, "
-            f"dataset has {header.cond_dim}")
+    _check_cond_dim(net, header)
     gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
     if len(conds) != len(gt) - 1:
         raise UsageError(
@@ -404,27 +368,19 @@ def cmd_ablate_steps(args) -> int:
         solver = sampler.SolverConfig(method=args.method, steps=steps)
         # Fresh generator per row: rows differ only in the integrator.
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        estimates = sampler.estimate_sequence(net, conds, solver,
-                                              args.samples, rng)
-        est = trajeval.compose_trajectory(
-            se3.RelativePose.identity(),
-            [se3.state_to_pose(e.mean_state) for e in estimates])
-        est = _scale_aligned(est, gt, args.scale)
+        estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
+        est = _scale_aligned(_chained(estimates), gt, args.scale)
         table.append((steps, trajeval.ate(est, gt, args.align)))
         watch.lap(f"steps_{steps}")
-    watch.total()
 
     ablation_path = out / "ablation.csv"
-    with open(ablation_path, "w") as fh:
-        fh.write("steps,ate_rmse\n")
-        for steps, ate_rmse in table:
-            fh.write("%d,%.17g\n" % (steps, ate_rmse))
+    textio.write_lines(ablation_path, ["steps,ate_rmse"] + [
+        f"{steps}," + textio.fmt([ate_rmse]) for steps, ate_rmse in table])
 
     manifest.outputs = {"ablation": str(ablation_path)}
-    manifest.timings = watch.timings
-    manifest.write(out / "manifest.json")
+    manifest.write(out, watch)
     for steps, ate_rmse in table:
-        print(f"steps {steps:4d}: ate_rmse {ate_rmse:.17g}")
+        print(f"steps {steps:4d}: ate_rmse {textio.fmt([ate_rmse])}")
     return 0
 
 
@@ -441,16 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="synthesize a scenario dataset")
     gen.add_argument("--kind", choices=synthworld.TRAJECTORY_KINDS, default="figure8")
-    gen.add_argument("--n", type=_pose_count, default=200,
+    gen.add_argument("--n", type=_number(int, 2), default=200,
                      help="number of trajectory poses (pairs = n - 1)")
-    gen.add_argument("--ambiguity", type=_unit_interval, default=0.0,
+    gen.add_argument("--ambiguity", type=_number(float, 0.0, 1.0), default=0.0,
                      help="scale-observability suppression in [0, 1]")
-    gen.add_argument("--noise", type=_nonnegative_float, default=0.0,
+    gen.add_argument("--noise", type=_number(float, 0.0), default=0.0,
                      help="condition noise sigma")
-    gen.add_argument("--cond-dim", type=_positive_int,
+    gen.add_argument("--cond-dim", type=_number(int, 1),
                      default=synthworld.DEFAULT_COND_DIM)
     gen.add_argument("--name", default=None, help="scenario name (default: kind)")
-    gen.add_argument("--seed", type=_nonnegative_int, default=0)
+    gen.add_argument("--seed", type=_number(int, 0), default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 
@@ -460,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key=value training config file")
     train.add_argument("--checkpoint", default=None,
                        help="resume from this checkpoint")
-    train.add_argument("--seed", type=_nonnegative_int, default=None,
+    train.add_argument("--seed", type=_number(int, 0), default=None,
                        help="overrides the config seed")
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
@@ -471,10 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conditions to estimate (ground truth ignored)")
     infer.add_argument("--method", choices=sampler.SOLVER_METHODS,
                        default="midpoint")
-    infer.add_argument("--steps", type=_positive_int, default=5)
-    infer.add_argument("--samples", type=_positive_int, default=10,
+    infer.add_argument("--steps", type=_number(int, 1), default=5)
+    infer.add_argument("--samples", type=_number(int, 1), default=10,
                        help="flow samples per condition")
-    infer.add_argument("--seed", type=_nonnegative_int, default=0)
+    infer.add_argument("--seed", type=_number(int, 0), default=0)
     infer.add_argument("--out", required=True)
     infer.set_defaults(func=cmd_infer)
 
@@ -500,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated step counts")
     ablate.add_argument("--method", choices=sampler.SOLVER_METHODS,
                         default="midpoint")
-    ablate.add_argument("--samples", type=_positive_int, default=10)
+    ablate.add_argument("--samples", type=_number(int, 1), default=10)
     ablate.add_argument("--align", choices=trajeval.ALIGN_MODES, default="sim3")
     ablate.add_argument("--scale", choices=trajeval.SCALE_MODES, default="none")
-    ablate.add_argument("--seed", type=_nonnegative_int, default=0)
+    ablate.add_argument("--seed", type=_number(int, 0), default=0)
     ablate.add_argument("--out", required=True)
     ablate.set_defaults(func=cmd_ablate_steps)
 
@@ -518,10 +474,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (flowmatch.TrainingDivergedError, sampler.IntegrationDivergedError,
-            trajeval.DegenerateTrajectoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+            ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import se3, vfnet
+from . import se3, textio, vfnet
 
 
 class TrainingDivergedError(RuntimeError):
@@ -232,33 +232,8 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
 
 def write_loss_history(path, history) -> None:
     """CSV with one row per optimizer step: step, lr, loss."""
-    with open(path, "w") as fh:
-        fh.write("step,lr,loss\n")
-        for step, lr, loss in history:
-            fh.write("%d,%.17g,%.17g\n" % (step, lr, loss))
-
-
-def read_loss_history(path):
-    history = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "step,lr,loss":
-            raise ValueError(f"{path}: unexpected loss CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                history.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
-    return history
-
-
-_INT_FIELDS = {"batch_size", "epochs", "lr_decay_epoch", "seed"}
+    textio.write_lines(path, ["step,lr,loss"] + [f"{step}," + textio.fmt((lr, loss))
+                                                 for step, lr, loss in history])
 
 
 def load_train_config(path, base: TrainConfig = None) -> TrainConfig:
@@ -268,20 +243,14 @@ def load_train_config(path, base: TrainConfig = None) -> TrainConfig:
     Keys not present keep the values from base (or the defaults).
     """
     base = base if base is not None else TrainConfig()
-    known = {f.name for f in fields(TrainConfig)}
+    types = {f.name: f.type for f in fields(TrainConfig)}  # "int" or "float"
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from err
-    return replace(base, **overrides)
+    for where, line in textio.numbered(path):
+        with textio.at(where):
+            key, value = textio.key_value(line)
+            if key not in types:
+                raise ValueError(f"unknown key {key!r}")
+            with textio.at(key):
+                overrides[key] = int(value) if types[key] == "int" else float(value)
+    with textio.at(path):
+        return replace(base, **overrides)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se3, vfnet
+from . import se3, textio, vfnet
 
 # Field evaluations each solver makes per step.
 STAGES = {"euler": 1, "midpoint": 2, "rk4": 4}
@@ -50,6 +50,15 @@ class SolverConfig:
         return self.steps * STAGES[self.method]
 
 
+def _spread_vector(values) -> np.ndarray:
+    """values as a read-only 6-vector of sample stds: finite and >= 0."""
+    std = np.array(values, dtype=np.float64).reshape(6)
+    if not all(math.isfinite(x) and x >= 0.0 for x in std.tolist()):
+        raise ValueError("std_state must be finite and non-negative")
+    std.setflags(write=False)
+    return std
+
+
 @dataclass(frozen=True, eq=False)
 class PoseSampleSet:
     """m pose samples plus their chart mean and spread.
@@ -63,11 +72,7 @@ class PoseSampleSet:
     std_state: np.ndarray
 
     def __post_init__(self):
-        std = np.array(self.std_state, dtype=np.float64).reshape(6)
-        if not all(math.isfinite(x) and x >= 0.0 for x in std.tolist()):
-            raise ValueError("std_state must be finite and non-negative")
-        std.setflags(write=False)
-        object.__setattr__(self, "std_state", std)
+        object.__setattr__(self, "std_state", _spread_vector(self.std_state))
 
     @property
     def estimate(self) -> se3.RelativePose:
@@ -172,36 +177,29 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
     return results
 
 
+ESTIMATES_HEADER = ("pair_index,rho_x,rho_y,rho_z,t_x,t_y,t_z,"
+                    "std_1,std_2,std_3,std_4,std_5,std_6")
+
+
 def write_estimates_csv(path, sample_sets) -> None:
     """Per-pair mean state and spread, one row per sequence element."""
-    header = (
-        "pair_index,rho_x,rho_y,rho_z,t_x,t_y,t_z,"
-        "std_1,std_2,std_3,std_4,std_5,std_6"
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, s in enumerate(sample_sets):
-            vals = list(s.mean_state.as_vector()) + list(s.std_state)
-            fh.write(str(i) + "," + ",".join("%.17g" % v for v in vals) + "\n")
+    textio.write_lines(path, [ESTIMATES_HEADER] + [
+        f"{i}," + textio.fmt(s.mean_state.as_vector().tolist() + s.std_state.tolist())
+        for i, s in enumerate(sample_sets)])
 
 
 def read_estimates_csv(path):
     """Inverse of write_estimates_csv: list of (mean MotionState, std 6-vector)."""
+    lines = textio.numbered(path, skip_comments=False)
+    where, header = next(lines, (path, None))
+    if header != ESTIMATES_HEADER:
+        raise ValueError(f"{where}: unexpected estimates CSV header")
     out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("pair_index,rho_x"):
-            raise ValueError(f"{path}: unexpected estimates CSV header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 13:
-                raise ValueError(f"{path}:{lineno}: expected 13 columns, got {len(parts)}")
-            try:
-                vals = [float(x) for x in parts[1:]]
-                out.append((se3.MotionState.from_vector(vals[:6]), np.array(vals[6:])))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
+    for where, line in lines:
+        with textio.at(where):
+            cells = line.split(",")
+            values = textio.floats(cells, 13)
+            if cells[0] != str(len(out)):
+                raise ValueError(f"pair_index {cells[0]!r} is not the row's position {len(out)}")
+            out.append((se3.MotionState.from_vector(values[1:7]), _spread_vector(values[7:])))
     return out

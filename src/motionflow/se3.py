@@ -54,8 +54,8 @@ class Rotation:
             raise ValueError(f"quaternion contains non-finite values: {q}")
         # np.linalg.norm of a 1-d float vector is this same sqrt of a dot.
         norm = math.sqrt(q.dot(q))
-        if norm < 1e-12:
-            raise ValueError("quaternion norm is zero; direction is undefined")
+        if not 1e-12 <= norm < math.inf:
+            raise ValueError(f"quaternion norm is zero or not finite: {norm}")
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             values = [c / norm for c in values]
         # Canonical sign: the first nonzero component is positive, which is
@@ -69,14 +69,6 @@ class Rotation:
     @classmethod
     def identity(cls) -> "Rotation":
         return cls(np.array([1.0, 0.0, 0.0, 0.0]))
-
-    @property
-    def w(self) -> float:
-        return float(self.q[0])
-
-    @property
-    def vec(self) -> np.ndarray:
-        return self.q[1:4]
 
     def matrix(self) -> np.ndarray:
         """Equivalent 3x3 rotation matrix."""

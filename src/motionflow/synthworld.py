@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se3
+from . import se3, textio
 from .flowmatch import TrainingPair
 from .vfnet import ConditionVector
 
@@ -50,8 +50,8 @@ class Trajectory:
             )
         if stamps.size == 0:
             raise ValueError("trajectory must contain at least one pose")
-        if np.any(np.diff(stamps) <= 0):
-            raise ValueError("stamps must be strictly increasing")
+        if not (np.isfinite(stamps).all() and (np.diff(stamps) > 0).all()):
+            raise ValueError("stamps must be finite and strictly increasing")
         for i, pose in enumerate(self.poses):
             if not isinstance(pose, se3.RelativePose):
                 raise TypeError(f"pose {i} is not a RelativePose")
@@ -209,15 +209,6 @@ class ConditionEncoder:
         return ConditionVector(values)
 
 
-def encode_condition(rel: se3.RelativePose, ambiguity: float, noise_sigma: float,
-                     rng: np.random.Generator = None,
-                     encoder: ConditionEncoder = None) -> ConditionVector:
-    """Encode one motion with the default (or a supplied) frozen encoder."""
-    if encoder is None:
-        encoder = ConditionEncoder(DEFAULT_COND_DIM, DEFAULT_LIFT_SEED)
-    return encoder.encode(rel, ambiguity, noise_sigma, rng)
-
-
 def make_scenario(name: str, kind: str, n: int, ambiguity: float,
                   noise_sigma: float, rng: np.random.Generator,
                   cond_dim: int = DEFAULT_COND_DIM,
@@ -295,34 +286,14 @@ def make_bimodal_dataset(n: int, rng: np.random.Generator,
 # condition-only rows carry just the k condition cells.
 
 
-def write_dataset(path, pairs, *, cond_dim: int, lift_seed: int,
-                  ambiguity: float, noise_sigma: float) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"#k={cond_dim}\n")
-        fh.write(f"#lift_seed={lift_seed}\n")
-        fh.write("#ambiguity=%.17g\n" % ambiguity)
-        fh.write("#noise=%.17g\n" % noise_sigma)
-        for pair in pairs:
-            cells = list(pair.target.as_vector()) + list(pair.cond.values)
-            fh.write(",".join("%.17g" % v for v in cells) + "\n")
-
-
 def write_scenario_dataset(path, scenario: Scenario) -> None:
-    write_dataset(path, scenario.pairs, cond_dim=scenario.cond_dim,
-                  lift_seed=scenario.lift_seed, ambiguity=scenario.ambiguity,
-                  noise_sigma=scenario.noise_sigma)
-
-
-def write_conditions(path, conds, *, cond_dim: int, lift_seed: int = 0,
-                     ambiguity: float = 0.0, noise_sigma: float = 0.0) -> None:
-    """Condition-only dataset (no ground truth columns)."""
-    with open(path, "w") as fh:
-        fh.write(f"#k={cond_dim}\n")
-        fh.write(f"#lift_seed={lift_seed}\n")
-        fh.write("#ambiguity=%.17g\n" % ambiguity)
-        fh.write("#noise=%.17g\n" % noise_sigma)
-        for cond in conds:
-            fh.write(",".join("%.17g" % v for v in cond.values) + "\n")
+    textio.write_lines(path, [
+        f"#k={scenario.cond_dim}",
+        f"#lift_seed={scenario.lift_seed}",
+        "#ambiguity=" + textio.fmt([scenario.ambiguity]),
+        "#noise=" + textio.fmt([scenario.noise_sigma]),
+    ] + [textio.fmt(pair.target.as_vector().tolist() + pair.cond.values.tolist())
+         for pair in scenario.pairs])
 
 
 @dataclass(frozen=True)
@@ -333,56 +304,45 @@ class DatasetHeader:
     noise_sigma: float
 
 
+# Header key -> parser, in DatasetHeader field order.
+_HEADER_FIELDS = {"k": int, "lift_seed": int, "ambiguity": float, "noise": float}
+
+
 def read_dataset_header(path) -> DatasetHeader:
-    header = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line.startswith("#"):
-                break
-            if "=" in line:
-                key, value = line[1:].split("=", 1)
-                header[key.strip()] = value.strip()
-    try:
-        return DatasetHeader(
-            cond_dim=int(header["k"]),
-            lift_seed=int(header["lift_seed"]),
-            ambiguity=float(header["ambiguity"]),
-            noise_sigma=float(header["noise"]),
-        )
-    except KeyError as err:
-        raise ValueError(f"{path}: missing dataset header field {err}") from err
+    values = {}
+    for where, line in textio.numbered(path, skip_comments=False):
+        if not line.startswith("#"):
+            break
+        if "=" in line:
+            with textio.at(where):
+                key, value = textio.key_value(line[1:])
+                if key in _HEADER_FIELDS:
+                    values[key] = _HEADER_FIELDS[key](value)
+    missing = [key for key in _HEADER_FIELDS if key not in values]
+    if missing:
+        raise ValueError(f"{path}: missing dataset header field {missing[0]!r}")
+    return DatasetHeader(*(values[key] for key in _HEADER_FIELDS))
 
 
 def ingest_features(path):
     """Parse a dataset file into (ConditionVector, TrainingPair or None) rows.
 
     Rows with 6+k cells carry ground truth and yield TrainingPairs; rows
-    with exactly k cells are condition-only.  Any other width, or a
-    non-numeric cell, is an error reported with its line number.
+    with exactly k cells are condition-only.  Any other width, a
+    non-numeric cell or a value the row's objects reject is an error
+    reported with its line number.
     """
-    header = read_dataset_header(path)
-    k = header.cond_dim
+    k = read_dataset_header(path).cond_dim
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            try:
-                values = np.array([float(c) for c in cells])
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from err
+    for where, line in textio.numbered(path):
+        with textio.at(where):
+            values = np.array([float(cell) for cell in line.split(",")])
             if values.size == 6 + k:
                 cond = ConditionVector(values[6:])
-                state = se3.MotionState(values[:3], values[3:6])
-                out.append((cond, TrainingPair(state, cond)))
+                out.append((cond, TrainingPair(se3.MotionState(values[:3], values[3:6]), cond)))
             elif values.size == k:
                 out.append((ConditionVector(values), None))
             else:
-                raise ValueError(
-                    f"{path}:{lineno}: row has {values.size} cells, expected "
-                    f"{6 + k} (with ground truth) or {k} (condition only)"
-                )
+                raise ValueError(f"row has {values.size} cells, expected {6 + k} "
+                                 f"(with ground truth) or {k} (condition only)")
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se3
+from . import se3, textio
 from .synthworld import Trajectory
 
 ALIGN_MODES = ("none", "se3", "sim3")
@@ -54,9 +54,6 @@ class AlignmentResult:
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         t.flags.writeable = False
         object.__setattr__(self, "translation", t)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.scale * (points @ self.rotation.matrix().T) + self.translation
 
 
 def compose_trajectory(start: se3.RelativePose, rels) -> Trajectory:
@@ -168,34 +165,25 @@ def ate(est: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
 
 def write_tum(path, traj: Trajectory) -> None:
     """TUM format: `timestamp tx ty tz qx qy qz qw` per line."""
-    with open(path, "w") as fh:
-        for stamp, pose in zip(traj.stamps, traj.poses):
-            w, x, y, z = pose.rotation.q
-            tx, ty, tz = pose.translation
-            fh.write(" ".join("%.17g" % v for v in (stamp, tx, ty, tz, x, y, z, w)) + "\n")
+    lines = []
+    for stamp, pose in zip(traj.stamps.tolist(), traj.poses):
+        w, x, y, z = pose.rotation.q.tolist()
+        lines.append(textio.fmt([stamp, *pose.translation.tolist(), x, y, z, w], " "))
+    textio.write_lines(path, lines)
 
 
 def read_tum(path) -> Trajectory:
     stamps = []
     poses = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from err
-            stamp, tx, ty, tz, qx, qy, qz, qw = vals
-            stamps.append(stamp)
+    for where, line in textio.numbered(path):
+        with textio.at(where):
+            stamp, tx, ty, tz, qx, qy, qz, qw = textio.floats(line.split(), 8)
             poses.append(se3.RelativePose(se3.Rotation([qw, qx, qy, qz]), [tx, ty, tz]))
+            stamps.append(stamp)
     if not poses:
         raise ValueError(f"{path}: no poses found")
-    return Trajectory(np.array(stamps), poses)
+    with textio.at(path):
+        return Trajectory(stamps, poses)
 
 
 METRICS_HEADER = "scenario,align_mode,scale_mode,ate_rmse,mean_std_rot,mean_std_trans"
@@ -205,8 +193,6 @@ def write_metrics_csv(path, rows) -> None:
     """Metric report rows: (scenario, align_mode, scale_mode, ate_rmse,
     mean_std_rot, mean_std_trans); the std columns may be NaN when no
     sampling spread is available."""
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for scenario, align_mode, scale_mode, ate_rmse, std_rot, std_trans in rows:
-            fh.write("%s,%s,%s,%.17g,%.17g,%.17g\n" % (
-                scenario, align_mode, scale_mode, ate_rmse, std_rot, std_trans))
+    textio.write_lines(path, [METRICS_HEADER] + [
+        f"{scenario},{align_mode},{scale_mode}," + textio.fmt(numbers)
+        for scenario, align_mode, scale_mode, *numbers in rows])

@@ -18,11 +18,12 @@ initializing Generator.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from . import textio
 
 
 @dataclass(frozen=True)
@@ -325,98 +326,65 @@ def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> Gradient
 # field); each tensor then appears as
 #     tensor <name> <rows> <cols>
 # followed by <rows> lines of <cols> decimal floats.  Vectors use rows=1.
-# Floats print with %.17g, which round-trips float64 exactly.
 
 CHECKPOINT_MAGIC = "# motionflow vector field checkpoint v1"
 
 
-def _format_float(x: float) -> str:
-    return "%.17g" % x
-
-
 def save_checkpoint(path, net: VectorFieldNet) -> None:
-    cfg = net.config
-    buf = io.StringIO()
-    buf.write(CHECKPOINT_MAGIC + "\n")
+    lines = [CHECKPOINT_MAGIC]
     for f in fields(NetConfig):
-        value = getattr(cfg, f.name)
+        value = getattr(net.config, f.name)
         text = ",".join(str(w) for w in value) if isinstance(value, tuple) else str(value)
-        buf.write(f"{f.name}={text}\n")
+        lines.append(f"{f.name}={text}")
     for name, arr in _named_arrays(net):
-        mat = arr if arr.ndim == 2 else arr[None, :]
-        buf.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            buf.write(" ".join(_format_float(x) for x in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        mat = np.atleast_2d(arr)
+        lines.append(f"tensor {name} {mat.shape[0]} {mat.shape[1]}")
+        lines.extend(textio.fmt(row, " ") for row in mat.tolist())
+    textio.write_lines(path, lines)
 
 
 def load_checkpoint(path) -> VectorFieldNet:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != CHECKPOINT_MAGIC:
+    lines = list(textio.numbered(path, skip_comments=False))
+    if not lines or lines[0][1] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a vector field checkpoint")
-    header = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("tensor "):
-        line = lines[pos].strip()
-        pos += 1
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{pos}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        header[key.strip()] = (value.strip(), pos)
+    body = next((i for i, (_, line) in enumerate(lines) if line.startswith("tensor ")),
+                len(lines))
+    names = [f.name for f in fields(NetConfig)]
     sizes = {}
-    for f in fields(NetConfig):
-        if f.name not in header:
-            raise ValueError(f"{path}: missing header field {f.name!r}")
-        value, lineno = header[f.name]
-        try:
-            sizes[f.name] = (tuple(int(w) for w in value.split(","))
-                              if f.name.endswith("_widths") else int(value))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {f.name}: {err}") from err
-    net = _zero_net(NetConfig(**sizes))
-    expected = dict(_named_arrays(net))
-    seen = set()
-    while pos < len(lines):
-        line = lines[pos].strip()
-        pos += 1
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "tensor" or len(parts) != 4:
-            raise ValueError(f"{path}:{pos}: expected tensor header, got {line!r}")
-        name = parts[1]
-        try:
-            rows, cols = int(parts[2]), int(parts[3])
-        except ValueError as err:
-            raise ValueError(f"{path}:{pos}: tensor {name} shape: {err}") from err
-        if name not in expected:
-            raise ValueError(f"{path}:{pos}: unknown tensor {name!r}")
-        target = expected[name]
-        mat = target if target.ndim == 2 else target[None, :]
-        if mat.shape != (rows, cols):
-            raise ValueError(
-                f"{path}:{pos}: tensor {name} has shape {(rows, cols)}, "
-                f"expected {mat.shape}"
-            )
-        for r in range(rows):
-            if pos >= len(lines):
-                raise ValueError(f"{path}: truncated tensor {name}")
-            try:
-                row = np.array(lines[pos].split(), dtype=np.float64)
-            except ValueError as err:
-                raise ValueError(f"{path}:{pos + 1}: {err}") from err
-            pos += 1
-            if row.size != cols:
-                raise ValueError(f"{path}:{pos}: row has {row.size} values, expected {cols}")
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"{path}:{pos}: tensor {name} has a non-finite value")
-            mat[r, :] = row
-        seen.add(name)
-    missing = set(expected) - seen
+    for where, line in lines[1:body]:
+        if not line.startswith("#"):
+            with textio.at(where):
+                key, value = textio.key_value(line)
+                if key in names:
+                    sizes[key] = (tuple(int(w) for w in value.split(","))
+                                  if key.endswith("_widths") else int(value))
+    missing = [name for name in names if name not in sizes]
     if missing:
-        raise ValueError(f"{path}: missing tensors: {sorted(missing)}")
+        raise ValueError(f"{path}: missing header field {missing[0]!r}")
+    with textio.at(path):
+        net = _zero_net(NetConfig(**sizes))
+    expected = dict(_named_arrays(net))
+    rows = iter(lines[body:])
+    for where, line in rows:
+        with textio.at(where):
+            parts = line.split()
+            if parts[0] != "tensor" or len(parts) != 4:
+                raise ValueError(f"expected tensor header, got {line!r}")
+            name = parts[1]
+            if name not in expected:
+                raise ValueError(f"tensor {name!r} is unknown or repeated")
+            mat = np.atleast_2d(expected.pop(name))
+            shape = (int(parts[2]), int(parts[3]))
+            if mat.shape != shape:
+                raise ValueError(f"tensor {name} has shape {shape}, expected {mat.shape}")
+        for row in mat:
+            where, line = next(rows, (path, None))
+            if line is None:
+                raise ValueError(f"{path}: truncated tensor {name}")
+            with textio.at(where):
+                row[:] = textio.floats(line.split(), row.size)
+                if not np.isfinite(row).all():
+                    raise ValueError(f"tensor {name} has a non-finite value")
+    if expected:
+        raise ValueError(f"{path}: missing tensors: {sorted(expected)}")
     return net

@@ -21,7 +21,9 @@ DIRAC_TRANS = np.array([0.30, 0.10, -0.20])
 def dirac_pair():
     """One training pair repeated across the whole dataset."""
     target = se3.MotionState(DIRAC_RHO, DIRAC_TRANS)
-    cond = synthworld.encode_condition(se3.state_to_pose(target), 0.0, 0.0)
+    encoder = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
+                                          synthworld.DEFAULT_LIFT_SEED)
+    cond = encoder.encode(se3.state_to_pose(target), 0.0, 0.0)
     return flowmatch.TrainingPair(target=target, cond=cond)
 
 

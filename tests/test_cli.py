@@ -91,6 +91,12 @@ class TestGen:
                        "--ambiguity", "1.2", "--out", tmp_path / "x")
         assert code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_2(self, tmp_path, noise):
+        code = run_cli("gen", "--kind", "figure8", "--n", 9,
+                       "--noise", noise, "--out", tmp_path / "x")
+        assert code == 2
+
     def test_bad_kind_and_n_exit_2(self, tmp_path):
         assert run_cli("gen", "--kind", "spiral", "--out", tmp_path / "x") == 2
         assert run_cli("gen", "--kind", "line", "--n", 1,
@@ -395,6 +401,14 @@ class TestMalformedInputs:
         header_only_estimates.write_text(estimates_header)
         short_estimates = tmp_path / "short.csv"
         short_estimates.write_text(estimates_header + "0" + ",0.5" * 12 + "\n")
+        # One row per pair of the 9-pose dataset, well-formed but for one cell.
+        rows = [f"{i}" + ",0.1" * 6 + ",0.5" * 6 for i in range(8)]
+        negative_std = tmp_path / "negative_std.csv"
+        negative_std.write_text(estimates_header + "\n".join(rows[:7] + [
+            "7" + ",0.1" * 6 + ",0.5" * 5 + ",-5"]) + "\n")
+        misnumbered = tmp_path / "misnumbered.csv"
+        misnumbered.write_text(estimates_header + "\n".join(rows[:7] + [
+            "3" + rows[7][1:]]) + "\n")
         nan_checkpoint = tmp_path / "nan.txt"
         lines = text.splitlines()
         row = next(i for i, l in enumerate(lines) if l.startswith("tensor state_embed.b ")) + 1
@@ -404,7 +418,8 @@ class TestMalformedInputs:
                 "truncated": truncated, "bad_shape": bad_shape,
                 "headerless": headerless, "bad_estimates": bad_estimates,
                 "header_only_estimates": header_only_estimates,
-                "short_estimates": short_estimates, "nan_checkpoint": nan_checkpoint}
+                "short_estimates": short_estimates, "nan_checkpoint": nan_checkpoint,
+                "negative_std": negative_std, "misnumbered": misnumbered}
 
     @pytest.mark.parametrize("argv", [
         ["train", "--dataset", "{headerless}"],
@@ -418,11 +433,14 @@ class TestMalformedInputs:
         ["eval", "{gt}", "{gt}", "--estimates", "{header_only_estimates}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{short_estimates}"],
         ["infer", "--checkpoint", "{nan_checkpoint}", "--dataset", "{dataset}"],
+        ["eval", "{gt}", "{gt}", "--estimates", "{negative_std}"],
+        ["eval", "{gt}", "{gt}", "--estimates", "{misnumbered}"],
     ], ids=["train-headerless-dataset", "infer-headerless-dataset",
             "train-truncated-checkpoint", "infer-truncated-checkpoint",
             "ablate-truncated-checkpoint", "infer-bad-tensor-shape",
             "eval-non-numeric-estimates", "eval-header-only-estimates",
-            "eval-estimates-row-count", "infer-nan-checkpoint"])
+            "eval-estimates-row-count", "infer-nan-checkpoint",
+            "eval-negative-std-estimates", "eval-misnumbered-estimates"])
     def test_exits_2(self, files, argv, tmp_path, capsys):
         args = [arg.format(**files) for arg in argv]
         assert run_cli(*args, "--out", tmp_path / "out") == 2

@@ -298,3 +298,14 @@ class TestEstimatesCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"estimates\.csv:3: .*'wide'"):
             sampler.read_estimates_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1" + ",0.5" * 12, "pair_index '1'"),
+        ("0" + ",0.5" * 11 + ",-5", "std_state must be finite and non-negative"),
+        ("0" + ",0.5" * 11 + ",nan", "std_state must be finite and non-negative"),
+    ])
+    def test_bad_index_or_spread_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "estimates.csv"
+        path.write_text(sampler.ESTIMATES_HEADER + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"estimates\.csv:2: {message}"):
+            sampler.read_estimates_csv(path)

@@ -45,7 +45,7 @@ class TestRotationType:
 
     def test_canonical_sign_flips_negative_w(self):
         r = se3.Rotation(np.array([-0.5, 0.5, 0.5, 0.5]))
-        assert r.w > 0
+        assert r.q[0] > 0
         assert np.allclose(r.q, [0.5, -0.5, -0.5, -0.5])
 
     def test_half_turn_sign_rule(self):
@@ -62,6 +62,10 @@ class TestRotationType:
             se3.Rotation(np.array([np.nan, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             se3.Rotation(np.zeros(4))
+        # The squared norm overflows: rejected, not divided down to zeros.
+        for big in ([1e200, 0.0, 0.0, 0.0], [1e155, -1e155, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="not finite"):
+                se3.Rotation(np.array(big))
 
     def test_quaternion_is_immutable(self):
         r = se3.Rotation(np.array([1.0, 0.0, 0.0, 0.0]))

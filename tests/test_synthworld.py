@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from motionflow import se3, synthworld
+from motionflow import se3, synthworld, textio
 
 RNG = np.random.default_rng
 
@@ -124,8 +124,10 @@ class TestConditionEncoder:
 
     def test_module_level_default_encoder(self):
         rel = se3.RelativePose(se3.exp_map([0, 0, 0.1]), [0.25, 0.0, 0.0])
-        a = synthworld.encode_condition(rel, 0.0, 0.0)
-        b = synthworld.encode_condition(rel, 0.0, 0.0)
+        a = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
+                                        synthworld.DEFAULT_LIFT_SEED).encode(rel, 0.0, 0.0)
+        b = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
+                                        synthworld.DEFAULT_LIFT_SEED).encode(rel, 0.0, 0.0)
         assert np.array_equal(a.values, b.values)
         assert a.dim == synthworld.DEFAULT_COND_DIM
 
@@ -229,7 +231,8 @@ class TestDatasetFiles:
         rng = RNG(24)
         conds = [synthworld.ConditionVector(rng.standard_normal(6)) for _ in range(4)]
         path = tmp_path / "conds.csv"
-        synthworld.write_conditions(path, conds, cond_dim=6, lift_seed=1)
+        textio.write_lines(path, ["#k=6", "#lift_seed=1", "#ambiguity=0", "#noise=0"]
+                           + [textio.fmt(cond.values) for cond in conds])
         rows = synthworld.ingest_features(path)
         assert len(rows) == 4
         for (cond, pair), orig in zip(rows, conds):
@@ -267,6 +270,12 @@ class TestDatasetFiles:
             synthworld.ingest_features(path)
         path.write_text("#k=2\n#lift_seed=0\n#ambiguity=0\n#noise=0\nx,2\n")
         with pytest.raises(ValueError, match=":5"):
+            synthworld.ingest_features(path)
+        path.write_text("#k=2\n#lift_seed=0\n#ambiguity=0\n#noise=0\n1,2\n1,nan\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:6: condition vector"):
+            synthworld.ingest_features(path)
+        path.write_text("#k=abc\n#lift_seed=0\n#ambiguity=0\n#noise=0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:1: .*'abc'"):
             synthworld.ingest_features(path)
 
     def test_missing_header_rejected(self, tmp_path):

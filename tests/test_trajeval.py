@@ -357,6 +357,24 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=":1"):
             trajeval.read_tum(path)
 
+    @pytest.mark.parametrize("line", [
+        "0 1 2 3 0 0 0 1e200",   # squared quaternion norm overflows
+        "0 1 2 3 0 0 0 0",       # zero quaternion
+        "0 nan 2 3 0 0 0 1",     # non-finite translation
+    ])
+    def test_tum_bad_pose_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.tum"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=r"bad\.tum:1: "):
+            trajeval.read_tum(path)
+
+    @pytest.mark.parametrize("stamps", ["0 nan 2", "0 2 1", "0 inf", "nan"])
+    def test_tum_stamps_must_be_finite_and_increasing(self, tmp_path, stamps):
+        path = tmp_path / "stamps.tum"
+        path.write_text("".join(f"{s} 0 0 0 0 0 0 1\n" for s in stamps.split()))
+        with pytest.raises(ValueError, match=r"stamps\.tum: stamps must be finite"):
+            trajeval.read_tum(path)
+
     def test_metrics_csv(self, tmp_path):
         path = tmp_path / "metrics.csv"
         trajeval.write_metrics_csv(path, [

@@ -347,6 +347,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="missing"):
             vfnet.load_checkpoint(path)
 
+    def test_rejects_repeated_tensor(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        vfnet.save_checkpoint(path, random_net(RNG(16), SMALL_CONFIG))
+        lines = path.read_text().splitlines()
+        start = lines.index("tensor state_embed.b 1 6")
+        path.write_text("\n".join(lines + lines[start:start + 2]) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"ckpt\.txt:{len(lines) + 1}: .*state_embed\.b.*repeated"):
+            vfnet.load_checkpoint(path)
+
     def test_rejects_shape_mismatch(self, tmp_path):
         net = random_net(RNG(14), SMALL_CONFIG)
         path = tmp_path / "ckpt.txt"
