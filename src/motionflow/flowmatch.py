@@ -72,10 +72,11 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
-        if self.rot_weight <= 0 or self.trans_weight <= 0:
-            raise ValueError("loss weights must be positive")
+        for name in ("adam_eps", "rot_weight", "trans_weight"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def lr_at(self, epoch: int) -> float:
         """Step schedule: one multiplicative drop at lr_decay_epoch."""
@@ -97,8 +98,9 @@ def cfm_loss(net: vfnet.VectorFieldNet, states: np.ndarray, taus: np.ndarray,
 
     states (B, 6) are path points at times taus (B,) under conditions
     conds (B, k); targets (B, 6) are their path velocities.  Returns
-    (loss, Gradients).  The gradient is exact for the returned loss,
-    including the 1/B normalization and the component weights.
+    (loss, gradients), the gradients a VectorFieldNet like net.  They are
+    exact for the returned loss, including the 1/B normalization and the
+    component weights.
     """
     if len(states) == 0:
         raise ValueError("cfm_loss needs a nonempty batch")
@@ -136,13 +138,13 @@ def adam_init(net: vfnet.VectorFieldNet, beta1: float = 0.9, beta2: float = 0.99
     )
 
 
-def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.Gradients, state: AdamState,
+def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.VectorFieldNet, state: AdamState,
               lr: float) -> None:
     """One in-place Adam update with bias correction, on the flat buffers.
 
     From a zero state the very first step moves each parameter by
     -lr * g / (|g| + eps), which the tests pin down.  Raises
-    TrainingDivergedError, naming the first tensor in _named_arrays order
+    TrainingDivergedError, naming the first tensor in checkpoint order
     with a non-finite entry, if any parameter leaves the finite range.
     """
     state.step += 1

@@ -18,6 +18,7 @@ initializing Generator.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -82,11 +83,12 @@ class ConditionVector:
 
 @dataclass
 class VectorFieldNet:
-    """Parameter container.  Layers are (weight, bias) pairs, weight (out, in).
+    """Parameters, or gradients of the same network.  Layers are (weight,
+    bias) pairs, weight (out, in).
 
-    Every weight and bias is a view into flat, one float64 buffer of
-    parameter_count(config) entries in _named_arrays order, so the
-    optimizer updates all parameters with a few vector operations.
+    Every weight and bias is a view into flat, one float64 buffer laid out
+    by _layout(config), so the optimizer updates all parameters with a few
+    vector operations.
     """
 
     config: NetConfig
@@ -98,99 +100,57 @@ class VectorFieldNet:
     flat: np.ndarray
 
 
-@dataclass
-class Gradients:
-    """Same tree shape as VectorFieldNet's parameters, also views into flat."""
-
-    state_embed: list
-    cond_embed: list
-    layers: list
-    head_rot: list
-    head_trans: list
-    flat: np.ndarray
+@functools.lru_cache(maxsize=16)
+def _layout(config: NetConfig):
+    """The one list of the network's linear layers, in checkpoint order:
+    ((name, tree field, weight start, bias start, bias end, weight shape),
+    ...) with offsets into the flat buffer, and the buffer size."""
+    c = config
+    dims = [("state_embed", "state_embed", c.STATE_DIM, c.state_embed_dim),
+            ("cond_embed.0", "cond_embed", c.cond_dim, c.cond_hidden_dim),
+            ("cond_embed.1", "cond_embed", c.cond_hidden_dim, c.cond_embed_dim)]
+    trunk = (c.fused_dim,) + c.trunk_widths
+    dims += [(f"trunk.{i}", "layers", trunk[i], w) for i, w in enumerate(trunk[1:])]
+    head = trunk[-1:] + c.head_widths + (c.OUT_DIM,)
+    for field in ("head_rot", "head_trans"):
+        dims += [(f"{field}.{i}", field, head[i], w) for i, w in enumerate(head[1:])]
+    spans = []
+    offset = 0
+    for name, field, in_dim, out_dim in dims:
+        bias = offset + out_dim * in_dim
+        spans.append((name, field, offset, bias, bias + out_dim, (out_dim, in_dim)))
+        offset = bias + out_dim
+    return tuple(spans), offset
 
 
 def _named_arrays(tree):
-    """Flat iteration over (name, array) in a fixed traversal order.
-
-    Works on both VectorFieldNet and Gradients; the order defines the
-    checkpoint layout and the arrays' places in the flat buffer.
-    """
-    yield "state_embed.w", tree.state_embed[0]
-    yield "state_embed.b", tree.state_embed[1]
-    for i, (w, b) in enumerate(tree.cond_embed):
-        yield f"cond_embed.{i}.w", w
-        yield f"cond_embed.{i}.b", b
-    for i, (w, b) in enumerate(tree.layers):
-        yield f"trunk.{i}.w", w
-        yield f"trunk.{i}.b", b
-    for name, head in (("head_rot", tree.head_rot), ("head_trans", tree.head_trans)):
-        for i, (w, b) in enumerate(head):
-            yield f"{name}.{i}.w", w
-            yield f"{name}.{i}.b", b
+    """(name, view of tree.flat) for every weight and bias, in checkpoint
+    order; tree is any VectorFieldNet, parameters or gradients."""
+    for name, _, start, bias, end, shape in _layout(tree.config)[0]:
+        yield f"{name}.w", tree.flat[start:bias].reshape(shape)
+        yield f"{name}.b", tree.flat[bias:end]
 
 
 def parameter_count(config: NetConfig) -> int:
     return _layout(config)[1]
 
 
-def _layer_shapes(config: NetConfig):
-    """(name, out_dim, in_dim) for every linear layer, traversal order."""
-    c = config
-    shapes = [("state_embed", c.state_embed_dim, c.STATE_DIM)]
-    shapes.append(("cond_embed.0", c.cond_hidden_dim, c.cond_dim))
-    shapes.append(("cond_embed.1", c.cond_embed_dim, c.cond_hidden_dim))
-    prev = c.fused_dim
-    for i, w in enumerate(c.trunk_widths):
-        shapes.append((f"trunk.{i}", w, prev))
-        prev = w
-    for head in ("head_rot", "head_trans"):
-        h_prev = prev
-        for i, w in enumerate(c.head_widths):
-            shapes.append((f"{head}.{i}", w, h_prev))
-            h_prev = w
-        shapes.append((f"{head}.{len(c.head_widths)}", c.OUT_DIM, h_prev))
-    return shapes
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(config: NetConfig):
-    """Where each layer lives in the flat buffer, in _named_arrays order:
-    ((tree field, weight start, bias start, bias end, weight shape), ...)
-    and the buffer size."""
-    spans = []
-    offset = 0
-    for name, out_dim, in_dim in _layer_shapes(config):
-        group = name.split(".")[0]
-        bias = offset + out_dim * in_dim
-        spans.append(("layers" if group == "trunk" else group, offset, bias,
-                      bias + out_dim, (out_dim, in_dim)))
-        offset = bias + out_dim
-    return tuple(spans), offset
-
-
-def _build_tree(config: NetConfig) -> dict:
-    """Tree fields over one zeroed buffer: "flat" holds parameter_count
-    entries, and each layer's [weight, bias] pair is a view into it."""
+def _zero_net(config: NetConfig) -> VectorFieldNet:
+    """All-zero network: each layer's [weight, bias] pair is a view into flat."""
     spans, size = _layout(config)
     flat = np.zeros(size)
-    tree = {"state_embed": None, "cond_embed": [], "layers": [], "head_rot": [],
-            "head_trans": [], "flat": flat}
-    for group, start, bias, end, shape in spans:
+    tree = {"cond_embed": [], "layers": [], "head_rot": [], "head_trans": []}
+    for _, field, start, bias, end, shape in spans:
         pair = [flat[start:bias].reshape(shape), flat[bias:end]]
-        if group == "state_embed":
-            tree[group] = pair
+        if field == "state_embed":
+            tree[field] = pair
         else:
-            tree[group].append(pair)
-    return tree
+            tree[field].append(pair)
+    return VectorFieldNet(config, flat=flat, **tree)
 
 
-def _zero_net(config: NetConfig) -> VectorFieldNet:
-    return VectorFieldNet(config, **_build_tree(config))
-
-
-def zero_gradients(net: VectorFieldNet) -> Gradients:
-    return Gradients(**_build_tree(net.config))
+def zero_gradients(net: VectorFieldNet) -> VectorFieldNet:
+    return _zero_net(net.config)
 
 
 def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFieldNet:
@@ -201,13 +161,12 @@ def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFie
     zero, so untrained sampling returns the reference draw unchanged.
     """
     config = config if config is not None else NetConfig()
-    final = {f"head_rot.{len(config.head_widths)}", f"head_trans.{len(config.head_widths)}"}
+    final = {f"{head}.{len(config.head_widths)}.w" for head in ("head_rot", "head_trans")}
     net = _zero_net(config)
-    arrays = dict(_named_arrays(net))
-    for name, out_dim, in_dim in _layer_shapes(config):
-        if name not in final:
-            bound = math.sqrt(6.0 / in_dim)
-            arrays[f"{name}.w"][...] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    for name, arr in _named_arrays(net):
+        if name.endswith(".w") and name not in final:
+            bound = math.sqrt(6.0 / arr.shape[1])
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
     return net
 
 
@@ -279,7 +238,7 @@ def _linear_grads(pair, d_pre: np.ndarray, x: np.ndarray) -> None:
     np.sum(d_pre, axis=0, out=pair[1])
 
 
-def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> Gradients:
+def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> VectorFieldNet:
     """Exact reverse-mode gradients of sum_b <forward_b, upstream_b>.
 
     cache comes from forward_batch(..., keep_cache=True); upstream is (B, 6).
@@ -323,7 +282,7 @@ def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> Gradient
 # --- checkpoint format -------------------------------------------------------
 #
 # Plain text, self-describing.  Header lines are key=value (one per config
-# field); each tensor then appears as
+# field); each tensor then appears, weight then bias in _layout order, as
 #     tensor <name> <rows> <cols>
 # followed by <rows> lines of <cols> decimal floats.  Vectors use rows=1.
 
@@ -362,29 +321,33 @@ def load_checkpoint(path) -> VectorFieldNet:
     if missing:
         raise ValueError(f"{path}: missing header field {missing[0]!r}")
     with textio.at(path):
-        net = _zero_net(NetConfig(**sizes))
-    expected = dict(_named_arrays(net))
+        config = NetConfig(**sizes)
+    spans = _layout(config)[0]
+    need = sum(shape[0] + 3 for *_, shape in spans)
+    if len(lines) - body < need:
+        raise ValueError(f"{path}: {need - len(lines) + body} of {need} tensor lines missing")
+    # Walk the table; the net is allocated only once the file has filled it.
     rows = iter(lines[body:])
-    for where, line in rows:
-        with textio.at(where):
-            parts = line.split()
-            if parts[0] != "tensor" or len(parts) != 4:
-                raise ValueError(f"expected tensor header, got {line!r}")
-            name = parts[1]
-            if name not in expected:
-                raise ValueError(f"tensor {name!r} is unknown or repeated")
-            mat = np.atleast_2d(expected.pop(name))
-            shape = (int(parts[2]), int(parts[3]))
-            if mat.shape != shape:
-                raise ValueError(f"tensor {name} has shape {shape}, expected {mat.shape}")
-        for row in mat:
-            where, line = next(rows, (path, None))
-            if line is None:
-                raise ValueError(f"{path}: truncated tensor {name}")
+    values = []
+    for name, *_, (out_dim, in_dim) in spans:
+        for tensor, shape in ((f"{name}.w", (out_dim, in_dim)), (f"{name}.b", (1, out_dim))):
+            where, line = next(rows)
             with textio.at(where):
-                row[:] = textio.floats(line.split(), row.size)
-                if not np.isfinite(row).all():
-                    raise ValueError(f"tensor {name} has a non-finite value")
-    if expected:
-        raise ValueError(f"{path}: missing tensors: {sorted(expected)}")
+                parts = line.split()
+                if len(parts) != 4 or parts[:2] != ["tensor", tensor]:
+                    raise ValueError(f"expected tensor {tensor}, got {line!r}")
+                got = (int(parts[2]), int(parts[3]))
+                if got != shape:
+                    raise ValueError(f"tensor {tensor} has shape {got}, expected {shape}")
+            for where, line in itertools.islice(rows, shape[0]):
+                with textio.at(where):
+                    row = textio.floats(line.split(), shape[1])
+                    if not all(map(math.isfinite, row)):
+                        raise ValueError(f"tensor {tensor} has a non-finite value")
+                values += row
+    extra = next(rows, None)
+    if extra is not None:
+        raise ValueError(f"{extra[0]}: {extra[1]!r} after the last tensor is unknown or repeated")
+    net = _zero_net(config)
+    net.flat[:] = values
     return net

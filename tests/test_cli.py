@@ -127,6 +127,18 @@ class TestTrain:
                        "--config", cfg, "--out", tmp_path / "run")
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["rot_weight = nan", "trans_weight = inf",
+                                      "adam_eps = inf", "seed = -3"],
+                             ids=["rot_weight", "trans_weight", "adam_eps", "seed"])
+    def test_unusable_config_value_exits_2(self, tmp_path, capsys, line):
+        data = gen_small(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"epochs = 1\n{line}\n")
+        code = run_cli("train", "--dataset", data / "dataset.csv",
+                       "--config", cfg, "--out", tmp_path / "run")
+        assert code == 2
+        assert f"{cfg}: {line.split()[0]} must be" in capsys.readouterr().err
+
     def test_divergence_exits_1(self, tmp_path, capsys):
         data = gen_small(tmp_path)
         cfg = tmp_path / "wild.cfg"
@@ -414,11 +426,15 @@ class TestMalformedInputs:
         row = next(i for i, l in enumerate(lines) if l.startswith("tensor state_embed.b ")) + 1
         lines[row] = " ".join(["nan"] + lines[row].split()[1:])
         nan_checkpoint.write_text("\n".join(lines) + "\n")
+        huge_cond_dim = tmp_path / "huge_cond_dim.txt"
+        huge_cond_dim.write_text(text.replace(f"cond_dim={net.config.cond_dim}\n",
+                                              "cond_dim=1000000000000000\n", 1))
         return {"dataset": data / "dataset.csv", "gt": data / "gt.tum", "good": good,
                 "truncated": truncated, "bad_shape": bad_shape,
                 "headerless": headerless, "bad_estimates": bad_estimates,
                 "header_only_estimates": header_only_estimates,
                 "short_estimates": short_estimates, "nan_checkpoint": nan_checkpoint,
+                "huge_cond_dim": huge_cond_dim,
                 "negative_std": negative_std, "misnumbered": misnumbered}
 
     @pytest.mark.parametrize("argv", [
@@ -433,13 +449,14 @@ class TestMalformedInputs:
         ["eval", "{gt}", "{gt}", "--estimates", "{header_only_estimates}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{short_estimates}"],
         ["infer", "--checkpoint", "{nan_checkpoint}", "--dataset", "{dataset}"],
+        ["infer", "--checkpoint", "{huge_cond_dim}", "--dataset", "{dataset}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{negative_std}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{misnumbered}"],
     ], ids=["train-headerless-dataset", "infer-headerless-dataset",
             "train-truncated-checkpoint", "infer-truncated-checkpoint",
             "ablate-truncated-checkpoint", "infer-bad-tensor-shape",
             "eval-non-numeric-estimates", "eval-header-only-estimates",
-            "eval-estimates-row-count", "infer-nan-checkpoint",
+            "eval-estimates-row-count", "infer-nan-checkpoint", "infer-huge-cond-dim",
             "eval-negative-std-estimates", "eval-misnumbered-estimates"])
     def test_exits_2(self, files, argv, tmp_path, capsys):
         args = [arg.format(**files) for arg in argv]

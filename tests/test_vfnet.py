@@ -6,6 +6,7 @@ layer equations, kept deliberately dumb.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ import pytest
 from motionflow import vfnet
 
 RNG = np.random.default_rng
+
+# A checkpoint written before the layout table existed, kept for the benchmark.
+KEPT_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                   / "perfbench" / "data" / "figure8_checkpoint.txt")
 
 SMALL_CONFIG = vfnet.NetConfig(
     cond_dim=5,
@@ -255,13 +260,20 @@ class TestBackward:
 
 def assert_views_of_flat(tree):
     """Every array of the tree is a contiguous view into tree.flat, laid out
-    back to back in _named_arrays order."""
+    back to back in _named_arrays order, and the tree's own fields hold the
+    arrays at those offsets."""
     base = tree.flat.__array_interface__["data"][0]
+    pairs = [tree.state_embed, *tree.cond_embed, *tree.layers, *tree.head_rot,
+             *tree.head_trans]
+    own = [arr for pair in pairs for arr in pair]
+    named = list(vfnet._named_arrays(tree))
+    assert len(own) == len(named)
     offset = 0
-    for name, arr in vfnet._named_arrays(tree):
-        assert arr.flags.c_contiguous and np.shares_memory(arr, tree.flat), name
-        start = (arr.__array_interface__["data"][0] - base) // tree.flat.itemsize
-        assert start == offset, name
+    for (name, arr), field_arr in zip(named, own):
+        for a in (arr, field_arr):
+            assert a.flags.c_contiguous and np.shares_memory(a, tree.flat), name
+            start = (a.__array_interface__["data"][0] - base) // tree.flat.itemsize
+            assert start == offset and a.shape == arr.shape, name
         offset += arr.size
     assert offset == tree.flat.size
 
@@ -303,6 +315,13 @@ class TestCheckpoint:
                                     vfnet._named_arrays(loaded)):
             assert na == nb
             assert np.array_equal(a, b), na
+
+    def test_kept_checkpoint_round_trips_byte_for_byte(self, tmp_path):
+        """The layout table reads and rewrites a file an earlier layout wrote."""
+        net = vfnet.load_checkpoint(KEPT_CHECKPOINT)
+        assert_views_of_flat(net)
+        vfnet.save_checkpoint(tmp_path / "again.txt", net)
+        assert (tmp_path / "again.txt").read_bytes() == KEPT_CHECKPOINT.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         net = random_net(RNG(12), SMALL_CONFIG)
@@ -357,6 +376,30 @@ class TestCheckpoint:
                            match=rf"ckpt\.txt:{len(lines) + 1}: .*state_embed\.b.*repeated"):
             vfnet.load_checkpoint(path)
 
+    def test_rejects_out_of_order_tensor(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        vfnet.save_checkpoint(path, random_net(RNG(21), SMALL_CONFIG))
+        lines = path.read_text().splitlines()
+        w = lines.index("tensor cond_embed.0.w 8 5")
+        b = lines.index("tensor cond_embed.0.b 1 8")
+        swapped = lines[:w] + lines[b:b + 2] + lines[w:b] + lines[b + 2:]
+        path.write_text("\n".join(swapped) + "\n")
+        with pytest.raises(ValueError, match=rf"ckpt\.txt:{w + 1}: expected tensor "
+                                             r"cond_embed\.0\.w, got 'tensor cond_embed\.0\.b"):
+            vfnet.load_checkpoint(path)
+
+    def test_rejects_header_sizes_before_allocating(self, tmp_path):
+        """Sizes no file of this length can fill are refused, not allocated."""
+        path = tmp_path / "ckpt.txt"
+        vfnet.save_checkpoint(path, random_net(RNG(23), SMALL_CONFIG))
+        text = path.read_text()
+        for key, value, match in (
+                ("cond_dim", 5, r"cond_embed\.0\.w has shape \(8, 5\), expected \(8, 10+\)"),
+                ("cond_hidden_dim", 8, r"ckpt\.txt: .* tensor lines missing")):
+            path.write_text(text.replace(f"{key}={value}\n", f"{key}={10 ** 15}\n", 1))
+            with pytest.raises(ValueError, match=match):
+                vfnet.load_checkpoint(path)
+
     def test_rejects_shape_mismatch(self, tmp_path):
         net = random_net(RNG(14), SMALL_CONFIG)
         path = tmp_path / "ckpt.txt"
@@ -376,6 +419,7 @@ class TestCheckpoint:
         for index, text, cell in (
                 (1, "cond_dim=five", "five"),
                 (shape, "tensor state_embed.w x 6", "x"),
+                (shape, "tensor state_embed.u 6 6", "tensor state_embed.u 6 6"),
                 (shape + 1, " ".join(["zero"] + first_row[1:]), "zero")):
             bad = list(lines)
             bad[index] = text
