@@ -53,6 +53,8 @@ class RunManifest:
     consumed; outputs, counts and timings are filled in as the command
     runs.  counts holds the work a run did that its config implies, such
     as the field evaluations per flow sample of infer and ablate-steps.
+    timings holds each phase's seconds, timed by lap() from construction
+    or from the previous lap.
     """
 
     command: str
@@ -65,25 +67,21 @@ class RunManifest:
     environment: dict = field(default_factory=_environment)
     version: str = __version__
 
-    def write(self, out: Path, watch: "_Stopwatch") -> None:
-        """Write out/manifest.json with watch's phase timings and their total."""
-        self.timings = {**watch.timings, "total": sum(watch.timings.values())}
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-class _Stopwatch:
-    """Accumulates named phase durations for the manifest."""
-
-    def __init__(self):
-        self.timings = {}
-        self._t0 = time.perf_counter()
+    def __post_init__(self):
+        self._lap_start = time.perf_counter()
 
     def lap(self, name: str) -> None:
         now = time.perf_counter()
-        self.timings[name] = now - self._t0
-        self._t0 = now
+        self.timings[name] = now - self._lap_start
+        self._lap_start = now
+
+    def write(self, out: Path) -> None:
+        """Write out/manifest.json with the phase timings and their total."""
+        record = dataclasses.asdict(self)
+        record["timings"]["total"] = sum(self.timings.values())
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # --- argument plumbing ---------------------------------------------------------
@@ -108,7 +106,10 @@ def _step_list(text: str) -> list:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as err:
+        raise UsageError(f"--out {out} is not a directory: {err.strerror}")
     return out
 
 
@@ -134,10 +135,30 @@ def _check_cond_dim(net, header) -> None:
                          f"dataset has {header.cond_dim}")
 
 
+def _read_model(args):
+    """(net, conds): the checkpoint, and the conditions of a nonempty
+    dataset of the checkpoint's condition dim."""
+    net = _read_input(args.checkpoint, "checkpoint", vfnet.load_checkpoint)
+    header, rows = _read_input(args.dataset, "dataset", _read_dataset)
+    if not rows:
+        raise UsageError(f"dataset has no rows: {args.dataset}")
+    _check_cond_dim(net, header)
+    return net, [cond for cond, _ in rows]
+
+
 def _chained(estimates):
     """The trajectory the estimates' chart means chain to from the identity."""
     return trajeval.compose_trajectory(
         se3.RelativePose.identity(), [se3.state_to_pose(e.mean_state) for e in estimates])
+
+
+def _ate(est, gt, align: str, scale: str) -> float:
+    """ATE of est against gt, after rescaling est's relative translations
+    by the scale mode."""
+    if scale != "none":
+        est = trajeval.compose_trajectory(est.poses[0], trajeval.scale_align(
+            synthworld.relative_motions(est), synthworld.relative_motions(gt), scale))
+    return trajeval.ate(est, gt, align)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -157,7 +178,6 @@ def cmd_gen(args) -> int:
             "name": args.name or args.kind,
         },
     )
-    watch = _Stopwatch()
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     scenario = synthworld.make_scenario(
@@ -165,16 +185,16 @@ def cmd_gen(args) -> int:
         args.noise, rng, cond_dim=args.cond_dim,
     )
     manifest.config["lift_seed"] = scenario.lift_seed
-    watch.lap("generate")
+    manifest.lap("generate")
 
     dataset_path = out / "dataset.csv"
     gt_path = out / "gt.tum"
     synthworld.write_scenario_dataset(dataset_path, scenario)
     trajeval.write_tum(gt_path, scenario.gt_trajectory)
-    watch.lap("write")
+    manifest.lap("write")
 
     manifest.outputs = {"dataset": str(dataset_path), "gt": str(gt_path)}
-    manifest.write(out, watch)
+    manifest.write(out)
     print(f"wrote {len(scenario.pairs)} pairs to {dataset_path}")
     return 0
 
@@ -211,19 +231,18 @@ def cmd_train(args) -> int:
         },
         inputs={"dataset": str(dataset_path)},
     )
-    watch = _Stopwatch()
 
     net, history = flowmatch.train(pairs, config, net_config, net=net)
-    watch.lap("train")
+    manifest.lap("train")
 
     checkpoint_path = out / "checkpoint.txt"
     loss_path = out / "loss.csv"
     vfnet.save_checkpoint(checkpoint_path, net)
     flowmatch.write_loss_history(loss_path, history)
-    watch.lap("write")
+    manifest.lap("write")
 
     manifest.outputs = {"checkpoint": str(checkpoint_path), "loss": str(loss_path)}
-    manifest.write(out, watch)
+    manifest.write(out)
     print(f"trained {len(history)} steps, final loss {history[-1][2]:.6g}, "
           f"checkpoint at {checkpoint_path}")
     return 0
@@ -231,14 +250,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     out = _out_dir(args)
-    checkpoint_path = Path(args.checkpoint)
-    net = _read_input(checkpoint_path, "checkpoint", vfnet.load_checkpoint)
-
-    header, rows = _read_input(args.dataset, "dataset", _read_dataset)
-    conds = [cond for cond, _ in rows]
-    if not conds:
-        raise UsageError(f"dataset has no rows: {args.dataset}")
-    _check_cond_dim(net, header)
+    net, conds = _read_model(args)
 
     solver = sampler.SolverConfig(method=args.method, steps=args.steps)
     manifest = RunManifest(
@@ -248,38 +260,26 @@ def cmd_infer(args) -> int:
             "solver": dataclasses.asdict(solver),
             "samples": args.samples,
         },
-        inputs={"checkpoint": str(checkpoint_path), "dataset": str(args.dataset)},
+        inputs={"checkpoint": str(Path(args.checkpoint)), "dataset": str(args.dataset)},
         counts={"nfe_per_sample": solver.nfe_per_sample},
     )
-    watch = _Stopwatch()
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
     traj = _chained(estimates)
-    watch.lap("sample")
+    manifest.lap("sample")
 
     estimates_path = out / "estimates.csv"
     est_traj_path = out / "est.tum"
     sampler.write_estimates_csv(estimates_path, estimates)
     trajeval.write_tum(est_traj_path, traj)
-    watch.lap("write")
+    manifest.lap("write")
 
     manifest.outputs = {"estimates": str(estimates_path), "trajectory": str(est_traj_path)}
-    manifest.write(out, watch)
+    manifest.write(out)
     print(f"estimated {len(estimates)} motions ({args.samples} samples each) "
           f"to {estimates_path}")
     return 0
-
-
-def _scale_aligned(est, gt, scale_mode: str):
-    """Apply relative-translation scale alignment to an estimated trajectory."""
-    if scale_mode == "none":
-        return est
-    rels = trajeval.scale_align(
-        synthworld.relative_motions(est), synthworld.relative_motions(gt),
-        scale_mode)
-    rebuilt = trajeval.compose_trajectory(est.poses[0], rels)
-    return synthworld.Trajectory(est.stamps, rebuilt.poses)
 
 
 def _mean_spread(rows):
@@ -298,16 +298,17 @@ def cmd_eval(args) -> int:
             f"ground truth has {len(gt)}")
 
     name = args.name or Path(args.est).stem
+    if any(char in name for char in ",\r\n"):
+        raise UsageError(f"scenario name {name!r} holds a comma or a line break; "
+                         "set --name to one without")
     manifest = RunManifest(
         command="eval",
         seed=0,
         config={"align": args.align, "scale": args.scale, "name": name},
         inputs={"est": str(args.est), "gt": str(args.gt)},
     )
-    watch = _Stopwatch()
 
-    aligned_est = _scale_aligned(est, gt, args.scale)
-    ate_rmse = trajeval.ate(aligned_est, gt, args.align)
+    ate_rmse = _ate(est, gt, args.align, args.scale)
     std_rot, std_trans = float("nan"), float("nan")
     if args.estimates is not None:
         rows = _read_input(args.estimates, "estimates file", sampler.read_estimates_csv)
@@ -316,27 +317,23 @@ def cmd_eval(args) -> int:
                 f"bad estimates file: {args.estimates} has {len(rows)} rows, but the "
                 f"trajectories have {len(est)} poses; expected {len(est) - 1}")
         std_rot, std_trans = _mean_spread(rows)
-    watch.lap("evaluate")
+    manifest.lap("evaluate")
 
     metrics_path = out / "metrics.csv"
     trajeval.write_metrics_csv(metrics_path, [
         (name, args.align, args.scale, ate_rmse, std_rot, std_trans),
     ])
-    watch.lap("write")
+    manifest.lap("write")
 
     manifest.outputs = {"metrics": str(metrics_path)}
-    manifest.write(out, watch)
+    manifest.write(out)
     print(f"ate_rmse {textio.fmt([ate_rmse])} (align={args.align}, scale={args.scale})")
     return 0
 
 
 def cmd_ablate_steps(args) -> int:
     out = _out_dir(args)
-    checkpoint_path = Path(args.checkpoint)
-    net = _read_input(checkpoint_path, "checkpoint", vfnet.load_checkpoint)
-    header, rows = _read_input(args.dataset, "dataset", _read_dataset)
-    conds = [cond for cond, _ in rows]
-    _check_cond_dim(net, header)
+    net, conds = _read_model(args)
     gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
     if len(conds) != len(gt) - 1:
         raise UsageError(
@@ -354,14 +351,13 @@ def cmd_ablate_steps(args) -> int:
             "scale": args.scale,
         },
         inputs={
-            "checkpoint": str(checkpoint_path),
+            "checkpoint": str(Path(args.checkpoint)),
             "dataset": str(args.dataset),
             "gt": str(args.gt),
         },
         counts={"nfe_per_sample": [sampler.SolverConfig(args.method, steps).nfe_per_sample
                                    for steps in args.steps]},
     )
-    watch = _Stopwatch()
 
     table = []
     for steps in args.steps:
@@ -369,16 +365,15 @@ def cmd_ablate_steps(args) -> int:
         # Fresh generator per row: rows differ only in the integrator.
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
-        est = _scale_aligned(_chained(estimates), gt, args.scale)
-        table.append((steps, trajeval.ate(est, gt, args.align)))
-        watch.lap(f"steps_{steps}")
+        table.append((steps, _ate(_chained(estimates), gt, args.align, args.scale)))
+        manifest.lap(f"steps_{steps}")
 
     ablation_path = out / "ablation.csv"
     textio.write_lines(ablation_path, ["steps,ate_rmse"] + [
         f"{steps}," + textio.fmt([ate_rmse]) for steps, ate_rmse in table])
 
     manifest.outputs = {"ablation": str(ablation_path)}
-    manifest.write(out, watch)
+    manifest.write(out)
     for steps, ate_rmse in table:
         print(f"steps {steps:4d}: ate_rmse {textio.fmt([ate_rmse])}")
     return 0

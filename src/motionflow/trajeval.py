@@ -18,11 +18,11 @@ deliberately simpler tool applied to relative motions before composing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import se3, textio
+from . import se3, synthworld, textio
 from .synthworld import Trajectory
 
 ALIGN_MODES = ("none", "se3", "sim3")
@@ -34,33 +34,22 @@ COLLINEAR_TOL = 1e-9
 
 
 class DegenerateTrajectoryError(ValueError):
-    """Point cloud is collinear (or a single point); alignment is underdetermined."""
+    """Alignment is underdetermined: the positions are collinear (or one
+    point), or they admit no positive finite scale."""
 
 
-@dataclass(frozen=True, eq=False)
-class AlignmentResult:
+class Alignment(NamedTuple):
     """Similarity transform mapping estimate onto ground truth, plus its RMSE."""
 
     scale: float
-    rotation: se3.Rotation
+    rotation: np.ndarray
     translation: np.ndarray
     ate_rmse: float
-
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.ate_rmse < 0:
-            raise ValueError("ate_rmse must be >= 0")
-        t = np.array(self.translation, dtype=np.float64).reshape(3)
-        t.flags.writeable = False
-        object.__setattr__(self, "translation", t)
 
 
 def compose_trajectory(start: se3.RelativePose, rels) -> Trajectory:
     """Chain relative motions onto a start pose; stamps are 0..n seconds."""
-    poses = [start]
-    for rel in rels:
-        poses.append(se3.compose(poses[-1], rel))
+    poses = synthworld._chain(rels, start)
     return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
 
 
@@ -112,13 +101,13 @@ def _check_rank(centered: np.ndarray, label: str) -> None:
         )
 
 
-def umeyama_align(est: Trajectory, gt: Trajectory, with_scale: bool = True) -> AlignmentResult:
+def umeyama_align(est: Trajectory, gt: Trajectory, with_scale: bool = True) -> Alignment:
     """Least-squares similarity (or rigid) alignment of est onto gt.
 
     Minimizes sum ||s R p_est + t - p_gt||^2 in closed form: SVD of the
     cross-covariance with the sign of the smallest singular direction
     flipped when needed to keep det(R) = +1, scale from the variance
-    ratio (1 when with_scale is false).
+    ratio (1 when with_scale is false).  rotation is the 3x3 matrix R.
     """
     if len(est) != len(gt):
         raise ValueError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
@@ -140,12 +129,14 @@ def umeyama_align(est: Trajectory, gt: Trajectory, with_scale: bool = True) -> A
     if with_scale:
         var_x = float((xc * xc).sum()) / len(est)
         scale = float(np.trace(np.diag(d) @ sign)) / var_x
+        if not (scale > 0 and math.isfinite(scale)):
+            raise DegenerateTrajectoryError(f"scale must be positive, got {scale}")
     else:
         scale = 1.0
     trans = mu_y - scale * (rot_matrix @ mu_x)
     resid = (scale * (x @ rot_matrix.T) + trans) - y
     rmse = float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
-    return AlignmentResult(scale, se3.rotation_from_matrix(rot_matrix), trans, rmse)
+    return Alignment(scale, rot_matrix, trans, rmse)
 
 
 def ate(est: Trajectory, gt: Trajectory, align: str = "sim3") -> float:

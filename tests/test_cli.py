@@ -282,6 +282,19 @@ class TestEval:
             assert run_cli("eval", data / "gt.tum", data / "gt.tum",
                            "--scale", scale, "--out", out) == 0
 
+    @pytest.mark.parametrize("stem, name", [
+        ("est", "a,b"), ("est", "a\nb"), ("est,1", None),
+    ], ids=["comma-name", "line-break-name", "comma-stem"])
+    def test_name_that_breaks_the_csv_row_exits_2(self, tmp_path, capsys, stem, name):
+        data = gen_small(tmp_path)
+        est = tmp_path / f"{stem}.tum"
+        est.write_text((data / "gt.tum").read_text())
+        flags = [] if name is None else ["--name", name]
+        out = tmp_path / "ev"
+        assert run_cli("eval", est, data / "gt.tum", *flags, "--out", out) == 2
+        assert repr(name or stem) in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
 
 class TestAblateSteps:
     def constant_field_checkpoint(self, tmp_path, velocity):
@@ -338,6 +351,30 @@ class TestAblateSteps:
                        "--steps", "2,five", "--out", tmp_path / "x")
         assert code == 2
 
+    def test_rows_match_eval_of_infer(self, tmp_path):
+        """The row for k steps is, as text, the ATE eval reports on
+        infer --steps k with the same seed, under every align and scale."""
+        data = gen_small(tmp_path)
+        gt = data / "gt.tum"
+        model = ["--checkpoint", untrained_checkpoint(tmp_path),
+                 "--dataset", data / "dataset.csv", "--samples", 2, "--seed", 4]
+        steps = [1, 3]
+        for k in steps:
+            assert run_cli("infer", *model, "--steps", k, "--out", tmp_path / f"inf{k}") == 0
+        for align in trajeval.ALIGN_MODES:
+            for scale in trajeval.SCALE_MODES:
+                modes = ["--align", align, "--scale", scale]
+                abl = tmp_path / f"abl_{align}_{scale}"
+                assert run_cli("ablate-steps", *model, "--gt", gt, "--steps", "1,3",
+                               *modes, "--out", abl) == 0
+                rows = (abl / "ablation.csv").read_text().splitlines()[1:]
+                for k, row in zip(steps, rows, strict=True):
+                    ev = tmp_path / f"ev_{align}_{scale}_{k}"
+                    assert run_cli("eval", tmp_path / f"inf{k}" / "est.tum", gt, *modes,
+                                   "--out", ev) == 0
+                    cells = (ev / "metrics.csv").read_text().splitlines()[1].split(",")
+                    assert row == f"{k},{cells[3]}"
+
     def test_gt_length_mismatch_exits_2(self, tmp_path):
         data = gen_small(tmp_path, "a", n=9)
         other = gen_small(tmp_path, "b", n=8)
@@ -364,6 +401,21 @@ class TestTopLevel:
                     list(manifest["outputs"].values()):
                 assert Path(path).is_file()
 
+
+    @pytest.mark.parametrize("argv", [
+        ["gen"],
+        ["train", "--dataset", "d.csv"],
+        ["infer", "--checkpoint", "c.txt", "--dataset", "d.csv"],
+        ["eval", "est.tum", "gt.tum"],
+        ["ablate-steps", "--checkpoint", "c.txt", "--dataset", "d.csv", "--gt", "gt.tum"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_not_a_directory_exits_2(self, tmp_path, capsys, argv, under):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if under else taken
+        assert run_cli(*argv, "--out", out) == 2
+        assert f"--out {out} is not a directory" in capsys.readouterr().err
 
     def test_every_manifest_records_environment(self, tmp_path):
         data = gen_small(tmp_path)
@@ -426,6 +478,12 @@ class TestMalformedInputs:
         row = next(i for i, l in enumerate(lines) if l.startswith("tensor state_embed.b ")) + 1
         lines[row] = " ".join(["nan"] + lines[row].split()[1:])
         nan_checkpoint.write_text("\n".join(lines) + "\n")
+        header_only = tmp_path / "header_only_dataset.csv"
+        header_only.write_text("".join(
+            line for line in (data / "dataset.csv").read_text().splitlines(keepends=True)
+            if line.startswith("#")))
+        one_pose_gt = tmp_path / "one_pose.tum"
+        one_pose_gt.write_text((data / "gt.tum").read_text().splitlines(keepends=True)[0])
         huge_cond_dim = tmp_path / "huge_cond_dim.txt"
         huge_cond_dim.write_text(text.replace(f"cond_dim={net.config.cond_dim}\n",
                                               "cond_dim=1000000000000000\n", 1))
@@ -434,7 +492,8 @@ class TestMalformedInputs:
                 "headerless": headerless, "bad_estimates": bad_estimates,
                 "header_only_estimates": header_only_estimates,
                 "short_estimates": short_estimates, "nan_checkpoint": nan_checkpoint,
-                "huge_cond_dim": huge_cond_dim,
+                "huge_cond_dim": huge_cond_dim, "header_only": header_only,
+                "one_pose_gt": one_pose_gt,
                 "negative_std": negative_std, "misnumbered": misnumbered}
 
     @pytest.mark.parametrize("argv", [
@@ -470,3 +529,14 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"{files['short_estimates']} has 1 rows" in err
         assert f"{poses} poses; expected {poses - 1}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["infer"],
+        ["ablate-steps", "--gt", "{one_pose_gt}", "--align", "none"],
+        ["ablate-steps", "--gt", "{one_pose_gt}"],
+    ], ids=["infer", "ablate-align-none", "ablate-sim3"])
+    def test_header_only_dataset_exits_2(self, files, argv, tmp_path, capsys):
+        args = [arg.format(**files) for arg in argv]
+        assert run_cli(*args, "--checkpoint", files["good"], "--dataset",
+                       files["header_only"], "--out", tmp_path / "out") == 2
+        assert "dataset has no rows" in capsys.readouterr().err

@@ -79,13 +79,6 @@ class TestRotationType:
             assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
-    def test_matrix_round_trip(self):
-        rng = RNG(4)
-        for _ in range(50):
-            r = se3.Rotation(rng.standard_normal(4))
-            back = se3.rotation_from_matrix(r.matrix())
-            assert np.allclose(back.q, r.q, atol=1e-12)
-
 
 class TestExpLog:
     def test_identity(self):
