@@ -101,7 +101,11 @@ def _number(kind, low, high=None):
 
 
 def _step_list(text: str) -> list:
-    return [_number(int, 1)(cell) for cell in text.split(",")]
+    steps = [_number(int, 1)(cell) for cell in text.split(",")]
+    repeated = [k for i, k in enumerate(steps) if k in steps[:i]]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"step count {repeated[0]} repeated in {text}")
+    return steps
 
 
 def _out_dir(args) -> Path:
@@ -125,24 +129,20 @@ def _read_input(path, what: str, reader):
         raise UsageError(f"bad {what}: {err}")
 
 
-def _read_dataset(path):
-    return synthworld.read_dataset_header(path), synthworld.ingest_features(path)
-
-
-def _check_cond_dim(net, header) -> None:
-    if net.config.cond_dim != header.cond_dim:
+def _check_cond_dim(net, cond_dim: int) -> None:
+    if net.config.cond_dim != cond_dim:
         raise UsageError(f"checkpoint expects condition dim {net.config.cond_dim}, "
-                         f"dataset has {header.cond_dim}")
+                         f"dataset has {cond_dim}")
 
 
 def _read_model(args):
     """(net, conds): the checkpoint, and the conditions of a nonempty
     dataset of the checkpoint's condition dim."""
     net = _read_input(args.checkpoint, "checkpoint", vfnet.load_checkpoint)
-    header, rows = _read_input(args.dataset, "dataset", _read_dataset)
+    rows = _read_input(args.dataset, "dataset", synthworld.ingest_features)
     if not rows:
         raise UsageError(f"dataset has no rows: {args.dataset}")
-    _check_cond_dim(net, header)
+    _check_cond_dim(net, rows[0][0].dim)
     return net, [cond for cond, _ in rows]
 
 
@@ -202,7 +202,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     dataset_path = Path(args.dataset)
-    header, rows = _read_input(dataset_path, "dataset", _read_dataset)
+    rows = _read_input(dataset_path, "dataset", synthworld.ingest_features)
 
     config = flowmatch.TrainConfig()
     if args.config is not None:
@@ -218,9 +218,9 @@ def cmd_train(args) -> int:
     net = None
     if args.checkpoint is not None:
         net = _read_input(args.checkpoint, "checkpoint", vfnet.load_checkpoint)
-        _check_cond_dim(net, header)
+        _check_cond_dim(net, pairs[0].cond.dim)
 
-    net_config = vfnet.NetConfig(cond_dim=header.cond_dim)
+    net_config = vfnet.NetConfig(cond_dim=pairs[0].cond.dim)
     manifest = RunManifest(
         command="train",
         seed=config.seed,

@@ -13,6 +13,7 @@ the protocol, exactly like the fixed evaluation splits of a public
 benchmark.
 """
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -22,6 +23,8 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
+import ambiguity_sweep as sweep_script
+import demo_pipeline
 from motionflow import cli, flowmatch, sampler, se3, synthworld, trajeval, vfnet
 
 RNG = np.random.default_rng
@@ -30,18 +33,6 @@ SEQ = np.random.SeedSequence
 # Sampling protocol shared by the trained-model criteria.
 SOLVER = sampler.SolverConfig("midpoint", 5)
 SAMPLES_PER_COND = 10
-
-# Training schedule for every scenario-scale criterion.  The small final
-# learning rate (factor 0.05) matters: it freezes the per-pair rotation
-# bias that otherwise wanders between nearby minima late in training and
-# compounds over a 200-step composition.
-SCENARIO_SCHEDULE = dict(
-    batch_size=64,
-    epochs=4000,
-    lr=2e-3,
-    lr_decay_factor=0.05,
-    lr_decay_epoch=2000,
-)
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
@@ -64,35 +55,12 @@ def random_pose(rng) -> se3.RelativePose:
 
 @pytest.fixture(scope="module")
 def figure8_run():
-    """The conditional-recovery scenario: 200 clean figure8 pairs."""
-    scenario = synthworld.make_scenario(
-        "figure8", "figure8", 201, 0.0, 0.0, RNG(SEQ(7)))
-    config = flowmatch.TrainConfig(seed=10, **SCENARIO_SCHEDULE)
-    t0 = time.perf_counter()
-    net, _ = flowmatch.train(scenario.pairs, config)
-    seconds = time.perf_counter() - t0
-    return {"scenario": scenario, "net": net, "train_seconds": seconds}
-
-
-@pytest.fixture(scope="module")
-def figure8_ablation(figure8_run):
-    """Sim(3)-aligned ATE of the composed trajectory per step count.
-
-    Each step count samples with a fresh generator from the same seed,
-    so rows differ only through the integrator.
-    """
-    scenario = figure8_run["scenario"]
-    conds = [pair.cond for pair in scenario.pairs]
-    ates = {}
-    for steps in (2, 5, 10):
-        results = sampler.estimate_sequence(
-            figure8_run["net"], conds,
-            sampler.SolverConfig("midpoint", steps),
-            SAMPLES_PER_COND, RNG(SEQ(17)))
-        est = trajeval.compose_trajectory(
-            se3.RelativePose.identity(), [r.estimate for r in results])
-        ates[steps] = trajeval.ate(est, scenario.gt_trajectory, align="sim3")
-    return ates
+    """The conditional-recovery scenario, 200 clean figure8 pairs, as the
+    demo script runs it: sim(3) ATE per step count (2, 5, 10)."""
+    scenario, seconds, rows = demo_pipeline.run(n=201, epochs=4000, samples=SAMPLES_PER_COND)
+    ates = {k: trajeval.ate(est, scenario.gt_trajectory, align="sim3")
+            for k, (_, est) in rows.items()}
+    return {"scenario": scenario, "ates": ates, "train_seconds": seconds}
 
 
 @pytest.fixture(scope="module")
@@ -110,47 +78,14 @@ def dirac_stats(dirac_run):
 def bimodal_run():
     """Model trained on the two-motions-one-condition dataset."""
     pairs = synthworld.make_bimodal_dataset(64, RNG(SEQ(21)))
-    config = flowmatch.TrainConfig(seed=5, **SCENARIO_SCHEDULE)
-    net, _ = flowmatch.train(pairs, config)
+    net, _ = flowmatch.train(pairs, demo_pipeline.train_config(4000, seed=5))
     return {"net": net, "pairs": pairs}
-
-
-AMBIGUITY_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @pytest.fixture(scope="module")
 def ambiguity_sweep():
-    """Mean sampling spread per scale-ambiguity level.
-
-    The dataset must make scale genuinely unrecoverable at full
-    ambiguity, so conditions collide: pure translations along one axis
-    whose lengths span [0.1, 1.2] map to identical conditions once the
-    scale features are suppressed.  Trajectory scenarios cannot serve
-    here; their per-pair directions are distinct enough that a network
-    memorizes length from the direction features alone.
-    """
-    encoder = synthworld.ConditionEncoder(
-        synthworld.DEFAULT_COND_DIM, synthworld.DEFAULT_LIFT_SEED)
-    lengths = np.linspace(0.1, 1.2, 8)
-    noise_sigma = 0.05
-    spreads = []
-    for level in AMBIGUITY_LEVELS:
-        rng = RNG(SEQ(41))
-        pairs = []
-        for _ in range(6):
-            for length in lengths:
-                rel = se3.RelativePose(se3.Rotation.identity(),
-                                       [float(length), 0.0, 0.0])
-                cond = encoder.encode(rel, level, noise_sigma, rng)
-                pairs.append(flowmatch.TrainingPair(se3.pose_to_state(rel), cond))
-        config = flowmatch.TrainConfig(
-            batch_size=48, epochs=4000, lr=2e-3,
-            lr_decay_factor=0.05, lr_decay_epoch=2000, seed=5)
-        net, _ = flowmatch.train(pairs, config)
-        results = sampler.estimate_sequence(
-            net, [p.cond for p in pairs[:16]], SOLVER, 32, RNG(SEQ(51)))
-        spreads.append(float(np.mean([r.std_state for r in results])))
-    return spreads
+    """Mean sampling spread per ambiguity level, by the sweep script."""
+    return sweep_script.spreads()
 
 
 # --- criteria ---------------------------------------------------------------------
@@ -290,11 +225,9 @@ def test_criterion_4_dirac_convergence(dirac_run, dirac_stats):
             f"train={dirac_run['train_seconds']:.0f}s")
 
 
-def test_criterion_5_conditional_recovery(figure8_run, figure8_ablation):
-    positions = figure8_run["scenario"].gt_trajectory.positions()
-    diameter = float(np.max(np.linalg.norm(
-        positions[:, None, :] - positions[None, :, :], axis=2)))
-    ate = figure8_ablation[SOLVER.steps]
+def test_criterion_5_conditional_recovery(figure8_run):
+    diameter = demo_pipeline.diameter(figure8_run["scenario"].gt_trajectory)
+    ate = figure8_run["ates"][SOLVER.steps]
     ok = ate < 0.05 * diameter and figure8_run["train_seconds"] < 900.0
     _report(5, "conditional recovery", ok,
             f"ate={ate:.3f} bound={0.05 * diameter:.3f} "
@@ -308,7 +241,7 @@ def test_criterion_6_uncertainty(dirac_stats, bimodal_run, ambiguity_sweep):
     bimodal_std = float(np.mean(result.std_state))
     dirac_std = float(np.mean(dirac_stats["std"]))
     ratio = bimodal_std / dirac_std
-    rho = scipy.stats.spearmanr(AMBIGUITY_LEVELS, ambiguity_sweep).statistic
+    rho = scipy.stats.spearmanr(sweep_script.LEVELS, ambiguity_sweep).statistic
     ok = ratio >= 3.0 and rho > 0.9
     sweep = "/".join(f"{s:.4f}" for s in ambiguity_sweep)
     _report(6, "multimodality and uncertainty", ok,
@@ -316,8 +249,8 @@ def test_criterion_6_uncertainty(dirac_stats, bimodal_run, ambiguity_sweep):
             f"spearman={rho:.2f}")
 
 
-def test_criterion_7_step_ablation(figure8_ablation):
-    ates = [figure8_ablation[s] for s in (2, 5, 10)]
+def test_criterion_7_step_ablation(figure8_run):
+    ates = [figure8_run["ates"][s] for s in (2, 5, 10)]
     ratio = max(ates) / min(ates)
     ok = ratio < 1.5
     _report(7, "integration step ablation", ok,
@@ -388,8 +321,8 @@ def test_criterion_9_reproducibility(tmp_path):
     gen_cmd = ["gen", "--kind", "figure8", "--n", "201", "--seed", "7"]
     small_gen = ["gen", "--kind", "figure8", "--n", "24", "--seed", "7"]
     config = tmp_path / "train.cfg"
-    lines = [f"{key} = {value}" for key, value in SCENARIO_SCHEDULE.items()]
-    config.write_text("\n".join(lines + ["seed = 10"]) + "\n")
+    schedule = dataclasses.asdict(demo_pipeline.train_config(4000, seed=10))
+    config.write_text("".join(f"{key} = {value}\n" for key, value in schedule.items()))
 
     def pipeline(root: Path) -> dict:
         produced = {}

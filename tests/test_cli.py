@@ -326,9 +326,8 @@ class TestAblateSteps:
 
     def test_row_count_matches_step_list(self, tmp_path):
         data = gen_small(tmp_path)
-        run = train_small(tmp_path, data)
         out = tmp_path / "abl"
-        assert run_cli("ablate-steps", "--checkpoint", run / "checkpoint.txt",
+        assert run_cli("ablate-steps", "--checkpoint", untrained_checkpoint(tmp_path),
                        "--dataset", data / "dataset.csv", "--gt", data / "gt.tum",
                        "--steps", "1,3,7,9", "--out", out) == 0
         lines = (out / "ablation.csv").read_text().splitlines()
@@ -343,13 +342,14 @@ class TestAblateSteps:
                        "--out", out) == 0
         assert read_manifest(out)["counts"] == {"nfe_per_sample": [8, 20]}
 
-    def test_bad_step_list_exits_2(self, tmp_path):
+    def test_bad_step_list_exits_2(self, tmp_path, capsys):
         data = gen_small(tmp_path)
-        run = train_small(tmp_path, data)
-        code = run_cli("ablate-steps", "--checkpoint", run / "checkpoint.txt",
-                       "--dataset", data / "dataset.csv", "--gt", data / "gt.tum",
-                       "--steps", "2,five", "--out", tmp_path / "x")
-        assert code == 2
+        for steps in ("2,five", "2,5,2"):
+            code = run_cli("ablate-steps", "--checkpoint", untrained_checkpoint(tmp_path),
+                           "--dataset", data / "dataset.csv", "--gt", data / "gt.tum",
+                           "--steps", steps, "--out", tmp_path / "x")
+            assert code == 2
+        assert "step count 2 repeated in 2,5,2" in capsys.readouterr().err
 
     def test_rows_match_eval_of_infer(self, tmp_path):
         """The row for k steps is, as text, the ATE eval reports on
