@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from motionflow import cli, flowmatch, sampler, se3, synthworld, trajeval
+from motionflow import cli, flowmatch, sampler, synthworld, trajeval
 
 
 def train_config(epochs: int, seed: int) -> flowmatch.TrainConfig:
@@ -42,8 +42,7 @@ def run(kind="figure8", n=61, epochs=1500, steps=(2, 5, 10), method="midpoint",
         results = sampler.estimate_sequence(
             net, [pair.cond for pair in scenario.pairs], sampler.SolverConfig(method, k),
             samples, np.random.default_rng(np.random.SeedSequence(17)))
-        rows[k] = results, trajeval.compose_trajectory(
-            se3.RelativePose.identity(), [r.estimate for r in results])
+        rows[k] = results, cli._chained(results)
     return scenario, seconds, rows
 
 

@@ -7,7 +7,7 @@ Subpackages are plain modules, imported lazily by callers:
 - ``flowmatch``: linear-path flow matching loss and Adam training loop
 - ``sampler``: fixed-step ODE solvers and repeated-sample pose estimation
 - ``synthworld``: synthetic trajectories, condition encodings, dataset files
-- ``trajeval``: trajectory composition, alignment, ATE, TUM and metrics files
+- ``trajeval``: trajectories, their composition, alignment, ATE, TUM and metrics files
 - ``textio``: the float format and line-numbered reading every artifact file shares
 - ``cli``: the ``motionflow`` command line front end
 """

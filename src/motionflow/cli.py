@@ -148,8 +148,8 @@ def _read_model(args):
 
 def _chained(estimates):
     """The trajectory the estimates' chart means chain to from the identity."""
-    return trajeval.compose_trajectory(
-        se3.RelativePose.identity(), [se3.state_to_pose(e.mean_state) for e in estimates])
+    return trajeval.compose_trajectory(se3.RelativePose.identity(),
+                                       [e.estimate for e in estimates])
 
 
 def _ate(est, gt, align: str, scale: str) -> float:
@@ -220,19 +220,15 @@ def cmd_train(args) -> int:
         net = _read_input(args.checkpoint, "checkpoint", vfnet.load_checkpoint)
         _check_cond_dim(net, pairs[0].cond.dim)
 
-    net_config = vfnet.NetConfig(cond_dim=pairs[0].cond.dim)
     manifest = RunManifest(
         command="train",
         seed=config.seed,
-        config={
-            "train": dataclasses.asdict(config),
-            "net": dataclasses.asdict(net.config if net else net_config),
-            "resumed": args.checkpoint is not None,
-        },
+        config={"train": dataclasses.asdict(config), "resumed": args.checkpoint is not None},
         inputs={"dataset": str(dataset_path)},
     )
 
-    net, history = flowmatch.train(pairs, config, net_config, net=net)
+    net, history = flowmatch.train(pairs, config, net=net)
+    manifest.config["net"] = dataclasses.asdict(net.config)
     manifest.lap("train")
 
     checkpoint_path = out / "checkpoint.txt"

@@ -114,12 +114,6 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
 
 
 def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector):
-    if cond.dim != net.config.cond_dim:
-        raise ValueError(
-            f"condition dim {cond.dim} does not match network cond_dim "
-            f"{net.config.cond_dim}"
-        )
-
     conds = {}  # row count -> the condition broadcast to that many rows
 
     def field(x, tau):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se3, textio
+from . import se3, textio, trajeval
 from .flowmatch import TrainingPair
 from .vfnet import ConditionVector
 
@@ -36,61 +36,19 @@ DEFAULT_LIFT_SEED = 24036
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Time-stamped absolute poses (world-from-camera)."""
-
-    stamps: np.ndarray
-    poses: list
-
-    def __post_init__(self):
-        stamps = np.array(self.stamps, dtype=np.float64).reshape(-1)
-        if stamps.size != len(self.poses):
-            raise ValueError(
-                f"{stamps.size} stamps for {len(self.poses)} poses"
-            )
-        if stamps.size == 0:
-            raise ValueError("trajectory must contain at least one pose")
-        if not (np.isfinite(stamps).all() and (np.diff(stamps) > 0).all()):
-            raise ValueError("stamps must be finite and strictly increasing")
-        for i, pose in enumerate(self.poses):
-            if not isinstance(pose, se3.RelativePose):
-                raise TypeError(f"pose {i} is not a RelativePose")
-        stamps.flags.writeable = False
-        object.__setattr__(self, "stamps", stamps)
-        object.__setattr__(self, "poses", list(self.poses))
-
-    def __len__(self) -> int:
-        return len(self.poses)
-
-    def positions(self) -> np.ndarray:
-        return np.stack([p.translation for p in self.poses])
-
-
-@dataclass(frozen=True, eq=False)
 class Scenario:
     """A named world: ground truth trajectory plus training pairs."""
 
     name: str
-    gt_trajectory: Trajectory
+    gt_trajectory: trajeval.Trajectory
     pairs: list
     ambiguity: float
     noise_sigma: float
     cond_dim: int
     lift_seed: int
 
-    def __post_init__(self):
-        if len(self.pairs) != len(self.gt_trajectory) - 1:
-            raise ValueError(
-                f"{len(self.pairs)} pairs for a trajectory of length "
-                f"{len(self.gt_trajectory)}"
-            )
-        if not (0.0 <= self.ambiguity <= 1.0):
-            raise ValueError(f"ambiguity must lie in [0, 1], got {self.ambiguity}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
 
-
-def relative_motions(traj: Trajectory):
+def relative_motions(traj: trajeval.Trajectory):
     """Frame-to-frame motions: rel_i = pose_i^-1 o pose_{i+1}."""
     return [
         se3.compose(se3.inverse(traj.poses[i]), traj.poses[i + 1])
@@ -98,14 +56,7 @@ def relative_motions(traj: Trajectory):
     ]
 
 
-def _chain(rels, start: se3.RelativePose = None) -> list:
-    poses = [start if start is not None else se3.RelativePose.identity()]
-    for rel in rels:
-        poses.append(se3.compose(poses[-1], rel))
-    return poses
-
-
-def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> Trajectory:
+def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> trajeval.Trajectory:
     """Generate a smooth n-pose trajectory of the requested kind.
 
     line: unit steps along +x, identity rotation.
@@ -128,11 +79,11 @@ def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> Trajectory:
             se3.RelativePose(se3.Rotation.identity(), [float(i), 0.0, 0.0])
             for i in range(n)
         ]
-        return Trajectory(stamps, poses)
+        return trajeval.Trajectory(stamps, poses)
 
     if kind == "arc":
         step = se3.RelativePose(se3.exp_map([0.0, 0.0, 0.1]), [0.3, 0.0, 0.0])
-        return Trajectory(stamps, _chain([step] * (n - 1)))
+        return trajeval.compose_trajectory(se3.RelativePose.identity(), [step] * (n - 1))
 
     if kind == "figure8":
         # Parameter grid offset by a quarter step so no sample hits t = 0 or
@@ -149,7 +100,7 @@ def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> Trajectory:
             se3.RelativePose(se3.exp_map([0.0, 0.0, float(y)]), p)
             for y, p in zip(yaw, points)
         ]
-        return Trajectory(stamps, poses)
+        return trajeval.Trajectory(stamps, poses)
 
     # random-walk
     rels = []
@@ -161,7 +112,7 @@ def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> Trajectory:
         direction /= np.linalg.norm(direction)
         length = rng.uniform(0.05, 0.5)
         rels.append(se3.RelativePose(se3.exp_map(axis * angle), direction * length))
-    return Trajectory(stamps, _chain(rels))
+    return trajeval.compose_trajectory(se3.RelativePose.identity(), rels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +187,10 @@ def make_scenario(name: str, kind: str, n: int, ambiguity: float,
 
 def _check_chaining(scenario: Scenario) -> None:
     """Recompose pairs from pose 0 and compare against the stored poses."""
-    poses = _chain(
+    poses = trajeval.compose_trajectory(
+        scenario.gt_trajectory.poses[0],
         [se3.state_to_pose(p.target) for p in scenario.pairs],
-        start=scenario.gt_trajectory.poses[0],
-    )
+    ).poses
     for i, (got, want) in enumerate(zip(poses, scenario.gt_trajectory.poses)):
         angle = se3.geodesic_angle(got.rotation, want.rotation)
         offset = float(np.linalg.norm(got.translation - want.translation))

@@ -1,4 +1,4 @@
-"""Trajectory evaluation: composition, alignment, and absolute error.
+"""Trajectories: composition, alignment, and absolute error.
 
 ATE here is the root-mean-square of per-pose position errors after an
 optional alignment:
@@ -18,12 +18,12 @@ deliberately simpler tool applied to relative motions before composing.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import se3, synthworld, textio
-from .synthworld import Trajectory
+from . import se3, textio
 
 ALIGN_MODES = ("none", "se3", "sim3")
 SCALE_MODES = ("none", "per_pair", "global")
@@ -38,6 +38,37 @@ class DegenerateTrajectoryError(ValueError):
     point), or they admit no positive finite scale."""
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Time-stamped absolute poses (world-from-camera)."""
+
+    stamps: np.ndarray
+    poses: list
+
+    def __post_init__(self):
+        stamps = np.array(self.stamps, dtype=np.float64).reshape(-1)
+        if stamps.size != len(self.poses):
+            raise ValueError(
+                f"{stamps.size} stamps for {len(self.poses)} poses"
+            )
+        if stamps.size == 0:
+            raise ValueError("trajectory must contain at least one pose")
+        if not (np.isfinite(stamps).all() and (np.diff(stamps) > 0).all()):
+            raise ValueError("stamps must be finite and strictly increasing")
+        for i, pose in enumerate(self.poses):
+            if not isinstance(pose, se3.RelativePose):
+                raise TypeError(f"pose {i} is not a RelativePose")
+        stamps.flags.writeable = False
+        object.__setattr__(self, "stamps", stamps)
+        object.__setattr__(self, "poses", list(self.poses))
+
+    def __len__(self) -> int:
+        return len(self.poses)
+
+    def positions(self) -> np.ndarray:
+        return np.stack([p.translation for p in self.poses])
+
+
 class Alignment(NamedTuple):
     """Similarity transform mapping estimate onto ground truth, plus its RMSE."""
 
@@ -49,7 +80,9 @@ class Alignment(NamedTuple):
 
 def compose_trajectory(start: se3.RelativePose, rels) -> Trajectory:
     """Chain relative motions onto a start pose; stamps are 0..n seconds."""
-    poses = synthworld._chain(rels, start)
+    poses = [start]
+    for rel in rels:
+        poses.append(se3.compose(poses[-1], rel))
     return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
 
 

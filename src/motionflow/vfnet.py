@@ -188,6 +188,31 @@ def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _forward_chain(layers, x, linear_last: bool) -> list:
+    """Run x through (weight, bias) layers, each followed by tanh except a
+    linear last one; returns each layer's input, then the chain's output."""
+    acts = [x]
+    last = layers[-1] if linear_last else None
+    for layer in layers:
+        pre = acts[-1] @ layer[0].T + layer[1]
+        acts.append(pre if layer is last else np.tanh(pre))
+    return acts
+
+
+def _backward_chain(layers, grads, acts, d: np.ndarray, linear_last: bool) -> np.ndarray:
+    """Reverse of _forward_chain: given the gradient d at the chain's output,
+    write each layer's weight and bias gradients into its [W, b] views in
+    grads and return the gradient at the first layer's pre-activation."""
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1 or not linear_last:
+            d = d * (1.0 - acts[i + 1] ** 2)
+        np.matmul(d.T, acts[i], out=grads[i][0])
+        np.sum(d, axis=0, out=grads[i][1])
+        if i:
+            d = d @ layers[i][0]
+    return d
+
+
 def forward_batch(net: VectorFieldNet, states: np.ndarray, taus: np.ndarray,
                   conds: np.ndarray, keep_cache: bool = False):
     """Batched field evaluation: (B,6), (B,), (B,k) -> (B,6) velocities.
@@ -201,41 +226,17 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus: np.ndarray,
             f"condition dim {conds.shape[1]} does not match network cond_dim "
             f"{cfg.cond_dim}"
         )
-    zt = _time_features(taus, cfg.time_embed_dim)
-    ws, bs = net.state_embed
-    zs = states @ ws.T + bs
-    (w1, b1), (w2, b2) = net.cond_embed
-    c_hidden = np.tanh(conds @ w1.T + b1)
-    zc = c_hidden @ w2.T + b2
-    fused = np.concatenate([zt, zs, zc], axis=1)
-
-    trunk_acts = [fused]
-    h = fused
-    for w, b in net.layers:
-        h = np.tanh(h @ w.T + b)
-        trunk_acts.append(h)
-
-    def run_head(head_layers, h_in):
-        acts = [h_in]
-        for w, b in head_layers[:-1]:
-            acts.append(np.tanh(acts[-1] @ w.T + b))
-        w, b = head_layers[-1]
-        return acts[-1] @ w.T + b, acts
-
-    rot, rot_acts = run_head(net.head_rot, h)
-    trans, trans_acts = run_head(net.head_trans, h)
-    out = np.concatenate([rot, trans], axis=1)
+    state_acts = _forward_chain([net.state_embed], states, True)
+    cond_acts = _forward_chain(net.cond_embed, conds, True)
+    fused = np.concatenate([_time_features(taus, cfg.time_embed_dim), state_acts[-1],
+                            cond_acts[-1]], axis=1)
+    trunk_acts = _forward_chain(net.layers, fused, False)
+    rot_acts = _forward_chain(net.head_rot, trunk_acts[-1], True)
+    trans_acts = _forward_chain(net.head_trans, trunk_acts[-1], True)
+    out = np.concatenate([rot_acts[-1], trans_acts[-1]], axis=1)
     if not keep_cache:
         return out
-    cache = (states, conds, c_hidden, trunk_acts, rot_acts, trans_acts)
-    return out, cache
-
-
-def _linear_grads(pair, d_pre: np.ndarray, x: np.ndarray) -> None:
-    """Write one linear layer's weight and bias gradients into pair, given
-    the gradient d_pre at its output and its input x."""
-    np.matmul(d_pre.T, x, out=pair[0])
-    np.sum(d_pre, axis=0, out=pair[1])
+    return out, (state_acts, cond_acts, trunk_acts, rot_acts, trans_acts)
 
 
 def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> VectorFieldNet:
@@ -244,38 +245,19 @@ def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> VectorFi
     cache comes from forward_batch(..., keep_cache=True); upstream is (B, 6).
     The gradients are written into the views of one fresh flat buffer.
     """
-    states, conds, c_hidden, trunk_acts, rot_acts, trans_acts = cache
-    cfg = net.config
+    state_acts, cond_acts, trunk_acts, rot_acts, trans_acts = cache
     grads = zero_gradients(net)
+    d = (_backward_chain(net.head_rot, grads.head_rot, rot_acts, upstream[:, :3], True)
+         @ net.head_rot[0][0]
+         + _backward_chain(net.head_trans, grads.head_trans, trans_acts, upstream[:, 3:], True)
+         @ net.head_trans[0][0])
+    d = _backward_chain(net.layers, grads.layers, trunk_acts, d, False) @ net.layers[0][0]
 
-    def head_backward(head_layers, head_grads, acts, d_out):
-        _linear_grads(head_grads[-1], d_out, acts[-1])
-        d = d_out @ head_layers[-1][0]
-        for idx in range(len(head_layers) - 2, -1, -1):
-            d_pre = d * (1.0 - acts[idx + 1] ** 2)
-            _linear_grads(head_grads[idx], d_pre, acts[idx])
-            d = d_pre @ head_layers[idx][0]
-        return d
-
-    d_rot = head_backward(net.head_rot, grads.head_rot, rot_acts, upstream[:, :3])
-    d_trans = head_backward(net.head_trans, grads.head_trans, trans_acts, upstream[:, 3:])
-
-    d = d_rot + d_trans
-    for idx in range(len(net.layers) - 1, -1, -1):
-        d_pre = d * (1.0 - trunk_acts[idx + 1] ** 2)
-        _linear_grads(grads.layers[idx], d_pre, trunk_acts[idx])
-        d = d_pre @ net.layers[idx][0]
-
-    # Split the fused-input gradient back into the three branches.
-    t_dim, s_dim = cfg.time_embed_dim, cfg.state_embed_dim
-    d_state = d[:, t_dim:t_dim + s_dim]
-    d_cond = d[:, t_dim + s_dim:]
-    _linear_grads(grads.state_embed, d_state, states)
-
-    w2 = net.cond_embed[1][0]
-    _linear_grads(grads.cond_embed[1], d_cond, c_hidden)
-    d_hidden_pre = (d_cond @ w2) * (1.0 - c_hidden ** 2)
-    _linear_grads(grads.cond_embed[0], d_hidden_pre, conds)
+    # Split the fused-input gradient back into the state and condition branches.
+    t_dim, s_dim = net.config.time_embed_dim, net.config.state_embed_dim
+    _backward_chain([net.state_embed], [grads.state_embed], state_acts,
+                    d[:, t_dim:t_dim + s_dim], True)
+    _backward_chain(net.cond_embed, grads.cond_embed, cond_acts, d[:, t_dim + s_dim:], True)
     return grads
 
 

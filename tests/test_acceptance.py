@@ -265,7 +265,7 @@ def test_criterion_8_alignment_oracle():
     # (a) Exact recovery of a known sim(3) disturbance.
     rot = se3.exp_map([0.3, -0.4, 0.5])
     scale, shift = 1.7, np.array([2.0, -1.0, 3.0])
-    moved = synthworld.Trajectory(gt.stamps, [
+    moved = trajeval.Trajectory(gt.stamps, [
         se3.RelativePose(se3.Rotation(se3._quat_multiply(rot.q, p.rotation.q)),
                          scale * (rot.matrix() @ p.translation) + shift)
         for p in gt.poses
@@ -279,9 +279,9 @@ def test_criterion_8_alignment_oracle():
         q = se3._quat_multiply(p.rotation.q, se3.exp_map(drho).q)
         noisy.append(se3.RelativePose(
             se3.Rotation(q), p.translation + 0.05 * rng.standard_normal(3)))
-    est = synthworld.Trajectory(gt.stamps, noisy)
+    est = trajeval.Trajectory(gt.stamps, noisy)
     ref_ate = trajeval.ate(est, gt, align="sim3")
-    scaled = synthworld.Trajectory(gt.stamps, [
+    scaled = trajeval.Trajectory(gt.stamps, [
         se3.RelativePose(p.rotation, 3.7 * p.translation) for p in est.poses])
     rescale_gap = abs(trajeval.ate(scaled, gt, align="sim3") - ref_ate)
 

@@ -161,6 +161,14 @@ class TestMakeScenario:
         want = enc.encode(rels[0], 0.0, 0.0)
         assert np.array_equal(scenario.pairs[0].cond.values, want.values)
 
+    @pytest.mark.parametrize("ambiguity, noise, message", [
+        (1.1, 0.0, r"ambiguity must lie in \[0, 1\], got 1.1"),
+        (0.0, -0.5, "noise_sigma must be >= 0"),
+    ], ids=["ambiguity", "noise"])
+    def test_rejects_bad_dial_values(self, ambiguity, noise, message):
+        with pytest.raises(ValueError, match=message):
+            synthworld.make_scenario("s", "line", 5, ambiguity, noise, RNG(19))
+
 
 class TestBimodalDataset:
     def test_shared_condition_and_balance(self):

@@ -8,10 +8,15 @@ the closed form was 3e-17 when frozen).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motionflow
 from motionflow import se3, synthworld, trajeval
 
 RNG = np.random.default_rng
@@ -34,7 +39,7 @@ def noisy_fixture():
         est_poses.append(se3.RelativePose(
             se3.Rotation(se3._quat_multiply(p.rotation.q, se3.exp_map(drho).q)),
             p.translation + dt))
-    return synthworld.Trajectory(gt.stamps, est_poses), gt
+    return trajeval.Trajectory(gt.stamps, est_poses), gt
 
 
 def transform_trajectory(traj, scale, rotation, translation):
@@ -46,7 +51,20 @@ def transform_trajectory(traj, scale, rotation, translation):
             scale * (rot_m @ p.translation) + translation)
         for p in traj.poses
     ]
-    return synthworld.Trajectory(traj.stamps, poses)
+    return trajeval.Trajectory(traj.stamps, poses)
+
+
+def test_import_loads_only_se3_and_textio():
+    """trajeval stands on se3 and textio alone: importing it in a fresh
+    interpreter loads no synthesis, network or training module."""
+    src = str(Path(motionflow.__file__).resolve().parent.parent)
+    code = ("import sys, motionflow.trajeval; "
+            "print(sorted(m for m in sys.modules if m.startswith('motionflow')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == str(["motionflow", "motionflow.se3", "motionflow.textio",
+                               "motionflow.trajeval"])
 
 
 class TestComposeTrajectory:
@@ -181,8 +199,8 @@ class TestUmeyama:
         poses_a = [se3.RelativePose(se3.Rotation.identity(), p) for p in pts]
         mirrored = pts * np.array([1.0, 1.0, -1.0]) + rng.standard_normal((12, 3)) * 0.01
         poses_b = [se3.RelativePose(se3.Rotation.identity(), p) for p in mirrored]
-        a = synthworld.Trajectory(np.arange(12.0), poses_a)
-        b = synthworld.Trajectory(np.arange(12.0), poses_b)
+        a = trajeval.Trajectory(np.arange(12.0), poses_a)
+        b = trajeval.Trajectory(np.arange(12.0), poses_b)
         result = trajeval.umeyama_align(a, b, with_scale=True)
         assert abs(np.linalg.det(result.rotation) - 1.0) < 1e-9
 
@@ -190,10 +208,10 @@ class TestUmeyama:
         rng = RNG(11)
         pts_est = rng.standard_normal((10, 3))
         pts_gt = rng.standard_normal((10, 3))
-        est = synthworld.Trajectory(
+        est = trajeval.Trajectory(
             np.arange(10.0),
             [se3.RelativePose(se3.Rotation.identity(), p) for p in pts_est])
-        gt = synthworld.Trajectory(
+        gt = trajeval.Trajectory(
             np.arange(10.0),
             [se3.RelativePose(se3.Rotation.identity(), p) for p in pts_gt])
         result = trajeval.umeyama_align(est, gt, with_scale=True)
@@ -251,7 +269,7 @@ class TestUmeyama:
         traj4 = synthworld.make_trajectory("random-walk", 4, RNG(15))
         with pytest.raises(ValueError):
             trajeval.umeyama_align(traj3, traj4)
-        two = synthworld.Trajectory(
+        two = trajeval.Trajectory(
             np.arange(2.0),
             [se3.RelativePose(se3.Rotation.identity(), [0, 0, 0]),
              se3.RelativePose(se3.Rotation.identity(), [1, 0, 0])])
@@ -272,7 +290,7 @@ class TestAte:
 
     def test_shift_pythagoras(self):
         traj = synthworld.make_trajectory("random-walk", 9, RNG(18))
-        shifted = synthworld.Trajectory(
+        shifted = trajeval.Trajectory(
             traj.stamps,
             [se3.RelativePose(p.rotation, p.translation + np.array([3.0, 4.0, 0.0]))
              for p in traj.poses])
