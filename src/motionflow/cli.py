@@ -8,14 +8,15 @@ One binary, five subcommands:
   eval          ATE of an estimated trajectory against ground truth
   ablate-steps  ATE as a function of the integrator step count
 
-Every command takes --seed and --out, writes a manifest.json describing
-exactly what ran (configs, seed, artifact paths, counts, phase timings,
-and the Python, numpy and platform it ran on), and follows
-one exit-code contract: 0 success, 2 usage or argument error, 1 runtime
-failure.  All randomness derives from the single seed, so rerunning a
-command with the manifest's config and seed reproduces its artifacts
-byte for byte (the manifest itself records wall-clock timings and is the
-one file excluded from that guarantee).
+Every command takes --out, writes a manifest.json describing exactly
+what ran (configs, seed, input and artifact paths, counts, phase timings,
+and the Python, numpy and platform it ran on), and follows one exit-code
+contract: 0 success, 2 usage or argument error, 1 runtime failure.  Every
+command but eval, which draws nothing and records seed 0, also takes
+--seed.  All randomness derives from that single seed, so rerunning a
+command with the manifest's inputs, config and seed reproduces its
+artifacts byte for byte (the manifest itself records wall-clock timings
+and is the one file excluded from that guarantee).
 """
 
 import argparse
@@ -206,8 +207,7 @@ def cmd_train(args) -> int:
 
     config = flowmatch.TrainConfig()
     if args.config is not None:
-        config = _read_input(args.config, "config file",
-                             lambda path: flowmatch.load_train_config(path, config))
+        config = _read_input(args.config, "config file", flowmatch.load_train_config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
@@ -224,7 +224,8 @@ def cmd_train(args) -> int:
         command="train",
         seed=config.seed,
         config={"train": dataclasses.asdict(config), "resumed": args.checkpoint is not None},
-        inputs={"dataset": str(dataset_path)},
+        inputs={key: str(Path(getattr(args, key))) for key in ("dataset", "config", "checkpoint")
+                if getattr(args, key) is not None},
     )
 
     net, history = flowmatch.train(pairs, config, net=net)
@@ -292,6 +293,12 @@ def cmd_eval(args) -> int:
         raise UsageError(
             f"trajectory length mismatch: estimate has {len(est)} poses, "
             f"ground truth has {len(gt)}")
+    unequal = np.flatnonzero(est.stamps != gt.stamps)
+    if unequal.size:
+        i = unequal[0]
+        raise UsageError(f"trajectory stamp mismatch at pose {i}: estimate has "
+                         f"{textio.fmt([est.stamps[i]])}, ground truth has "
+                         f"{textio.fmt([gt.stamps[i]])}")
 
     name = args.name or Path(args.est).stem
     if any(char in name for char in ",\r\n"):

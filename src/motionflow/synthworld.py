@@ -66,7 +66,6 @@ def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> trajeval.Tra
       self-intersection landing on two parameter values.
     random-walk: independent small random steps (needs rng).
     """
-    kind = kind.replace("_", "-")
     if kind not in TRAJECTORY_KINDS:
         raise ValueError(f"unknown trajectory kind {kind!r}; expected one of "
                          f"{TRAJECTORY_KINDS}")
@@ -207,18 +206,16 @@ BIMODAL_MODE_A = ([0.0, 0.0, 0.3], [0.5, 0.0, 0.0])
 BIMODAL_MODE_B = ([0.0, 0.0, -0.3], [-0.5, 0.0, 0.0])
 
 
-def make_bimodal_dataset(n: int, rng: np.random.Generator,
-                         cond_dim: int = DEFAULT_COND_DIM,
-                         lift_seed: int = DEFAULT_LIFT_SEED):
+def make_bimodal_dataset(n: int, rng: np.random.Generator):
     """n pairs whose targets split ~50/50 between two motions, one condition.
 
-    The shared condition is the encoding of the identity motion, so it
-    carries no information about which mode produced a sample: the
-    textbook multimodal regression setup.
+    The shared condition is the default encoder's encoding of the identity
+    motion, so it carries no information about which mode produced a
+    sample: the textbook multimodal regression setup.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"bimodal dataset size must be even and >= 2, got {n}")
-    encoder = ConditionEncoder(cond_dim, lift_seed)
+    encoder = ConditionEncoder(DEFAULT_COND_DIM, DEFAULT_LIFT_SEED)
     shared = encoder.encode(se3.RelativePose.identity(), 0.0, 0.0)
     mode_a = se3.MotionState(*BIMODAL_MODE_A)
     mode_b = se3.MotionState(*BIMODAL_MODE_B)

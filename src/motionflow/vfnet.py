@@ -153,14 +153,13 @@ def zero_gradients(net: VectorFieldNet) -> VectorFieldNet:
     return _zero_net(net.config)
 
 
-def init_params(rng: np.random.Generator, config: NetConfig = None) -> VectorFieldNet:
+def init_params(rng: np.random.Generator, config: NetConfig) -> VectorFieldNet:
     """He-style uniform fan-in init; final head layers start at exact zero.
 
     Weights ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), biases zero.  Zeroing the
     last layer of both heads makes the initial velocity field identically
     zero, so untrained sampling returns the reference draw unchanged.
     """
-    config = config if config is not None else NetConfig()
     final = {f"{head}.{len(config.head_widths)}.w" for head in ("head_rot", "head_trans")}
     net = _zero_net(config)
     for name, arr in _named_arrays(net):

@@ -127,17 +127,21 @@ class TestTrain:
                        "--config", cfg, "--out", tmp_path / "run")
         assert code == 2
 
-    @pytest.mark.parametrize("line", ["rot_weight = nan", "trans_weight = inf",
-                                      "adam_eps = inf", "seed = -3"],
-                             ids=["rot_weight", "trans_weight", "adam_eps", "seed"])
-    def test_unusable_config_value_exits_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, error", [
+        ("rot_weight = nan", ":2: unknown key 'rot_weight'"),
+        ("trans_weight = inf", ":2: unknown key 'trans_weight'"),
+        ("adam_eps = inf", ":2: unknown key 'adam_eps'"),
+        ("seed = -3", ": seed must be"),
+        ("epochs = 2", ":2: key 'epochs' repeated"),
+    ], ids=["rot_weight", "trans_weight", "adam_eps", "seed", "repeated-epochs"])
+    def test_unusable_config_value_exits_2(self, tmp_path, capsys, line, error):
         data = gen_small(tmp_path)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"epochs = 1\n{line}\n")
         code = run_cli("train", "--dataset", data / "dataset.csv",
                        "--config", cfg, "--out", tmp_path / "run")
         assert code == 2
-        assert f"{cfg}: {line.split()[0]} must be" in capsys.readouterr().err
+        assert f"{cfg}{error}" in capsys.readouterr().err
 
     def test_divergence_exits_1(self, tmp_path, capsys):
         data = gen_small(tmp_path)
@@ -167,6 +171,10 @@ class TestTrain:
                        "--out", out) == 0
         assert (out / "checkpoint.txt").read_bytes() != \
             (first / "checkpoint.txt").read_bytes()
+        manifest = read_manifest(out)
+        assert manifest["config"]["resumed"] is True
+        assert manifest["inputs"]["checkpoint"] == str(first / "checkpoint.txt")
+        assert manifest["inputs"]["config"] == str(cfg)
 
 
 class TestInfer:
@@ -254,6 +262,15 @@ class TestEval:
         b = gen_small(tmp_path, "b", n=8)
         code = run_cli("eval", a / "gt.tum", b / "gt.tum", "--out", tmp_path / "x")
         assert code == 2
+
+    def test_stamp_mismatch_exits_2(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        gt = trajeval.read_tum(data / "gt.tum")
+        est = tmp_path / "est.tum"
+        trajeval.write_tum(est, trajeval.Trajectory(gt.stamps + 100.0, gt.poses))
+        assert run_cli("eval", est, data / "gt.tum", "--out", tmp_path / "ev") == 2
+        assert "stamp mismatch at pose 0" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "metrics.csv").exists()
 
     def test_estimates_fill_spread_columns(self, tmp_path):
         data = gen_small(tmp_path)

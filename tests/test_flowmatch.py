@@ -120,7 +120,7 @@ class TestCfmLoss:
 
     def test_zero_initialized_net_loss_is_target_power(self):
         # Final head layers start at zero, so the field is identically
-        # zero and the loss must equal the mean weighted target power.
+        # zero and the loss must equal the mean target power.
         rng = RNG(8)
         net = vfnet.init_params(rng, SMALL_CONFIG)
         batch = random_batch(rng, SMALL_CONFIG, 16)
@@ -135,26 +135,14 @@ class TestCfmLoss:
         net.head_rot[-1][0][:] = rng.standard_normal(net.head_rot[-1][0].shape)
         net.head_trans[-1][0][:] = rng.standard_normal(net.head_trans[-1][0].shape)
         states, taus, conds, targets = random_batch(rng, SMALL_CONFIG, 12)
-        rw, tw = 2.0, 0.5
-        loss, _ = flowmatch.cfm_loss(net, states, taus, conds, targets,
-                                     rot_weight=rw, trans_weight=tw)
-        weights = np.repeat([rw, tw], 3)
+        loss, _ = flowmatch.cfm_loss(net, states, taus, conds, targets)
         acc = 0.0
         for i in range(len(states)):
             out = vfnet.forward_batch(net, states[i:i + 1], taus[i:i + 1],
                                       conds[i:i + 1])[0]
-            acc += float(((out - targets[i]) ** 2) @ weights)
+            acc += float(np.sum((out - targets[i]) ** 2))
         want = acc / len(states)
         assert abs(loss - want) < 1e-9 * max(1.0, abs(want))
-
-    def test_weight_zero_silences_component(self):
-        rng = RNG(10)
-        net = vfnet.init_params(rng, SMALL_CONFIG)
-        batch = random_batch(rng, SMALL_CONFIG, 8)
-        loss_rot, _ = flowmatch.cfm_loss(net, *batch, rot_weight=1.0,
-                                         trans_weight=0.0)
-        want = float(np.mean(np.sum(batch[3][:, :3] ** 2, axis=1)))
-        assert abs(loss_rot - want) < 1e-12 * max(1.0, want)
 
     def test_gradient_matches_finite_differences(self):
         rng = RNG(11)
@@ -162,8 +150,7 @@ class TestCfmLoss:
         net.head_rot[-1][0][:] = rng.standard_normal(net.head_rot[-1][0].shape) * 0.3
         net.head_trans[-1][0][:] = rng.standard_normal(net.head_trans[-1][0].shape) * 0.3
         batch = random_batch(rng, SMALL_CONFIG, 6)
-        rw, tw = 1.5, 0.7
-        _, grads = flowmatch.cfm_loss(net, *batch, rot_weight=rw, trans_weight=tw)
+        _, grads = flowmatch.cfm_loss(net, *batch)
 
         arrays = dict(vfnet._named_arrays(net))
         grad_arrays = dict(vfnet._named_arrays(grads))
@@ -175,11 +162,9 @@ class TestCfmLoss:
                                 replace=False):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = flowmatch.cfm_loss(net, *batch, rot_weight=rw,
-                                           trans_weight=tw)
+                up, _ = flowmatch.cfm_loss(net, *batch)
                 flat[k] = orig - h
-                dn, _ = flowmatch.cfm_loss(net, *batch, rot_weight=rw,
-                                           trans_weight=tw)
+                dn, _ = flowmatch.cfm_loss(net, *batch)
                 flat[k] = orig
                 fd = (up - dn) / (2 * h)
                 an = grad_arrays[name].reshape(-1)[k]
@@ -205,7 +190,7 @@ class TestAdam:
         flowmatch.adam_step(net, grads, state, lr)
         for (name, after), (_, g) in zip(vfnet._named_arrays(net),
                                          vfnet._named_arrays(grads)):
-            want = before[name] - lr * g / (np.abs(g) + state.eps)
+            want = before[name] - lr * g / (np.abs(g) + flowmatch.ADAM_EPS)
             assert np.max(np.abs(after - want)) < 1e-15
 
     def test_zero_gradient_leaves_parameters_untouched(self):
@@ -231,7 +216,7 @@ class TestAdam:
             for (name, after), (_, g) in zip(vfnet._named_arrays(net),
                                              vfnet._named_arrays(grads)):
                 step = before[name] - after
-                want = lr * g / (np.abs(g) + state.eps)
+                want = lr * g / (np.abs(g) + flowmatch.ADAM_EPS)
                 assert np.max(np.abs(step - want)) < 1e-12
 
     def test_matches_per_tensor_reference_bitwise(self):
@@ -242,19 +227,20 @@ class TestAdam:
         ref = {name: a.copy() for name, a in vfnet._named_arrays(net)}
         ref_m = {name: np.zeros_like(a) for name, a in ref.items()}
         ref_v = {name: np.zeros_like(a) for name, a in ref.items()}
-        state = flowmatch.adam_init(net, 0.8, 0.99, 1e-6)
+        state = flowmatch.adam_init(net)
+        b1, b2, eps = flowmatch.ADAM_BETA1, flowmatch.ADAM_BETA2, flowmatch.ADAM_EPS
         for step in range(1, 6):
             grads = self.filled_gradients(net, rng, scale=10.0 ** -step)
             lr = 1e-3 * step
             flowmatch.adam_step(net, grads, state, lr)
-            c1, c2 = 1.0 - 0.8 ** step, 1.0 - 0.99 ** step
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
             for name, g in vfnet._named_arrays(grads):
                 m, v, p = ref_m[name], ref_v[name], ref[name]
-                m *= 0.8
-                m += (1.0 - 0.8) * g
-                v *= 0.99
-                v += (1.0 - 0.99) * (g * g)
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-6)
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
         for name, a in vfnet._named_arrays(net):
             assert np.array_equal(a, ref[name]), name
 
@@ -428,19 +414,16 @@ class TestConfigFile:
         # untouched fields keep their defaults
         assert config.lr_decay_factor == flowmatch.TrainConfig().lr_decay_factor
 
-    def test_base_config_is_overridden_not_replaced(self, tmp_path):
-        base = flowmatch.TrainConfig(batch_size=16, rot_weight=2.0)
-        path = tmp_path / "train.cfg"
-        path.write_text("epochs = 3\n")
-        config = flowmatch.load_train_config(path, base)
-        assert config.epochs == 3
-        assert config.batch_size == 16
-        assert config.rot_weight == 2.0
-
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("lr = 0.001\nbatch = 8\n")
         with pytest.raises(ValueError, match=":2"):
+            flowmatch.load_train_config(path)
+
+    def test_repeated_key_reports_second_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 5\nlr = 0.001\nepochs = 1\n")
+        with pytest.raises(ValueError, match=r"train\.cfg:3: key 'epochs' repeated"):
             flowmatch.load_train_config(path)
 
     def test_bad_value_reports_key_and_line(self, tmp_path):

@@ -3,6 +3,7 @@ the tiny size TINY_ARGV must give it and 2 on a bad flag value, and the
 README's command-line recipe for the step ablation matches the demo.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import demo_pipeline
-from motionflow import cli, textio, trajeval
+from motionflow import cli, flowmatch, textio, trajeval
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 TINY_ARGV = {
     "demo_pipeline": ["--n", "11", "--epochs", "2", "--steps", "1,2"],
     "ambiguity_sweep": ["--epochs", "2", "--samples", "2"],
@@ -54,3 +56,14 @@ def test_cli_recipe_matches_demo(tmp_path, monkeypatch):
     assert Path("ablate/ablation.csv").read_text().splitlines()[1:] == [
         f"{k}," + textio.fmt([trajeval.ate(est, scenario.gt_trajectory, align="sim3")])
         for k, (_, est) in rows.items()]
+
+
+def test_readme_train_cfg_is_the_demo_schedule(tmp_path):
+    """The README's train.cfg loads, so it names no removed key, and it is
+    the schedule demo_pipeline trains with at its default epochs."""
+    blocks = re.findall(r"^cat > train\.cfg <<EOF\n(.*?)^EOF$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "train.cfg"
+    path.write_text(blocks[0])
+    assert flowmatch.load_train_config(path) == demo_pipeline.train_config(1500, seed=10)

@@ -45,13 +45,10 @@ class TestMakeTrajectory:
             assert np.array_equal(pa.rotation.q, pb.rotation.q)
             assert np.array_equal(pa.translation, pb.translation)
 
-    def test_underscore_alias(self):
-        traj = synthworld.make_trajectory("random_walk", 5, RNG(4))
-        assert len(traj) == 5
-
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            synthworld.make_trajectory("spiral", 10, RNG(5))
+        for kind in ("spiral", "random_walk"):
+            with pytest.raises(ValueError):
+                synthworld.make_trajectory(kind, 10, RNG(5))
         with pytest.raises(ValueError):
             synthworld.make_trajectory("line", 1, RNG(6))
 

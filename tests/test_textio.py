@@ -120,7 +120,7 @@ def _checkpoint(path):
 
 def _config(path):
     path.write_text("# schedule\nbatch_size = 8\nepochs = 3\nlr = 0.002\n"
-                    "lr_decay_epoch = 2\nseed = 5\nrot_weight = 1.5\n")
+                    "lr_decay_epoch = 2\nseed = 5\nlr_decay_factor = 0.25\n")
 
 
 def _estimates(path):
