@@ -45,10 +45,14 @@ class TestMakeTrajectory:
             assert np.array_equal(pa.rotation.q, pb.rotation.q)
             assert np.array_equal(pa.translation, pb.translation)
 
+    def test_underscore_alias(self):
+        # Kinds are spelled only as in TRAJECTORY_KINDS; there is no alias.
+        with pytest.raises(ValueError, match="random_walk"):
+            synthworld.make_trajectory("random_walk", 5, RNG(4))
+
     def test_rejects_bad_arguments(self):
-        for kind in ("spiral", "random_walk"):
-            with pytest.raises(ValueError):
-                synthworld.make_trajectory(kind, 10, RNG(5))
+        with pytest.raises(ValueError):
+            synthworld.make_trajectory("spiral", 10, RNG(5))
         with pytest.raises(ValueError):
             synthworld.make_trajectory("line", 1, RNG(6))
 
