@@ -227,11 +227,9 @@ def load_train_config(path) -> TrainConfig:
     values = {}
     for where, line in textio.numbered(path):
         with textio.at(where):
-            key, value = textio.key_value(line)
+            key, value = textio.key_value(line, values)
             if key not in types:
                 raise ValueError(f"unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"key {key!r} repeated")
             with textio.at(key):
                 values[key] = int(value) if types[key] == "int" else float(value)
     with textio.at(path):

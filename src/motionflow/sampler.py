@@ -137,7 +137,9 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
         raise ValueError(f"sample count m must be >= 1, got {m}")
     x0 = se3.sample_initial_batch(rng, m)
     final = integrate_field(_net_field(net, cond), x0, config)
-    samples = [se3.state_to_pose(se3.MotionState.from_vector(row)) for row in final]
+    final.setflags(write=False)  # checked finite: the states share its rows
+    samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
+               for row in final]
     states = np.array([se3.pose_to_state(p).as_vector() for p in samples])
     mean = states.mean(axis=0)
     std = states.std(axis=0, ddof=0)

@@ -11,6 +11,11 @@ translation in meters.  The chart deliberately leaves translation
 uncoupled from rotation (no SE(3) left-Jacobian mixing): it is the
 coordinate system the generative model operates in, not a group
 parameterization.
+
+Values are checked once, where they enter: the constructors, exp_map and
+MotionState.from_vector.  The chart maps, compose and inverse build with
+_frozen from checked read-only arrays; compose renormalizes its product as
+Rotation does, and compose and inverse check their translation for overflow.
 """
 
 from __future__ import annotations
@@ -52,19 +57,12 @@ class Rotation:
         values = q.tolist()
         if not all(map(math.isfinite, values)):
             raise ValueError(f"quaternion contains non-finite values: {q}")
-        # np.linalg.norm of a 1-d float vector is this same sqrt of a dot.
-        norm = math.sqrt(q.dot(q))
+        # np.linalg.norm of a 1-d float vector is this same sqrt of a dot; np.vdot
+        # is ndarray.dot without its status check, so overflow is inf, no warning.
+        norm = math.sqrt(np.vdot(q, q))
         if not 1e-12 <= norm < math.inf:
             raise ValueError(f"quaternion norm is zero or not finite: {norm}")
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            values = [c / norm for c in values]
-        # Canonical sign: the first nonzero component is positive, which is
-        # w > 0, or at w == 0 (angle pi) the first nonzero vector component.
-        if next((c for c in values if c != 0.0), 0.0) < 0.0:
-            values = [-c for c in values]
-        q = np.array([c + 0.0 for c in values])  # + 0.0 drops negative zeros
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _canonical(values, norm))
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -80,6 +78,28 @@ class Rotation:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ]
         )
+
+
+def _canonical(values: list, norm: float) -> np.ndarray:
+    """Rotation's read-only q from finite components and their norm."""
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        values = [c / norm for c in values]
+    # Canonical sign: the first nonzero component is positive, which is
+    # w > 0, or at w == 0 (angle pi) the first nonzero vector component.
+    if next((c for c in values if c != 0.0), 0.0) < 0.0:
+        values = [-c for c in values]
+    q = np.array([c + 0.0 for c in values])  # + 0.0 drops negative zeros
+    q.setflags(write=False)
+    return q
+
+
+def _frozen(cls, **fields):
+    """A cls holding fields as given, skipping __post_init__: only for checked,
+    read-only arrays of the field's shape (for Rotation, a _canonical q)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():  # stored as __init__ does: no per-object dict
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +200,25 @@ def exp_map(rho) -> Rotation:
     Below SMALL_ANGLE the sin/cos terms use their second-order Taylor
     series, which keeps the map exact to double precision there.
     """
-    rho = _finite_vector(rho, 3, "rho")
-    theta = math.sqrt(rho.dot(rho))
+    return _exp(_finite_vector(rho, 3, "rho"))
+
+
+def _exp(rho: np.ndarray) -> Rotation:
+    """exp_map of a checked rotation vector."""
+    theta = math.sqrt(np.vdot(rho, rho))  # inf, with no warning, on overflow
     if theta < SMALL_ANGLE:
         # cos(t/2) ~ 1 - t^2/8,  sin(t/2)/t ~ 1/2 - t^2/48
         w = 1.0 - theta * theta / 8.0
         ratio = 0.5 - theta * theta / 48.0
-    else:
+    elif theta < math.inf:
         half = 0.5 * theta
         w = math.cos(half)
         ratio = math.sin(half) / theta
+    else:
+        raise ValueError(f"rho norm overflows: {rho}")
     x, y, z = rho.tolist()
-    return Rotation(np.array([w, x * ratio, y * ratio, z * ratio]))
+    # |q| stays within 1e-15 of 1, so Rotation would not renormalize it.
+    return _frozen(Rotation, q=_canonical([w, x * ratio, y * ratio, z * ratio], 1.0))
 
 
 def log_map(rotation: Rotation) -> np.ndarray:
@@ -219,24 +246,29 @@ def compose(a: RelativePose, b: RelativePose) -> RelativePose:
     """Transform composition a then b in a's frame: (R_a R_b, R_a t_b + t_a)."""
     q = _quat_multiply(a.rotation.q, b.rotation.q)
     t = _quat_rotate(a.rotation.q, b.translation) + a.translation
-    return RelativePose(Rotation(q), t)
+    rot = _frozen(Rotation, q=_canonical(q.tolist(), math.sqrt(q.dot(q))))
+    return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))
 
 
 def inverse(pose: RelativePose) -> RelativePose:
     """Inverse transform: (R^T, -R^T t)."""
     q_inv = _quat_conjugate(pose.rotation.q)
     t = -_quat_rotate(q_inv, pose.translation)
-    return RelativePose(Rotation(q_inv), t)
+    # q_inv has the norm of an accepted q: only the sign rule can apply.
+    rot = _frozen(Rotation, q=_canonical(q_inv.tolist(), 1.0))
+    return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))
 
 
 def pose_to_state(pose: RelativePose) -> MotionState:
     """Chart coordinates of a pose: (log(R), t)."""
-    return MotionState(log_map(pose.rotation), pose.translation)
+    rho = log_map(pose.rotation)
+    rho.setflags(write=False)
+    return _frozen(MotionState, rho=rho, trans=pose.translation)
 
 
 def state_to_pose(state: MotionState) -> RelativePose:
     """Inverse chart: (exp(rho), trans)."""
-    return RelativePose(exp_map(state.rho), state.trans)
+    return _frozen(RelativePose, rotation=_exp(state.rho), translation=state.trans)
 
 
 def geodesic_angle(a: Rotation, b: Rotation) -> float:

@@ -263,7 +263,7 @@ def read_dataset_header(path) -> DatasetHeader:
             break
         if "=" in line:
             with textio.at(where):
-                key, value = textio.key_value(line[1:])
+                key, value = textio.key_value(line[1:], values)
                 if key in _HEADER_FIELDS:
                     values[key] = _HEADER_FIELDS[key](value)
     missing = [key for key in _HEADER_FIELDS if key not in values]

@@ -45,9 +45,11 @@ def floats(cells, n: int) -> list:
     return [float(cell) for cell in cells]
 
 
-def key_value(line: str):
-    """(key, value) of a key=value line, both stripped."""
+def key_value(line: str, seen):
+    """(key, value) of a key=value line, both stripped; a key in seen is repeated."""
     if "=" not in line:
         raise ValueError(f"expected key=value, got {line!r}")
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+    key, value = (part.strip() for part in line.split("=", 1))
+    if key in seen:
+        raise ValueError(f"key {key!r} repeated")
+    return key, value

@@ -294,7 +294,7 @@ def load_checkpoint(path) -> VectorFieldNet:
     for where, line in lines[1:body]:
         if not line.startswith("#"):
             with textio.at(where):
-                key, value = textio.key_value(line)
+                key, value = textio.key_value(line, sizes)
                 if key in names:
                     sizes[key] = (tuple(int(w) for w in value.split(","))
                                   if key.endswith("_widths") else int(value))

@@ -501,6 +501,11 @@ class TestMalformedInputs:
             if line.startswith("#")))
         one_pose_gt = tmp_path / "one_pose.tum"
         one_pose_gt.write_text((data / "gt.tum").read_text().splitlines(keepends=True)[0])
+        repeated_key = tmp_path / "repeated_key.csv"
+        repeated_key.write_text("#lift_seed=7\n" + (data / "dataset.csv").read_text())
+        repeated_size = tmp_path / "repeated_size.txt"
+        repeated_size.write_text(text.replace(f"cond_dim={net.config.cond_dim}\n",
+                                              f"cond_dim={net.config.cond_dim}\n" * 2, 1))
         huge_cond_dim = tmp_path / "huge_cond_dim.txt"
         huge_cond_dim.write_text(text.replace(f"cond_dim={net.config.cond_dim}\n",
                                               "cond_dim=1000000000000000\n", 1))
@@ -510,7 +515,8 @@ class TestMalformedInputs:
                 "header_only_estimates": header_only_estimates,
                 "short_estimates": short_estimates, "nan_checkpoint": nan_checkpoint,
                 "huge_cond_dim": huge_cond_dim, "header_only": header_only,
-                "one_pose_gt": one_pose_gt,
+                "one_pose_gt": one_pose_gt, "repeated_key": repeated_key,
+                "repeated_size": repeated_size,
                 "negative_std": negative_std, "misnumbered": misnumbered}
 
     @pytest.mark.parametrize("argv", [
@@ -528,12 +534,15 @@ class TestMalformedInputs:
         ["infer", "--checkpoint", "{huge_cond_dim}", "--dataset", "{dataset}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{negative_std}"],
         ["eval", "{gt}", "{gt}", "--estimates", "{misnumbered}"],
+        ["infer", "--checkpoint", "{good}", "--dataset", "{repeated_key}"],
+        ["infer", "--checkpoint", "{repeated_size}", "--dataset", "{dataset}"],
     ], ids=["train-headerless-dataset", "infer-headerless-dataset",
             "train-truncated-checkpoint", "infer-truncated-checkpoint",
             "ablate-truncated-checkpoint", "infer-bad-tensor-shape",
             "eval-non-numeric-estimates", "eval-header-only-estimates",
             "eval-estimates-row-count", "infer-nan-checkpoint", "infer-huge-cond-dim",
-            "eval-negative-std-estimates", "eval-misnumbered-estimates"])
+            "eval-negative-std-estimates", "eval-misnumbered-estimates",
+            "infer-repeated-dataset-key", "infer-repeated-checkpoint-key"])
     def test_exits_2(self, files, argv, tmp_path, capsys):
         args = [arg.format(**files) for arg in argv]
         assert run_cli(*args, "--out", tmp_path / "out") == 2

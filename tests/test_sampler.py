@@ -203,6 +203,18 @@ class TestEstimatePose:
         assert np.array_equal(result.mean_state.as_vector(), states.mean(axis=0))
         assert np.array_equal(result.std_state, states.std(axis=0, ddof=0))
 
+    def test_samples_and_mean_hold_read_only_arrays(self):
+        # The samples share the rows of the integrated batch: writing
+        # through one must fail, not change the estimate.
+        net = small_net(6)
+        cond = vfnet.ConditionVector(np.array([0.4, 0.3, -0.2, 0.1]))
+        result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), 3, RNG(7))
+        arrays = [result.mean_state.rho, result.mean_state.trans, result.std_state]
+        for pose in result.samples:
+            state = se3.pose_to_state(pose)
+            arrays += [pose.rotation.q, pose.translation, state.rho, state.trans]
+        assert not any(a.flags.writeable for a in arrays)
+
     def test_rejects_bad_m(self):
         net = small_net(8)
         cond = vfnet.ConditionVector(np.zeros(4))

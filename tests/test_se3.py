@@ -66,6 +66,13 @@ class TestRotationType:
         for big in ([1e200, 0.0, 0.0, 0.0], [1e155, -1e155, 0.0, 1.0]):
             with pytest.raises(ValueError, match="not finite"):
                 se3.Rotation(np.array(big))
+        # |rho| overflows in exp_map the same way: rejected by name.
+        for big in ([1e200, 0.0, 0.0], [1e155, 1e155, 0.0]):
+            message = f"rho norm overflows: {np.array(big)}"
+            for build in (se3.exp_map, lambda rho: se3.state_to_pose(se3.MotionState(rho, rho))):
+                with pytest.raises(ValueError) as err:
+                    build(big)
+                assert str(err.value) == message
 
     def test_quaternion_is_immutable(self):
         r = se3.Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -349,6 +356,77 @@ class TestNonFiniteRejected:
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
+
+
+def same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def read_only(*arrays):
+    return all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+
+
+class TestCheckedBuilders:
+    """The chart maps, compose and inverse skip the constructors' checks on
+    values already checked; they must build what the constructors build."""
+
+    @staticmethod
+    def poses(rng, n):
+        quats, _ = edge_inputs(rng, n)
+        # Accepted without normalizing, so products can leave the tolerance.
+        near_unit = quats[n // 5:2 * n // 5] * (1.0 + rng.uniform(-1e-9, 1e-9, (n // 5, 1)))
+        quats = np.concatenate([quats, near_unit])
+        trans = rng.standard_normal((len(quats), 3)) * 10.0 ** rng.integers(-3, 4, (len(quats), 1))
+        return [se3.RelativePose(se3.Rotation(q), t) for q, t in zip(quats, trans)]
+
+    def test_chart_maps_match_constructors_bitwise(self):
+        rng = RNG(110)
+        _, rhos = edge_inputs(rng, 2500)
+        for rho, trans in zip(rhos, rng.standard_normal((len(rhos), 3))):
+            state = se3.MotionState(rho, trans)
+            got, want = se3.state_to_pose(state), se3.RelativePose(se3.exp_map(rho), trans)
+            assert same_bits(got.rotation.q, want.rotation.q), rho
+            assert same_bits(got.translation, want.translation), rho
+        for pose in self.poses(rng, 2500):
+            got = se3.pose_to_state(pose)
+            want = se3.MotionState(se3.log_map(pose.rotation), pose.translation)
+            assert same_bits(got.as_vector(), want.as_vector()), pose.rotation.q
+
+    def test_compose_and_inverse_match_constructors_bitwise(self):
+        poses = self.poses(RNG(111), 2500)
+        for a, b in zip(poses, poses[1:] + poses[:1]):
+            qa, qb = a.rotation.q, b.rotation.q
+            got = se3.compose(a, b)
+            want = se3.RelativePose(se3.Rotation(se3._quat_multiply(qa, qb)),
+                                    se3._quat_rotate(qa, b.translation) + a.translation)
+            assert same_bits(got.rotation.q, want.rotation.q), (qa, qb)
+            assert same_bits(got.translation, want.translation), (qa, qb)
+            q_inv = se3._quat_conjugate(qa)
+            got = se3.inverse(a)
+            want = se3.RelativePose(se3.Rotation(q_inv), -se3._quat_rotate(q_inv, a.translation))
+            assert same_bits(got.rotation.q, want.rotation.q), qa
+            assert same_bits(got.translation, want.translation), qa
+
+    def test_results_hold_read_only_arrays(self):
+        a, b = self.poses(RNG(112), 10)[2:4]
+        state = se3.MotionState([0.3, -0.2, 0.1], [1.0, 2.0, 3.0])
+        assert read_only(se3.exp_map([0.3, -0.2, 0.1]).q)
+        for pose in (se3.state_to_pose(state), se3.compose(a, b), se3.inverse(a)):
+            assert isinstance(pose.rotation, se3.Rotation)
+            assert read_only(pose.rotation.q, pose.translation)
+        back = se3.pose_to_state(a)
+        assert read_only(back.rho, back.trans)
+
+    def test_overflowing_translation_is_rejected(self):
+        big = se3.RelativePose(se3.Rotation.identity(), [1e308, 0.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            se3.compose(big, big)  # 1e308 + 1e308 overflows in the add
+        assert str(err.value) == "translation contains non-finite values: [inf  0.  0.]"
+        # A quarter turn about z carries 1.7e308 past the float range.
+        turned = se3.RelativePose(se3.exp_map([0.0, 0.0, math.pi / 2]), [1.7e308, 0.0, 0.0])
+        for build in (lambda: se3.inverse(turned), lambda: se3.compose(turned, turned)):
+            with pytest.raises(ValueError, match="^translation contains non-finite values"):
+                build()
 
 
 class TestStateChart:

@@ -287,6 +287,14 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"bad\.csv:1: .*'abc'"):
             synthworld.ingest_features(path)
 
+    def test_repeated_header_key_names_its_second_line(self, tmp_path):
+        scenario = synthworld.make_scenario("rep", "random-walk", 6, 0.0, 0.0, RNG(25))
+        path = tmp_path / "dataset.csv"
+        synthworld.write_scenario_dataset(path, scenario)
+        path.write_text("#lift_seed=7\n" + path.read_text())
+        with pytest.raises(ValueError, match=r"dataset\.csv:3: key 'lift_seed' repeated"):
+            synthworld.read_dataset_header(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         path.write_text("1,2,3\n")

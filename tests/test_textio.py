@@ -86,10 +86,12 @@ class TestCells:
             textio.floats(["1", "two"], 2)
 
     def test_key_value(self):
-        assert textio.key_value(" lr = 0.5 ") == ("lr", "0.5")
-        assert textio.key_value("a=b=c") == ("a", "b=c")
+        assert textio.key_value(" lr = 0.5 ", {}) == ("lr", "0.5")
+        assert textio.key_value("a=b=c", {"b": 1}) == ("a", "b=c")
         with pytest.raises(ValueError, match="expected key=value"):
-            textio.key_value("lr 0.5")
+            textio.key_value("lr 0.5", {})
+        with pytest.raises(ValueError, match="^key 'lr' repeated$"):
+            textio.key_value(" lr = 0.5 ", {"lr": 0.1})
 
 
 # --- reader fuzz ----------------------------------------------------------------

@@ -400,6 +400,15 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=match):
                 vfnet.load_checkpoint(path)
 
+    def test_rejects_repeated_header_key(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        vfnet.save_checkpoint(path, random_net(RNG(24), SMALL_CONFIG))
+        text = path.read_text()
+        for repeat in ("cond_dim=5", "cond_dim=7"):  # an equal and a conflicting repeat
+            path.write_text(text.replace("cond_dim=5\n", f"cond_dim=5\n{repeat}\n", 1))
+            with pytest.raises(ValueError, match=r"ckpt\.txt:3: key 'cond_dim' repeated"):
+                vfnet.load_checkpoint(path)
+
     def test_rejects_shape_mismatch(self, tmp_path):
         net = random_net(RNG(14), SMALL_CONFIG)
         path = tmp_path / "ckpt.txt"
