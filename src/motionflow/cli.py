@@ -8,9 +8,10 @@ One binary, five subcommands:
   eval          ATE of an estimated trajectory against ground truth
   ablate-steps  ATE as a function of the integrator step count
 
-Every command takes --out, writes a manifest.json describing exactly
-what ran (configs, seed, input and artifact paths, counts, phase timings,
-and the Python, numpy and platform it ran on), and follows one exit-code
+Every command takes --out; main makes it, runs the command and writes the
+manifest.json it returns: what ran (configs, seed, every input file by
+flag name, eval --estimates too, artifact paths, counts, phase timings,
+and the Python, numpy and platform), and maps errors to one exit-code
 contract: 0 success, 2 usage or argument error, 1 runtime failure.  Every
 command but eval, which draws nothing and records seed 0, also takes
 --seed.  All randomness derives from that single seed, so rerunning a
@@ -118,6 +119,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _inputs(args, *flags) -> dict:
+    """The input files given under flags, by flag name, each spelled as Path does."""
+    return {flag: str(Path(getattr(args, flag))) for flag in flags
+            if getattr(args, flag) is not None}
+
+
 def _read_input(path, what: str, reader):
     """reader(path), with a missing file or a ValueError from the reader
     turned into a usage error."""
@@ -153,22 +160,30 @@ def _chained(estimates):
                                        [e.estimate for e in estimates])
 
 
-def _ate(est, gt, align: str, scale: str) -> float:
-    """ATE of est against gt, after rescaling est's relative translations
-    by the scale mode."""
-    if scale != "none":
+def _motions(traj, path):
+    """traj's relative motions; one that overflows makes path, traj's file, a bad input."""
+    try:
+        return synthworld.relative_motions(traj)
+    except ValueError as err:
+        raise UsageError(f"bad trajectory: {path}: a relative motion overflows: {err}")
+
+
+def _ate(est, gt, args, est_path=None) -> float:
+    """ATE of est (read from est_path, or computed) against gt, read from
+    args.gt, after rescaling est's relative translations by args.scale."""
+    if args.scale != "none":
+        est_rels = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
         est = trajeval.compose_trajectory(est.poses[0], trajeval.scale_align(
-            synthworld.relative_motions(est), synthworld.relative_motions(gt), scale))
-    return trajeval.ate(est, gt, align)
+            est_rels, _motions(gt, args.gt), args.scale))
+    return trajeval.ate(est, gt, args.align)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    out = _out_dir(args)
+def cmd_gen(args, out: Path) -> RunManifest:
     manifest = RunManifest(
-        command="gen",
+        command=args.command,
         seed=args.seed,
         config={
             "kind": args.kind,
@@ -195,13 +210,11 @@ def cmd_gen(args) -> int:
     manifest.lap("write")
 
     manifest.outputs = {"dataset": str(dataset_path), "gt": str(gt_path)}
-    manifest.write(out)
     print(f"wrote {len(scenario.pairs)} pairs to {dataset_path}")
-    return 0
+    return manifest
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
+def cmd_train(args, out: Path) -> RunManifest:
     dataset_path = Path(args.dataset)
     rows = _read_input(dataset_path, "dataset", synthworld.ingest_features)
 
@@ -221,11 +234,10 @@ def cmd_train(args) -> int:
         _check_cond_dim(net, pairs[0].cond.dim)
 
     manifest = RunManifest(
-        command="train",
+        command=args.command,
         seed=config.seed,
         config={"train": dataclasses.asdict(config), "resumed": args.checkpoint is not None},
-        inputs={key: str(Path(getattr(args, key))) for key in ("dataset", "config", "checkpoint")
-                if getattr(args, key) is not None},
+        inputs=_inputs(args, "dataset", "config", "checkpoint"),
     )
 
     net, history = flowmatch.train(pairs, config, net=net)
@@ -239,25 +251,23 @@ def cmd_train(args) -> int:
     manifest.lap("write")
 
     manifest.outputs = {"checkpoint": str(checkpoint_path), "loss": str(loss_path)}
-    manifest.write(out)
     print(f"trained {len(history)} steps, final loss {history[-1][2]:.6g}, "
           f"checkpoint at {checkpoint_path}")
-    return 0
+    return manifest
 
 
-def cmd_infer(args) -> int:
-    out = _out_dir(args)
+def cmd_infer(args, out: Path) -> RunManifest:
     net, conds = _read_model(args)
 
     solver = sampler.SolverConfig(method=args.method, steps=args.steps)
     manifest = RunManifest(
-        command="infer",
+        command=args.command,
         seed=args.seed,
         config={
             "solver": dataclasses.asdict(solver),
             "samples": args.samples,
         },
-        inputs={"checkpoint": str(Path(args.checkpoint)), "dataset": str(args.dataset)},
+        inputs=_inputs(args, "checkpoint", "dataset"),
         counts={"nfe_per_sample": solver.nfe_per_sample},
     )
 
@@ -273,10 +283,9 @@ def cmd_infer(args) -> int:
     manifest.lap("write")
 
     manifest.outputs = {"estimates": str(estimates_path), "trajectory": str(est_traj_path)}
-    manifest.write(out)
     print(f"estimated {len(estimates)} motions ({args.samples} samples each) "
           f"to {estimates_path}")
-    return 0
+    return manifest
 
 
 def _mean_spread(rows):
@@ -285,8 +294,7 @@ def _mean_spread(rows):
     return float(np.mean(stds[:, :3])), float(np.mean(stds[:, 3:]))
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
+def cmd_eval(args, out: Path) -> RunManifest:
     est = _read_input(args.est, "estimated trajectory", trajeval.read_tum)
     gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
     if len(est) != len(gt):
@@ -305,13 +313,13 @@ def cmd_eval(args) -> int:
         raise UsageError(f"scenario name {name!r} holds a comma or a line break; "
                          "set --name to one without")
     manifest = RunManifest(
-        command="eval",
+        command=args.command,
         seed=0,
         config={"align": args.align, "scale": args.scale, "name": name},
-        inputs={"est": str(args.est), "gt": str(args.gt)},
+        inputs=_inputs(args, "est", "gt", "estimates"),
     )
 
-    ate_rmse = _ate(est, gt, args.align, args.scale)
+    ate_rmse = _ate(est, gt, args, args.est)
     std_rot, std_trans = float("nan"), float("nan")
     if args.estimates is not None:
         rows = _read_input(args.estimates, "estimates file", sampler.read_estimates_csv)
@@ -329,13 +337,11 @@ def cmd_eval(args) -> int:
     manifest.lap("write")
 
     manifest.outputs = {"metrics": str(metrics_path)}
-    manifest.write(out)
     print(f"ate_rmse {textio.fmt([ate_rmse])} (align={args.align}, scale={args.scale})")
-    return 0
+    return manifest
 
 
-def cmd_ablate_steps(args) -> int:
-    out = _out_dir(args)
+def cmd_ablate_steps(args, out: Path) -> RunManifest:
     net, conds = _read_model(args)
     gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
     if len(conds) != len(gt) - 1:
@@ -344,7 +350,7 @@ def cmd_ablate_steps(args) -> int:
             f"{len(gt)} poses; expected {len(gt) - 1}")
 
     manifest = RunManifest(
-        command="ablate-steps",
+        command=args.command,
         seed=args.seed,
         config={
             "method": args.method,
@@ -353,11 +359,7 @@ def cmd_ablate_steps(args) -> int:
             "align": args.align,
             "scale": args.scale,
         },
-        inputs={
-            "checkpoint": str(Path(args.checkpoint)),
-            "dataset": str(args.dataset),
-            "gt": str(args.gt),
-        },
+        inputs=_inputs(args, "checkpoint", "dataset", "gt"),
         counts={"nfe_per_sample": [sampler.SolverConfig(args.method, steps).nfe_per_sample
                                    for steps in args.steps]},
     )
@@ -368,7 +370,7 @@ def cmd_ablate_steps(args) -> int:
         # Fresh generator per row: rows differ only in the integrator.
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
-        table.append((steps, _ate(_chained(estimates), gt, args.align, args.scale)))
+        table.append((steps, _ate(_chained(estimates), gt, args)))
         manifest.lap(f"steps_{steps}")
 
     ablation_path = out / "ablation.csv"
@@ -376,10 +378,9 @@ def cmd_ablate_steps(args) -> int:
         f"{steps}," + textio.fmt([ate_rmse]) for steps, ate_rmse in table])
 
     manifest.outputs = {"ablation": str(ablation_path)}
-    manifest.write(out)
     for steps, ate_rmse in table:
         print(f"steps {steps:4d}: ate_rmse {textio.fmt([ate_rmse])}")
-    return 0
+    return manifest
 
 
 # --- parser ---------------------------------------------------------------------
@@ -394,6 +395,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="synthesize a scenario dataset")
+    train = sub.add_parser("train", help="fit a vector field on a dataset")
+    infer = sub.add_parser("infer", help="sample motions for every condition")
+    ev = sub.add_parser("eval", help="trajectory error against ground truth")
+    ablate = sub.add_parser("ablate-steps",
+                            help="ATE versus integrator step count")
+
+    # A flag that several commands share with one meaning is declared once.
+    for command in (infer, ablate):
+        command.add_argument("--checkpoint", required=True)
+        command.add_argument("--dataset", required=True,
+                             help="conditions to estimate (ground truth ignored)")
+        command.add_argument("--method", choices=sampler.SOLVER_METHODS,
+                             default="midpoint")
+        command.add_argument("--samples", type=_number(int, 1), default=10,
+                             help="flow samples per condition")
+    for command in (gen, infer, ablate):
+        command.add_argument("--seed", type=_number(int, 0), default=0)
+    for command in (ev, ablate):
+        command.add_argument("--align", choices=trajeval.ALIGN_MODES, default="sim3")
+        command.add_argument("--scale", choices=trajeval.SCALE_MODES, default="none",
+                             help="relative-translation rescaling")
+
     gen.add_argument("--kind", choices=synthworld.TRAJECTORY_KINDS, default="figure8")
     gen.add_argument("--n", type=_number(int, 2), default=200,
                      help="number of trajectory poses (pairs = n - 1)")
@@ -403,71 +426,41 @@ def build_parser() -> argparse.ArgumentParser:
                      help="condition noise sigma")
     gen.add_argument("--cond-dim", type=_number(int, 1),
                      default=synthworld.DEFAULT_COND_DIM)
-    gen.add_argument("--name", default=None, help="scenario name (default: kind)")
-    gen.add_argument("--seed", type=_number(int, 0), default=0)
-    gen.add_argument("--out", required=True, help="output directory")
+    gen.add_argument("--name", help="scenario name (default: kind)")
     gen.set_defaults(func=cmd_gen)
 
-    train = sub.add_parser("train", help="fit a vector field on a dataset")
     train.add_argument("--dataset", required=True)
-    train.add_argument("--config", default=None,
-                       help="key=value training config file")
-    train.add_argument("--checkpoint", default=None,
-                       help="resume from this checkpoint")
-    train.add_argument("--seed", type=_number(int, 0), default=None,
-                       help="overrides the config seed")
-    train.add_argument("--out", required=True)
+    train.add_argument("--config", help="key=value training config file")
+    train.add_argument("--checkpoint", help="resume from this checkpoint")
+    train.add_argument("--seed", type=_number(int, 0), help="overrides the config seed")
     train.set_defaults(func=cmd_train)
 
-    infer = sub.add_parser("infer", help="sample motions for every condition")
-    infer.add_argument("--checkpoint", required=True)
-    infer.add_argument("--dataset", required=True,
-                       help="conditions to estimate (ground truth ignored)")
-    infer.add_argument("--method", choices=sampler.SOLVER_METHODS,
-                       default="midpoint")
     infer.add_argument("--steps", type=_number(int, 1), default=5)
-    infer.add_argument("--samples", type=_number(int, 1), default=10,
-                       help="flow samples per condition")
-    infer.add_argument("--seed", type=_number(int, 0), default=0)
-    infer.add_argument("--out", required=True)
     infer.set_defaults(func=cmd_infer)
 
-    ev = sub.add_parser("eval", help="trajectory error against ground truth")
     ev.add_argument("est", help="estimated trajectory (TUM format)")
     ev.add_argument("gt", help="ground-truth trajectory (TUM format)")
-    ev.add_argument("--align", choices=trajeval.ALIGN_MODES, default="sim3")
-    ev.add_argument("--scale", choices=trajeval.SCALE_MODES, default="none",
-                    help="relative-translation rescaling")
-    ev.add_argument("--estimates", default=None,
-                    help="estimates CSV for sampling-spread columns")
-    ev.add_argument("--name", default=None, help="scenario column value")
-    ev.add_argument("--out", required=True)
+    ev.add_argument("--estimates", help="estimates CSV for sampling-spread columns")
+    ev.add_argument("--name", help="scenario column value")
     ev.set_defaults(func=cmd_eval)
 
-    ablate = sub.add_parser("ablate-steps",
-                            help="ATE versus integrator step count")
-    ablate.add_argument("--checkpoint", required=True)
-    ablate.add_argument("--dataset", required=True)
     ablate.add_argument("--gt", required=True,
                         help="ground-truth trajectory (TUM format)")
     ablate.add_argument("--steps", type=_step_list, default=[2, 5, 10],
                         help="comma-separated step counts")
-    ablate.add_argument("--method", choices=sampler.SOLVER_METHODS,
-                        default="midpoint")
-    ablate.add_argument("--samples", type=_number(int, 1), default=10)
-    ablate.add_argument("--align", choices=trajeval.ALIGN_MODES, default="sim3")
-    ablate.add_argument("--scale", choices=trajeval.SCALE_MODES, default="none")
-    ablate.add_argument("--seed", type=_number(int, 0), default=0)
-    ablate.add_argument("--out", required=True)
     ablate.set_defaults(func=cmd_ablate_steps)
 
+    for command in sub.choices.values():
+        command.add_argument("--out", required=True, help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = _out_dir(args)
+        args.func(args, out).write(out)
+        return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

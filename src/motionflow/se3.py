@@ -173,24 +173,25 @@ def _quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def _quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _quat_rotate(q: np.ndarray, v: np.ndarray) -> tuple:
     """Rotate vector v by unit quaternion q (Rodrigues via two cross products).
 
     t = 2 u x v and the result is v + w t + u x t, with u the vector part of
     q.  The cross products are written out per component on Python floats:
     the same products and differences np.cross forms, at a fraction of its
-    call overhead on 3-vectors.
+    call overhead on 3-vectors.  The result stays three Python floats, so
+    callers finish their sums on them: an overflow is inf, with no warning.
     """
     w, ux, uy, uz = q.tolist()
     vx, vy, vz = v.tolist()
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)
-    return np.array([
+    return (
         vx + w * tx + (uy * tz - uz * ty),
         vy + w * ty + (uz * tx - ux * tz),
         vz + w * tz + (ux * ty - uy * tx),
-    ])
+    )
 
 
 def exp_map(rho) -> Rotation:
@@ -245,7 +246,9 @@ def log_map(rotation: Rotation) -> np.ndarray:
 def compose(a: RelativePose, b: RelativePose) -> RelativePose:
     """Transform composition a then b in a's frame: (R_a R_b, R_a t_b + t_a)."""
     q = _quat_multiply(a.rotation.q, b.rotation.q)
-    t = _quat_rotate(a.rotation.q, b.translation) + a.translation
+    rx, ry, rz = _quat_rotate(a.rotation.q, b.translation)
+    ax, ay, az = a.translation.tolist()
+    t = [rx + ax, ry + ay, rz + az]
     rot = _frozen(Rotation, q=_canonical(q.tolist(), math.sqrt(q.dot(q))))
     return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))
 
@@ -253,7 +256,7 @@ def compose(a: RelativePose, b: RelativePose) -> RelativePose:
 def inverse(pose: RelativePose) -> RelativePose:
     """Inverse transform: (R^T, -R^T t)."""
     q_inv = _quat_conjugate(pose.rotation.q)
-    t = -_quat_rotate(q_inv, pose.translation)
+    t = [-r for r in _quat_rotate(q_inv, pose.translation)]
     # q_inv has the norm of an accepted q: only the sign rule can apply.
     rot = _frozen(Rotation, q=_canonical(q_inv.tolist(), 1.0))
     return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))

@@ -434,6 +434,18 @@ class TestTopLevel:
         assert run_cli(*argv, "--out", out) == 2
         assert f"--out {out} is not a directory" in capsys.readouterr().err
 
+    def test_unwritable_manifest_exits_1_after_the_summary(self, tmp_path, capsys):
+        """main writes the manifest once the command has written its artifacts
+        and printed its summary line, so a manifest.json that cannot be
+        written exits 1 and leaves that line and the artifacts in place."""
+        out = tmp_path / "data"
+        (out / "manifest.json").mkdir(parents=True)
+        assert run_cli("gen", "--n", 9, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote 8 pairs to {out / 'dataset.csv'}\n"
+        assert captured.err.startswith("error: ") and "manifest.json" in captured.err
+        assert (out / "dataset.csv").is_file() and (out / "gt.tum").is_file()
+
     def test_every_manifest_records_environment(self, tmp_path):
         data = gen_small(tmp_path)
         ckpt = untrained_checkpoint(tmp_path)
@@ -451,6 +463,113 @@ class TestTopLevel:
                 "platform": platform.platform()}
         for directory in [data, run] + [tmp_path / name for name in argvs]:
             assert read_manifest(directory)["environment"] == want
+
+    def test_manifest_records_every_input(self, tmp_path):
+        """inputs holds exactly the input files given, by flag name, each
+        spelled as Path spells it; the other keys are unchanged."""
+        def given(path):  # a spelling Path normalizes
+            return f"{path.parent}/./{path.name}"
+
+        data = gen_small(tmp_path)
+        first = train_small(tmp_path, data, "first", epochs=2)
+        cfg = tmp_path / "first.cfg"
+        dataset, gt, ckpt = data / "dataset.csv", data / "gt.tum", first / "checkpoint.txt"
+        inf = tmp_path / "inf"
+        runs = {
+            "train": (["--dataset", given(dataset), "--config", given(cfg),
+                       "--checkpoint", given(ckpt)],
+                      {"dataset": dataset, "config": cfg, "checkpoint": ckpt}),
+            "infer": (["--checkpoint", given(ckpt), "--dataset", given(dataset), "--samples", 2],
+                      {"checkpoint": ckpt, "dataset": dataset}),
+            "eval": ([given(inf / "est.tum"), given(gt),
+                      "--estimates", given(inf / "estimates.csv")],
+                     {"est": inf / "est.tum", "gt": gt, "estimates": inf / "estimates.csv"}),
+            "ablate-steps": (["--checkpoint", given(ckpt), "--dataset", given(dataset),
+                              "--gt", given(gt), "--steps", "1", "--samples", 1],
+                             {"checkpoint": ckpt, "dataset": dataset, "gt": gt}),
+        }
+        config_keys = {
+            "gen": {"kind", "n", "ambiguity", "noise_sigma", "cond_dim", "name", "lift_seed"},
+            "train": {"train", "resumed", "net"},
+            "infer": {"solver", "samples"},
+            "eval": {"align", "scale", "name"},
+            "ablate-steps": {"method", "steps", "samples", "align", "scale"},
+        }
+        counts_keys = {"infer": {"nfe_per_sample"}, "ablate-steps": {"nfe_per_sample"}}
+        outs = {"gen": data}
+        for command, (argv, inputs) in runs.items():
+            outs[command] = inf if command == "infer" else tmp_path / command
+            assert run_cli(command, *argv, "--out", outs[command]) == 0
+            assert read_manifest(outs[command])["inputs"] == \
+                {flag: str(path) for flag, path in inputs.items()}
+        assert read_manifest(data)["inputs"] == {}
+        for command, out in outs.items():
+            manifest = read_manifest(out)
+            assert set(manifest) == {"command", "seed", "config", "inputs", "outputs",
+                                     "counts", "timings", "environment", "version"}
+            assert manifest["command"] == command
+            assert set(manifest["config"]) == config_keys[command]
+            assert set(manifest["counts"]) == counts_keys.get(command, set())
+
+
+# Each command's shortest valid argv and what it parses to, without func.
+PARSED = {
+    "gen": (["gen", "--out", "o"],
+            {"command": "gen", "kind": "figure8", "n": 200, "ambiguity": 0.0, "noise": 0.0,
+             "cond_dim": 16, "name": None, "seed": 0, "out": "o"}),
+    "train": (["train", "--dataset", "d", "--out", "o"],
+              {"command": "train", "dataset": "d", "config": None, "checkpoint": None,
+               "seed": None, "out": "o"}),
+    "infer": (["infer", "--checkpoint", "c", "--dataset", "d", "--out", "o"],
+              {"command": "infer", "checkpoint": "c", "dataset": "d", "method": "midpoint",
+               "steps": 5, "samples": 10, "seed": 0, "out": "o"}),
+    "eval": (["eval", "e", "g", "--out", "o"],
+             {"command": "eval", "est": "e", "gt": "g", "align": "sim3", "scale": "none",
+              "estimates": None, "name": None, "out": "o"}),
+    "ablate-steps": (["ablate-steps", "--checkpoint", "c", "--dataset", "d", "--gt", "g",
+                      "--out", "o"],
+                     {"command": "ablate-steps", "checkpoint": "c", "dataset": "d", "gt": "g",
+                      "steps": [2, 5, 10], "method": "midpoint", "samples": 10, "align": "sim3",
+                      "scale": "none", "seed": 0, "out": "o"}),
+}
+
+
+def without_one_required(argv):
+    """argv minus each of its flag-value pairs and positionals in turn."""
+    i = 1
+    while i < len(argv):
+        width = 2 if argv[i].startswith("--") else 1
+        yield argv[:i] + argv[i + width:]
+        i += width
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", PARSED)
+    def test_shortest_argv_parses_to_the_same_values(self, command):
+        argv, want = PARSED[command]
+        args = vars(cli.build_parser().parse_args(argv))
+        args.pop("func")
+        assert args == want
+
+    @pytest.mark.parametrize("argv", [
+        argv for shortest, _ in PARSED.values() for argv in without_one_required(shortest)
+    ] + [
+        PARSED["gen"][0] + ["--seed", "-1"],
+        PARSED["gen"][0] + ["--checkpoint", "c"],
+        PARSED["train"][0] + ["--seed", "x"],
+        PARSED["train"][0] + ["--samples", "3"],
+        PARSED["infer"][0] + ["--steps", "1,2"],
+        PARSED["infer"][0] + ["--samples", "0"],
+        PARSED["infer"][0] + ["--align", "se3"],
+        PARSED["eval"][0] + ["--scale", "x"],
+        PARSED["eval"][0] + ["--seed", "1"],
+        PARSED["ablate-steps"][0] + ["--steps", "0"],
+        PARSED["ablate-steps"][0] + ["--method", "x"],
+    ], ids=" ".join)
+    def test_missing_or_invalid_flag_exits_2(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        assert not Path("o").exists()
 
 
 class TestMalformedInputs:
@@ -566,3 +685,28 @@ class TestMalformedInputs:
         assert run_cli(*args, "--checkpoint", files["good"], "--dataset",
                        files["header_only"], "--out", tmp_path / "out") == 2
         assert "dataset has no rows" in capsys.readouterr().err
+
+    @pytest.fixture
+    def overflowing(self, files, tmp_path):
+        """The ground truth with poses 1 and 2 moved to (1e308, 0, 0) and
+        (-1e308, 1, 0): the motion between them overflows."""
+        lines = files["gt"].read_text().splitlines()
+        for i, position in ((1, "1e308 0 0"), (2, "-1e308 1 0")):
+            lines[i] = f"{lines[i].split()[0]} {position} 0 0 0 1"
+        path = tmp_path / "overflowing.tum"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "{bad}", "{bad}", "--align", "none", "--scale", "per_pair"],
+        ["eval", "{bad}", "{gt}", "--scale", "global"],
+        ["eval", "{gt}", "{bad}", "--scale", "per_pair"],
+        ["ablate-steps", "--checkpoint", "{good}", "--dataset", "{dataset}", "--gt", "{bad}",
+         "--steps", "1", "--samples", "1", "--scale", "per_pair"],
+    ], ids=["eval-both", "eval-est", "eval-gt", "ablate-gt"])
+    def test_overflowing_motion_names_its_file(self, files, overflowing, argv, tmp_path,
+                                               capsys):
+        args = [arg.format(bad=overflowing, **files) for arg in argv]
+        assert run_cli(*args, "--out", tmp_path / "out") == 2
+        assert f"error: bad trajectory: {overflowing}: a relative motion overflows" \
+            in capsys.readouterr().err

@@ -403,7 +403,7 @@ class TestCheckedBuilders:
             assert same_bits(got.translation, want.translation), (qa, qb)
             q_inv = se3._quat_conjugate(qa)
             got = se3.inverse(a)
-            want = se3.RelativePose(se3.Rotation(q_inv), -se3._quat_rotate(q_inv, a.translation))
+            want = se3.RelativePose(se3.Rotation(q_inv), -np.array(se3._quat_rotate(q_inv, a.translation)))
             assert same_bits(got.rotation.q, want.rotation.q), qa
             assert same_bits(got.translation, want.translation), qa
 
@@ -427,6 +427,12 @@ class TestCheckedBuilders:
         for build in (lambda: se3.inverse(turned), lambda: se3.compose(turned, turned)):
             with pytest.raises(ValueError, match="^translation contains non-finite values"):
                 build()
+
+    def test_overflowing_compose_is_rejected_without_a_warning(self):
+        big = se3.RelativePose(se3.Rotation.identity(), [1e308, 0.0, 0.0])
+        with pytest.raises(ValueError) as err:
+            se3.compose(big, big)
+        assert str(err.value) == "translation contains non-finite values: [inf  0.  0.]"
 
 
 class TestStateChart:
