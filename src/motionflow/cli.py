@@ -171,11 +171,15 @@ def _motions(traj, path):
 def _ate(est, gt, args, est_path=None) -> float:
     """ATE of est (read from est_path, or computed) against gt, read from
     args.gt, after rescaling est's relative translations by args.scale."""
-    if args.scale != "none":
-        est_rels = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
-        est = trajeval.compose_trajectory(est.poses[0], trajeval.scale_align(
-            est_rels, _motions(gt, args.gt), args.scale))
-    return trajeval.ate(est, gt, args.align)
+    try:
+        if args.scale != "none":
+            est_rels = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
+            est = trajeval.compose_trajectory(est.poses[0], trajeval.scale_align(
+                est_rels, _motions(gt, args.gt), args.scale))
+        return trajeval.ate(est, gt, args.align)
+    except FloatingPointError as err:
+        raise UsageError(f"bad trajectories: the ATE of {est_path or 'the estimates'} "
+                         f"against {args.gt} overflows the float range: {err}")
 
 
 # --- subcommands ----------------------------------------------------------------

@@ -86,13 +86,16 @@ def compose_trajectory(start: se3.RelativePose, rels) -> Trajectory:
     return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
 
 
+@np.errstate(over="raise", invalid="raise")
 def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
     """Rescale estimated translations against ground truth; rotations untouched.
 
     per_pair: each estimate takes its ground-truth pair's translation norm
     (pairs with zero ground-truth norm, or zero estimated norm, pass
     through unchanged).  global: one least-squares scale
-    s* = sum<est, gt> / sum<est, est> applied to every pair.
+    s* = sum<est, gt> / sum<est, est> applied to every pair.  Raises
+    FloatingPointError, and warns nothing, when a norm, a sum, a scale or
+    a rescaled translation overflows.
     """
     est_rels, gt_rels = list(est_rels), list(gt_rels)
     if len(est_rels) != len(gt_rels):
@@ -108,14 +111,19 @@ def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
             est_norm = float(np.linalg.norm(est.translation))
             if gt_norm == 0.0 or est_norm == 0.0:
                 out.append(est)
-            else:
-                out.append(se3.RelativePose(
-                    est.rotation, est.translation * (gt_norm / est_norm)))
+                continue
+            ratio = gt_norm / est_norm
+            if not math.isfinite(ratio):
+                raise FloatingPointError(
+                    f"overflow encountered in the scale {gt_norm} / {est_norm}")
+            out.append(se3.RelativePose(est.rotation, est.translation * ratio))
         return out
     num = sum(float(np.dot(e.translation, g.translation))
               for e, g in zip(est_rels, gt_rels))
     den = sum(float(np.dot(e.translation, e.translation)) for e in est_rels)
     s = num / den if den > 0.0 else 1.0
+    if not (math.isfinite(den) and math.isfinite(s)):
+        raise FloatingPointError(f"overflow encountered in the scale {num} / {den}")
     return [se3.RelativePose(e.rotation, e.translation * s) for e in est_rels]
 
 
@@ -172,8 +180,13 @@ def umeyama_align(est: Trajectory, gt: Trajectory, with_scale: bool = True) -> A
     return Alignment(scale, rot_matrix, trans, rmse)
 
 
+@np.errstate(over="raise", invalid="raise")
 def ate(est: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
-    """Absolute trajectory error (RMSE, meters) after the requested alignment."""
+    """Absolute trajectory error (RMSE, meters) after the requested alignment.
+
+    Raises FloatingPointError, and warns nothing, when positions lie so
+    near the float range that a step of the computation overflows.
+    """
     if align not in ALIGN_MODES:
         raise ValueError(f"unknown align mode {align!r}; expected one of {ALIGN_MODES}")
     if len(est) != len(gt):

@@ -187,6 +187,43 @@ def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+# Largest rows * dim whose shared time features are cached: 64 entries then
+# hold at most 8 MiB.  Above it sin/cos are a small share of a field call.
+_SHARED_TIME_FLOATS = 2 ** 14
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_time_features(tau_hex: str, rows: int, dim: int) -> np.ndarray:
+    """Read-only _time_features of one time on each of rows rows.  Keyed by
+    tau.hex(), so -0.0 and 0.0 keep their own (sign-carrying) sines."""
+    out = _time_features(np.full(rows, float.fromhex(tau_hex)), dim)
+    out.flags.writeable = False
+    return out
+
+
+def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
+    """The condition MLP's activations on (B, cond_dim) rows."""
+    if conds.shape[1] != net.config.cond_dim:
+        raise ValueError(
+            f"condition dim {conds.shape[1]} does not match network cond_dim "
+            f"{net.config.cond_dim}"
+        )
+    return _forward_chain(net.cond_embed, conds, True)
+
+
+def embed_condition(net: VectorFieldNet, cond: ConditionVector, rows: int) -> np.ndarray:
+    """Read-only (rows, cond_embed_dim) output of the condition branch on
+    cond repeated over rows rows: forward_batch's embedded= argument.
+
+    The branch runs at the row count of the states it will be fused with,
+    because BLAS rounding depends on the row count; the result then equals
+    the branch's output inside forward_batch bit for bit.
+    """
+    out = _condition_branch(net, np.broadcast_to(cond.values, (rows, cond.dim)))[-1]
+    out.flags.writeable = False
+    return out
+
+
 def _forward_chain(layers, x, linear_last: bool) -> list:
     """Run x through (weight, bias) layers, each followed by tanh except a
     linear last one; returns each layer's input, then the chain's output."""
@@ -212,23 +249,36 @@ def _backward_chain(layers, grads, acts, d: np.ndarray, linear_last: bool) -> np
     return d
 
 
-def forward_batch(net: VectorFieldNet, states: np.ndarray, taus: np.ndarray,
-                  conds: np.ndarray, keep_cache: bool = False):
+def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
+                  keep_cache: bool = False, *, embedded=None):
     """Batched field evaluation: (B,6), (B,), (B,k) -> (B,6) velocities.
 
+    taus may be one float time for every row; its features then come from
+    a cache keyed by (tau, B, time_embed_dim) and bounded in entries and
+    bytes.  In place of conds, embedded may give the (B, cond_embed_dim)
+    output of embed_condition, so a caller that evaluates one condition
+    many times runs its branch once.  Either way the velocities are the
+    same bit for bit.
+
     With keep_cache=True also returns the intermediate activations needed
-    by backward_batch.
+    by backward_batch; that needs raw conds.
     """
     cfg = net.config
-    if conds.shape[1] != cfg.cond_dim:
-        raise ValueError(
-            f"condition dim {conds.shape[1]} does not match network cond_dim "
-            f"{cfg.cond_dim}"
-        )
+    if embedded is None:
+        cond_acts = _condition_branch(net, conds)
+        embedded = cond_acts[-1]
+    elif conds is not None or keep_cache:
+        raise ValueError("embedded replaces conds and keeps no condition activations "
+                         "for backward_batch; pass conds alone")
     state_acts = _forward_chain([net.state_embed], states, True)
-    cond_acts = _forward_chain(net.cond_embed, conds, True)
-    fused = np.concatenate([_time_features(taus, cfg.time_embed_dim), state_acts[-1],
-                            cond_acts[-1]], axis=1)
+    rows, dim = len(states), cfg.time_embed_dim
+    if not isinstance(taus, float):
+        time = _time_features(taus, dim)
+    elif rows * dim <= _SHARED_TIME_FLOATS:
+        time = _shared_time_features(taus.hex(), rows, dim)
+    else:
+        time = _time_features(np.full(rows, taus), dim)
+    fused = np.concatenate([time, state_acts[-1], embedded], axis=1)
     trunk_acts = _forward_chain(net.layers, fused, False)
     rot_acts = _forward_chain(net.head_rot, trunk_acts[-1], True)
     trans_acts = _forward_chain(net.head_trans, trunk_acts[-1], True)

@@ -710,3 +710,28 @@ class TestMalformedInputs:
         assert run_cli(*args, "--out", tmp_path / "out") == 2
         assert f"error: bad trajectory: {overflowing}: a relative motion overflows" \
             in capsys.readouterr().err
+
+    # Positions of b; c mirrors them in x.  Every relative motion is finite,
+    # but est - gt, the centroids or the scale sums overflow.
+    FAR = [(1e308, 0, 0), (1e308, 1, 0), (1e308, 0, 1), (1e308, 1, 1)]
+    JUMPING = [(0, 0, 0), (1e308, 1, 0), (0, 2, 0), (1e308, 3, 0)]
+
+    @pytest.mark.parametrize("positions, flags", [
+        (FAR, ["--align", "none"]), (FAR, ["--align", "se3"]), (FAR, ["--align", "sim3"]),
+        (FAR, ["--align", "none", "--scale", "per_pair"]),
+        (JUMPING, ["--align", "none", "--scale", "global"]),
+    ], ids=["none", "se3", "sim3", "none-per-pair", "jumping-global"])
+    def test_positions_near_float_range_name_both_files(self, positions, flags, tmp_path,
+                                                        capsys, recwarn):
+        paths = []
+        for name, sign in (("b", 1), ("c", -1)):
+            path = tmp_path / f"{name}.tum"
+            path.write_text("".join(f"{i} {sign * x} {y} {z} 0 0 0 1\n"
+                                    for i, (x, y, z) in enumerate(positions)))
+            paths.append(path)
+        out = tmp_path / "out"
+        assert run_cli("eval", *paths, *flags, "--out", out) == 2
+        assert (f"error: bad trajectories: the ATE of {paths[0]} against {paths[1]} "
+                "overflows the float range") in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "metrics.csv").exists()

@@ -7,6 +7,7 @@ recompute (for midpoint with 5 steps the factor is 1.22^5).
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ import pytest
 from motionflow import sampler, se3, vfnet
 
 RNG = np.random.default_rng
+
+KEPT_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                   / "perfbench" / "data" / "figure8_checkpoint.txt")
 
 
 def small_net(seed=0):
@@ -163,6 +167,40 @@ class TestIntegrateNet:
                 got = integrate_net(net, x0, cond, sampler.SolverConfig(method, steps))
                 assert np.max(np.abs(got - (x0 + v))) < 1e-15
 
+    @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
+    def test_condition_branch_runs_once_per_estimate(self, method, monkeypatch):
+        net = small_net(25)
+        cond = vfnet.ConditionVector(np.array([0.3, -0.1, 0.2, 0.5]))
+        config = sampler.SolverConfig(method, 3)
+        calls = {"branch": 0, "forward": 0}
+        real_chain, real_forward = vfnet._forward_chain, vfnet.forward_batch
+
+        def chain(layers, x, linear_last):
+            calls["branch"] += layers is net.cond_embed
+            return real_chain(layers, x, linear_last)
+
+        def forward(*args, **kwargs):
+            calls["forward"] += 1
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(vfnet, "_forward_chain", chain)
+        monkeypatch.setattr(vfnet, "forward_batch", forward)
+        sampler.estimate_pose(net, cond, config, 5, RNG(26))
+        assert calls == {"branch": 1, "forward": config.nfe_per_sample}
+
+    @pytest.mark.parametrize("method, m", [("midpoint", 10), ("rk4", 32)])
+    def test_batched_rows_match_single_rows_to_tolerance(self, method, m):
+        # BLAS rounding depends on the row count, so a row integrated in a
+        # batch of m agrees with the same row integrated alone only to
+        # rounding, not bit for bit.
+        net = vfnet.load_checkpoint(KEPT_CHECKPOINT)
+        cond = vfnet.ConditionVector(RNG(27).standard_normal(net.config.cond_dim))
+        config = sampler.SolverConfig(method, 5)
+        x0 = se3.sample_initial_batch(RNG(28), m)
+        batched = integrate_net(net, x0, cond, config)
+        single = np.stack([integrate_net(net, row, cond, config) for row in x0])
+        assert np.max(np.abs(batched - single)) <= 1e-14
+
     def test_rejects_mismatched_condition(self):
         net = small_net(3)
         with pytest.raises(ValueError, match="condition dim"):
@@ -258,13 +296,15 @@ class TestEstimateSequence:
         net = small_net(17)
         rng = RNG(18)
         conds = [vfnet.ConditionVector(rng.standard_normal(4)) for _ in range(3)]
-        poisoned = conds[1].values
+        # The field passes element 1's condition as its embedding, which
+        # is exact: compare with the branch's output at the same rows.
+        poisoned = vfnet.embed_condition(net, conds[1], 2)
         real_forward = vfnet.forward_batch
 
-        def tampered(net_, states, taus, cond_rows, keep_cache=False):
-            if np.array_equal(cond_rows[0], poisoned):
+        def tampered(net_, states, taus, conds=None, keep_cache=False, *, embedded=None):
+            if embedded is not None and np.array_equal(embedded, poisoned):
                 return np.full((states.shape[0], 6), np.nan)
-            return real_forward(net_, states, taus, cond_rows, keep_cache)
+            return real_forward(net_, states, taus, conds, keep_cache, embedded=embedded)
 
         monkeypatch.setattr(vfnet, "forward_batch", tampered)
         with pytest.raises(sampler.IntegrationDivergedError, match=r"\[1\]"):

@@ -170,6 +170,19 @@ class TestScaleAlign:
         with pytest.raises(ValueError):
             trajeval.scale_align(rels, rels, "per_frame")
 
+    @pytest.mark.parametrize("mode, est, gt", [
+        ("per_pair", [[1e200, 0, 0]], [[1, 0, 0]]),              # a norm overflows
+        ("per_pair", [[1e-160, 1e-160, 1e-160]], [[1e150, 0, 0]]),  # only the ratio does
+        ("global", [[1e154, 0, 0]] * 2, [[1, 0, 0]] * 2),        # only the sum does
+    ], ids=["per-pair-norm", "per-pair-ratio", "global-sum"])
+    def test_overflow_raises_without_a_warning(self, mode, est, gt, recwarn):
+        def rels(translations):
+            return [se3.RelativePose(se3.Rotation.identity(), t) for t in translations]
+
+        with pytest.raises(FloatingPointError, match="overflow"):
+            trajeval.scale_align(rels(est), rels(gt), mode)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestUmeyama:
     def test_identity_when_equal(self):
@@ -340,6 +353,18 @@ class TestAte:
             scaled = transform_trajectory(est, s, se3.Rotation.identity(),
                                           np.zeros(3))
             assert abs(trajeval.ate(scaled, gt, "sim3") - base) < 1e-9
+
+    @pytest.mark.parametrize("align", trajeval.ALIGN_MODES)
+    def test_overflow_raises_without_a_warning(self, align, recwarn):
+        # Finite positions whose differences and centroids overflow.
+        def traj(x):
+            return trajeval.Trajectory(np.arange(4.0), [
+                se3.RelativePose(se3.Rotation.identity(), [x, y, z])
+                for y, z in ((0, 0), (1, 0), (0, 1), (1, 1))])
+
+        with pytest.raises(FloatingPointError, match="overflow"):
+            trajeval.ate(traj(1e308), traj(-1e308), align)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_rejects_bad_mode_and_lengths(self):
         traj = synthworld.make_trajectory("random-walk", 5, RNG(20))

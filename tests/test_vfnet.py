@@ -208,6 +208,71 @@ class TestForward:
             forward_one(net, np.zeros(6), 0.5, np.zeros(9))
 
 
+@pytest.fixture(params=["small", "kept"])
+def any_net(request):
+    if request.param == "kept":
+        return vfnet.load_checkpoint(KEPT_CHECKPOINT)
+    return random_net(RNG(30), SMALL_CONFIG)
+
+
+class TestSharedInvariants:
+    """A scalar tau and an embedded condition stand in for the per-row
+    inputs without changing a bit of the velocities."""
+
+    # 1100 rows are cached on the small net and computed afresh on the kept
+    # one, whose time features are four times wider.
+    @pytest.mark.parametrize("rows", [1, 10, 32, 1100])
+    def test_scalar_tau_and_embedding_match_rows(self, any_net, rows):
+        rng = RNG(31)
+        cfg = any_net.config
+        states = rng.standard_normal((rows, 6))
+        cond = vfnet.ConditionVector(rng.standard_normal(cfg.cond_dim))
+        conds = np.broadcast_to(cond.values, (rows, cfg.cond_dim))
+        embedded = vfnet.embed_condition(any_net, cond, rows)
+        for tau in (0.0, -0.0, 0.1, 0.5, 0.1 + 0.05, 1.0, 0.7381):
+            want = vfnet.forward_batch(any_net, states, np.full(rows, tau), conds)
+            for got in (vfnet.forward_batch(any_net, states, tau, conds),
+                        vfnet.forward_batch(any_net, states, np.full(rows, tau),
+                                            embedded=embedded),
+                        vfnet.forward_batch(any_net, states, tau, embedded=embedded)):
+                assert got.tobytes() == want.tobytes(), tau
+
+    def test_embedding_refuses_backward_and_raw_conds(self):
+        net = random_net(RNG(32), SMALL_CONFIG)
+        cond = vfnet.ConditionVector(np.ones(5))
+        embedded = vfnet.embed_condition(net, cond, 2)
+        assert not embedded.flags.writeable
+        with pytest.raises(ValueError, match="backward_batch"):
+            vfnet.forward_batch(net, np.zeros((2, 6)), 0.5, keep_cache=True,
+                                embedded=embedded)
+        with pytest.raises(ValueError, match="conds alone"):
+            vfnet.forward_batch(net, np.zeros((2, 6)), 0.5, np.ones((2, 5)),
+                                embedded=embedded)
+
+    def test_embedding_rejects_mismatched_condition(self):
+        net = vfnet.init_params(RNG(33), SMALL_CONFIG)
+        with pytest.raises(ValueError, match="condition dim 9 does not match"):
+            vfnet.embed_condition(net, vfnet.ConditionVector(np.zeros(9)), 3)
+
+    def test_time_feature_cache_is_read_only_and_bounded(self):
+        cache = vfnet._shared_time_features
+        bound = cache.cache_info().maxsize
+        for tau in np.linspace(0.0, 1.0, 1000):
+            features = cache(float(tau).hex(), 3, 4)
+            assert not features.flags.writeable
+            assert cache.cache_info().currsize <= bound
+        # Entries above the byte bound are not cached.
+        net = random_net(RNG(34), SMALL_CONFIG)
+        rows = vfnet._SHARED_TIME_FLOATS // SMALL_CONFIG.time_embed_dim + 1
+        before = cache.cache_info()
+        vfnet.forward_batch(net, np.zeros((rows, 6)), 0.25, np.zeros((rows, 5)))
+        assert cache.cache_info() == before
+        assert features.tobytes() == vfnet._time_features(np.full(3, 1.0), 4).tobytes()
+        for tau in (0.0, -0.0):  # equal keys as floats, but sin keeps the sign
+            assert (cache(tau.hex(), 3, 4).tobytes()
+                    == vfnet._time_features(np.full(3, tau), 4).tobytes())
+
+
 class TestBackward:
     def test_finite_difference_oracle(self):
         """Analytic gradients vs central differences, 20 random tuples."""
