@@ -11,9 +11,9 @@ Solvers are deliberately plain fixed-step schemes (euler, midpoint, rk4)
 so their convergence orders can be verified directly.
 
 The condition is fixed within one estimate, so its branch of the network
-runs once per estimate (vfnet.embed_condition) and every stage's
-forward_batch call reuses it; each stage passes its tau as a scalar, whose
-time features vfnet caches per (tau, rows).
+runs once per estimate, at the estimate's m rows (vfnet.embed_condition),
+and every stage's forward_batch call reuses it; each stage passes its tau
+as a scalar, whose time features vfnet caches as one row per (tau, rows).
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Integrate dx/dtau = field(x, tau) from tau 0 to 1, batched.
 
     field maps ((B, 6) states, scalar tau) -> (B, 6) velocities; x0 is
-    (B, 6).  Raises IntegrationDivergedError naming the step and the first
-    offending batch row if the state leaves the finite range.
+    (B, 6), or one 6-vector, integrated as one row and returned as a
+    6-vector.  Raises IntegrationDivergedError naming the step and the
+    first offending batch row if the state leaves the finite range.
     """
     x = np.array(x0, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -118,18 +119,11 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
     return x[0] if squeeze else x
 
 
-def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector):
-    """field(x, tau) of net under cond.  The condition branch runs once per
-    row count, not at every stage; each stage still calls forward_batch."""
-    embedded = {}  # row count -> the condition branch's output at that many rows
-
-    def field(x, tau):
-        rows = x.shape[0]
-        if rows not in embedded:
-            embedded[rows] = vfnet.embed_condition(net, cond, rows)
-        return vfnet.forward_batch(net, x, tau, embedded=embedded[rows])
-
-    return field
+def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector, rows: int):
+    """field(x, tau) of net under cond on (rows, 6) states.  The condition
+    branch runs once, here; each stage still calls forward_batch."""
+    embedded = vfnet.embed_condition(net, cond, rows)
+    return lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded)
 
 
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
@@ -147,7 +141,7 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
     x0 = se3.sample_initial_batch(rng, m)
-    final = integrate_field(_net_field(net, cond), x0, config)
+    final = integrate_field(_net_field(net, cond, m), x0, config)
     final.setflags(write=False)  # checked finite: the states share its rows
     samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
                for row in final]

@@ -18,6 +18,7 @@ deliberately simpler tool applied to relative motions before composing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,13 +87,20 @@ def compose_trajectory(start: se3.RelativePose, rels) -> Trajectory:
     return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v), sqrt(<v, v>), unless <v, v> underflows; then
+    math.hypot, which scales v before it squares."""
+    sq = float(np.dot(v, v))
+    return math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(*v.tolist())
+
+
 @np.errstate(over="raise", invalid="raise")
 def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
     """Rescale estimated translations against ground truth; rotations untouched.
 
     per_pair: each estimate takes its ground-truth pair's translation norm
-    (pairs with zero ground-truth norm, or zero estimated norm, pass
-    through unchanged).  global: one least-squares scale
+    (pairs whose ground truth or estimate is the zero vector pass through
+    unchanged).  global: one least-squares scale
     s* = sum<est, gt> / sum<est, est> applied to every pair.  Raises
     FloatingPointError, and warns nothing, when a norm, a sum, a scale or
     a rescaled translation overflows.
@@ -107,8 +115,8 @@ def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
     if mode == "per_pair":
         out = []
         for est, gt in zip(est_rels, gt_rels):
-            gt_norm = float(np.linalg.norm(gt.translation))
-            est_norm = float(np.linalg.norm(est.translation))
+            gt_norm = _norm(gt.translation)
+            est_norm = _norm(est.translation)
             if gt_norm == 0.0 or est_norm == 0.0:
                 out.append(est)
                 continue
@@ -118,9 +126,13 @@ def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
                     f"overflow encountered in the scale {gt_norm} / {est_norm}")
             out.append(se3.RelativePose(est.rotation, est.translation * ratio))
         return out
-    num = sum(float(np.dot(e.translation, g.translation))
-              for e, g in zip(est_rels, gt_rels))
-    den = sum(float(np.dot(e.translation, e.translation)) for e in est_rels)
+    est = [e.translation for e in est_rels]
+    # Both sides times one power of two, which leaves s* as it is: the largest
+    # estimated entry is then at least 0.5, so sum<est, est> cannot underflow.
+    k = max(0, -math.frexp(float(np.max(np.abs(est), initial=0.0)))[1])
+    est, gt = np.ldexp(est, k), np.ldexp([g.translation for g in gt_rels], k)
+    num = sum(float(np.dot(e, g)) for e, g in zip(est, gt))
+    den = sum(float(np.dot(e, e)) for e in est)
     s = num / den if den > 0.0 else 1.0
     if not (math.isfinite(den) and math.isfinite(s)):
         raise FloatingPointError(f"overflow encountered in the scale {num} / {den}")

@@ -187,18 +187,13 @@ def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-# Largest rows * dim whose shared time features are cached: 64 entries then
-# hold at most 8 MiB.  Above it sin/cos are a small share of a field call.
-_SHARED_TIME_FLOATS = 2 ** 14
-
-
 @functools.lru_cache(maxsize=64)
 def _shared_time_features(tau_hex: str, rows: int, dim: int) -> np.ndarray:
-    """Read-only _time_features of one time on each of rows rows.  Keyed by
-    tau.hex(), so -0.0 and 0.0 keep their own (sign-carrying) sines."""
-    out = _time_features(np.full(rows, float.fromhex(tau_hex)), dim)
-    out.flags.writeable = False
-    return out
+    """Read-only _time_features of one time on each of rows rows, as one
+    row broadcast with stride 0.  Keyed by tau.hex(), so -0.0 and 0.0 keep
+    their own (sign-carrying) sines."""
+    row = _time_features(np.array([float.fromhex(tau_hex)]), dim)
+    return np.broadcast_to(row, (rows, dim))
 
 
 def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
@@ -254,8 +249,8 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
     """Batched field evaluation: (B,6), (B,), (B,k) -> (B,6) velocities.
 
     taus may be one float time for every row; its features then come from
-    a cache keyed by (tau, B, time_embed_dim) and bounded in entries and
-    bytes.  In place of conds, embedded may give the (B, cond_embed_dim)
+    a 64-entry cache keyed by (tau, B, time_embed_dim) that holds one row
+    per entry.  In place of conds, embedded may give the (B, cond_embed_dim)
     output of embed_condition, so a caller that evaluates one condition
     many times runs its branch once.  Either way the velocities are the
     same bit for bit.
@@ -271,13 +266,10 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
         raise ValueError("embedded replaces conds and keeps no condition activations "
                          "for backward_batch; pass conds alone")
     state_acts = _forward_chain([net.state_embed], states, True)
-    rows, dim = len(states), cfg.time_embed_dim
-    if not isinstance(taus, float):
-        time = _time_features(taus, dim)
-    elif rows * dim <= _SHARED_TIME_FLOATS:
-        time = _shared_time_features(taus.hex(), rows, dim)
+    if isinstance(taus, float):
+        time = _shared_time_features(taus.hex(), len(states), cfg.time_embed_dim)
     else:
-        time = _time_features(np.full(rows, taus), dim)
+        time = _time_features(taus, cfg.time_embed_dim)
     fused = np.concatenate([time, state_acts[-1], embedded], axis=1)
     trunk_acts = _forward_chain(net.layers, fused, False)
     rot_acts = _forward_chain(net.head_rot, trunk_acts[-1], True)

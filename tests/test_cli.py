@@ -299,6 +299,22 @@ class TestEval:
             assert run_cli("eval", data / "gt.tum", data / "gt.tum",
                            "--scale", scale, "--out", out) == 0
 
+    def test_per_pair_rescales_steps_whose_squares_underflow(self, tmp_path):
+        # Steps of about 1e-300 have squared norms that underflow to 0; they
+        # once passed through unscaled and scored as --scale none does.
+        gt, est = tmp_path / "gt.tum", tmp_path / "est.tum"
+        positions = [(i, 0.1 * i * i, 0.0) for i in range(6)]
+        for path, factor in ((gt, 1.0), (est, 1e-300)):
+            path.write_text("".join(f"{i} {x * factor} {y * factor} {z} 0 0 0 1\n"
+                                    for i, (x, y, z) in enumerate(positions)))
+        ate = {}
+        for scale in ("none", "per_pair"):
+            out = tmp_path / scale
+            assert run_cli("eval", est, gt, "--align", "none", "--scale", scale,
+                           "--out", out) == 0
+            ate[scale] = float((out / "metrics.csv").read_text().splitlines()[1].split(",")[3])
+        assert ate["none"] > 1.0 and ate["per_pair"] < 1e-12
+
     @pytest.mark.parametrize("stem, name", [
         ("est", "a,b"), ("est", "a\nb"), ("est,1", None),
     ], ids=["comma-name", "line-break-name", "comma-stem"])

@@ -144,7 +144,8 @@ class TestIntegrateField:
 
 def integrate_net(net, x0, cond, config):
     """One flow trajectory, integrated as estimate_pose integrates its rows."""
-    return sampler.integrate_field(sampler._net_field(net, cond), x0, config)
+    rows = len(np.atleast_2d(x0))
+    return sampler.integrate_field(sampler._net_field(net, cond, rows), x0, config)
 
 
 class TestIntegrateNet:

@@ -170,11 +170,52 @@ class TestScaleAlign:
         with pytest.raises(ValueError):
             trajeval.scale_align(rels, rels, "per_frame")
 
+    @staticmethod
+    def translations(est, gt, mode):
+        def rels(translations):
+            return [se3.RelativePose(se3.Rotation.identity(), t) for t in translations]
+
+        return [o.translation.tolist() for o in trajeval.scale_align(rels(est), rels(gt), mode)]
+
+    # Each square (or product) below underflows to 0 or a subnormal, which
+    # once read as a zero motion and passed the translation through unscaled.
+    @pytest.mark.parametrize("mode, est, gt, want", [
+        ("per_pair", [[1e-200, 0, 0]], [[1, 0, 0]], [[1, 0, 0]]),
+        ("per_pair", [[1, 0, 0]], [[1e-200, 0, 0]], [[1e-200, 0, 0]]),
+        ("per_pair", [[1e-300, 1e-300, 0]], [[1, 0, 0]], [[0.5 ** 0.5, 0.5 ** 0.5, 0]]),
+        ("global", [[1e-170, 1e-170, 0]], [[1e-170, 0, 0]], [[5e-171, 5e-171, 0]]),
+        ("global", [[1e-100, 0, 0]], [[1e-250, 0, 0]], [[1e-250, 0, 0]]),
+        ("global", [[1e-170, 0, 0], [0, 2e-170, 0]], [[0, 0, 1]] * 2, [[0, 0, 0]] * 2),
+    ], ids=["per-pair-est", "per-pair-gt", "per-pair-subnormal", "global-den",
+            "global-num", "global-orthogonal"])
+    def test_underflowing_squares_still_rescale(self, mode, est, gt, want):
+        got = self.translations(est, gt, mode)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("size", [1.0, 1e-3, 1e-140, 1e100])
+    def test_bits_kept_where_nothing_underflows(self, size):
+        rng = RNG(8)
+        est, gt = ([se3.RelativePose(r.rotation, size * r.translation) for r in rels]
+                   for rels in (self.make_rels(rng, 12), self.make_rels(rng, 12)))
+        for e, g, got in zip(est, gt, trajeval.scale_align(est, gt, "per_pair")):
+            ratio = float(np.linalg.norm(g.translation)) / float(np.linalg.norm(e.translation))
+            assert got.translation.tobytes() == (e.translation * ratio).tobytes()
+        num = sum(float(np.dot(e.translation, g.translation)) for e, g in zip(est, gt))
+        den = sum(float(np.dot(e.translation, e.translation)) for e in est)
+        for e, got in zip(est, trajeval.scale_align(est, gt, "global")):
+            assert got.translation.tobytes() == (e.translation * (num / den)).tobytes()
+
+    def test_all_zero_estimates_pass_through_global(self):
+        assert self.translations([[0, 0, 0]], [[1e-170, 0, 0]], "global") == [[0, 0, 0]]
+
     @pytest.mark.parametrize("mode, est, gt", [
         ("per_pair", [[1e200, 0, 0]], [[1, 0, 0]]),              # a norm overflows
         ("per_pair", [[1e-160, 1e-160, 1e-160]], [[1e150, 0, 0]]),  # only the ratio does
         ("global", [[1e154, 0, 0]] * 2, [[1, 0, 0]] * 2),        # only the sum does
-    ], ids=["per-pair-norm", "per-pair-ratio", "global-sum"])
+        ("per_pair", [[1e-300, 1e-300, 0]], [[1e10, 0, 0]]),     # the ratio of
+        ("global", [[5e-324, 0, 0]], [[1e10, 0, 0]]),            # underflowing sums
+    ], ids=["per-pair-norm", "per-pair-ratio", "global-sum", "per-pair-tiny-ratio",
+            "global-tiny-scale"])
     def test_overflow_raises_without_a_warning(self, mode, est, gt, recwarn):
         def rels(translations):
             return [se3.RelativePose(se3.Rotation.identity(), t) for t in translations]

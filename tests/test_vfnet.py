@@ -219,9 +219,9 @@ class TestSharedInvariants:
     """A scalar tau and an embedded condition stand in for the per-row
     inputs without changing a bit of the velocities."""
 
-    # 1100 rows are cached on the small net and computed afresh on the kept
-    # one, whose time features are four times wider.
-    @pytest.mark.parametrize("rows", [1, 10, 32, 1100])
+    # Every row count reads the cache, which holds one broadcast row of
+    # time features per entry; 20000 rows is far above any command's m.
+    @pytest.mark.parametrize("rows", [1, 10, 32, 1100, 20000])
     def test_scalar_tau_and_embedding_match_rows(self, any_net, rows):
         rng = RNG(31)
         cfg = any_net.config
@@ -261,13 +261,12 @@ class TestSharedInvariants:
             features = cache(float(tau).hex(), 3, 4)
             assert not features.flags.writeable
             assert cache.cache_info().currsize <= bound
-        # Entries above the byte bound are not cached.
-        net = random_net(RNG(34), SMALL_CONFIG)
-        rows = vfnet._SHARED_TIME_FLOATS // SMALL_CONFIG.time_embed_dim + 1
-        before = cache.cache_info()
-        vfnet.forward_batch(net, np.zeros((rows, 6)), 0.25, np.zeros((rows, 5)))
-        assert cache.cache_info() == before
         assert features.tobytes() == vfnet._time_features(np.full(3, 1.0), 4).tobytes()
+        # An entry holds one row of dim floats, whatever its row count.
+        wide = cache((0.25).hex(), 20000, 16)
+        assert wide.shape == (20000, 16) and wide.strides[0] == 0
+        low, high = np.lib.array_utils.byte_bounds(wide)
+        assert high - low == 16 * wide.itemsize
         for tau in (0.0, -0.0):  # equal keys as floats, but sin keeps the sign
             assert (cache(tau.hex(), 3, 4).tobytes()
                     == vfnet._time_features(np.full(3, tau), 4).tobytes())
