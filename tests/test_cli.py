@@ -300,8 +300,8 @@ class TestEval:
                            "--scale", scale, "--out", out) == 0
 
     def test_per_pair_rescales_steps_whose_squares_underflow(self, tmp_path):
-        # Steps of about 1e-300 have squared norms that underflow to 0; they
-        # once passed through unscaled and scored as --scale none does.
+        # Steps of about 1e-300 have squared norms that underflow to 0, but
+        # they are motions: per_pair rescales them to the ground truth's.
         gt, est = tmp_path / "gt.tum", tmp_path / "est.tum"
         positions = [(i, 0.1 * i * i, 0.0) for i in range(6)]
         for path, factor in ((gt, 1.0), (est, 1e-300)):

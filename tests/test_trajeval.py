@@ -177,8 +177,8 @@ class TestScaleAlign:
 
         return [o.translation.tolist() for o in trajeval.scale_align(rels(est), rels(gt), mode)]
 
-    # Each square (or product) below underflows to 0 or a subnormal, which
-    # once read as a zero motion and passed the translation through unscaled.
+    # Each case has a square (or product) that underflows to 0 or a subnormal;
+    # only the zero vector is a zero motion, so every other one is rescaled.
     @pytest.mark.parametrize("mode, est, gt, want", [
         ("per_pair", [[1e-200, 0, 0]], [[1, 0, 0]], [[1, 0, 0]]),
         ("per_pair", [[1, 0, 0]], [[1e-200, 0, 0]], [[1e-200, 0, 0]]),
@@ -186,8 +186,9 @@ class TestScaleAlign:
         ("global", [[1e-170, 1e-170, 0]], [[1e-170, 0, 0]], [[5e-171, 5e-171, 0]]),
         ("global", [[1e-100, 0, 0]], [[1e-250, 0, 0]], [[1e-250, 0, 0]]),
         ("global", [[1e-170, 0, 0], [0, 2e-170, 0]], [[0, 0, 1]] * 2, [[0, 0, 0]] * 2),
+        ("global", [[0, 0, 0]], [[1e-170, 0, 0]], [[0, 0, 0]]),
     ], ids=["per-pair-est", "per-pair-gt", "per-pair-subnormal", "global-den",
-            "global-num", "global-orthogonal"])
+            "global-num", "global-orthogonal", "global-zero-est"])
     def test_underflowing_squares_still_rescale(self, mode, est, gt, want):
         got = self.translations(est, gt, mode)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
@@ -205,23 +206,17 @@ class TestScaleAlign:
         for e, got in zip(est, trajeval.scale_align(est, gt, "global")):
             assert got.translation.tobytes() == (e.translation * (num / den)).tobytes()
 
-    def test_all_zero_estimates_pass_through_global(self):
-        assert self.translations([[0, 0, 0]], [[1e-170, 0, 0]], "global") == [[0, 0, 0]]
-
     @pytest.mark.parametrize("mode, est, gt", [
         ("per_pair", [[1e200, 0, 0]], [[1, 0, 0]]),              # a norm overflows
         ("per_pair", [[1e-160, 1e-160, 1e-160]], [[1e150, 0, 0]]),  # only the ratio does
         ("global", [[1e154, 0, 0]] * 2, [[1, 0, 0]] * 2),        # only the sum does
-        ("per_pair", [[1e-300, 1e-300, 0]], [[1e10, 0, 0]]),     # the ratio of
-        ("global", [[5e-324, 0, 0]], [[1e10, 0, 0]]),            # underflowing sums
+        ("per_pair", [[1e-300, 1e-300, 0]], [[1e10, 0, 0]]),     # the ratio to a tiny norm
+        ("global", [[5e-324, 0, 0]], [[1e10, 0, 0]]),            # the scale of tiny sums
     ], ids=["per-pair-norm", "per-pair-ratio", "global-sum", "per-pair-tiny-ratio",
             "global-tiny-scale"])
     def test_overflow_raises_without_a_warning(self, mode, est, gt, recwarn):
-        def rels(translations):
-            return [se3.RelativePose(se3.Rotation.identity(), t) for t in translations]
-
         with pytest.raises(FloatingPointError, match="overflow"):
-            trajeval.scale_align(rels(est), rels(gt), mode)
+            self.translations(est, gt, mode)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
