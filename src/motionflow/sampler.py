@@ -10,10 +10,9 @@ per-component standard deviation is reported alongside.
 Solvers are deliberately plain fixed-step schemes (euler, midpoint, rk4)
 so their convergence orders can be verified directly.
 
-The condition is fixed within one estimate, so its branch of the network
-runs once per estimate, at the estimate's m rows (vfnet.embed_condition),
-and every stage's forward_batch call reuses it; each stage passes its tau
-as a scalar, whose time features vfnet caches as one row per (tau, rows).
+The condition is fixed within one estimate, so vfnet.embed_condition
+folds it into the net once per estimate, and every stage's forward_batch
+call runs that fold on the states, with its tau as a scalar.
 """
 
 from __future__ import annotations
@@ -119,10 +118,10 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
     return x[0] if squeeze else x
 
 
-def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector, rows: int):
-    """field(x, tau) of net under cond on (rows, 6) states.  The condition
-    branch runs once, here; each stage still calls forward_batch."""
-    embedded = vfnet.embed_condition(net, cond, rows)
+def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector):
+    """field(x, tau) of net under cond.  The condition is folded in once,
+    here; each stage still calls forward_batch."""
+    embedded = vfnet.embed_condition(net, cond)
     return lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded)
 
 
@@ -132,16 +131,17 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     """m independent flow samples for one condition, with mean and spread.
 
     All m reference draws come from rng in sequence; the m trajectories
-    are integrated together as one (m, 6) batch.  BLAS rounding depends on
-    the row count, so each row agrees with the same draw integrated alone
-    to rounding (within 1e-14 on the kept checkpoint), not bit for bit.
-    The result is exact given its arguments: estimate_sequence's element i
-    equals estimate_pose on that element's child generator.
+    are integrated together as one (m, 6) batch through the net folded
+    under cond, rebuilt on every call.  The folded field equals the layered
+    forward_batch to rounding, and each row the same draw integrated alone
+    (within 1e-14 on the kept checkpoint), not bit for bit.  The result is
+    exact given its arguments: estimate_sequence's element i equals
+    estimate_pose on that element's child generator.
     """
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
     x0 = se3.sample_initial_batch(rng, m)
-    final = integrate_field(_net_field(net, cond, m), x0, config)
+    final = integrate_field(_net_field(net, cond), x0, config)
     final.setflags(write=False)  # checked finite: the states share its rows
     samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
                for row in final]

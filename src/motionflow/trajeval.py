@@ -100,10 +100,11 @@ def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
 
     per_pair: each estimate takes its ground-truth pair's translation norm
     (pairs whose ground truth or estimate is the zero vector pass through
-    unchanged).  global: one least-squares scale
+    unchanged); where the scale gt_norm / est_norm overflows, est's unit
+    direction is scaled instead.  global: one least-squares scale
     s* = sum<est, gt> / sum<est, est> applied to every pair.  Raises
-    FloatingPointError, and warns nothing, when a norm, a sum, a scale or
-    a rescaled translation overflows.
+    FloatingPointError, and warns nothing, when a norm, a sum, global's
+    scale or a rescaled translation overflows.
     """
     est_rels, gt_rels = list(est_rels), list(gt_rels)
     if len(est_rels) != len(gt_rels):
@@ -121,10 +122,10 @@ def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
                 out.append(est)
                 continue
             ratio = gt_norm / est_norm
-            if not math.isfinite(ratio):
-                raise FloatingPointError(
-                    f"overflow encountered in the scale {gt_norm} / {est_norm}")
-            out.append(se3.RelativePose(est.rotation, est.translation * ratio))
+            if math.isfinite(ratio):
+                out.append(se3.RelativePose(est.rotation, est.translation * ratio))
+            else:  # the scale overflows; est's direction times gt's norm need not
+                out.append(se3.RelativePose(est.rotation, est.translation / est_norm * gt_norm))
         return out
     est = [e.translation for e in est_rels]
     # Both sides times one power of two, which leaves s* as it is: the largest

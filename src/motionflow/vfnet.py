@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,12 +189,12 @@ def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _shared_time_features(tau_hex: str, rows: int, dim: int) -> np.ndarray:
-    """Read-only _time_features of one time on each of rows rows, as one
-    row broadcast with stride 0.  Keyed by tau.hex(), so -0.0 and 0.0 keep
-    their own (sign-carrying) sines."""
-    row = _time_features(np.array([float.fromhex(tau_hex)]), dim)
-    return np.broadcast_to(row, (rows, dim))
+def _shared_time_features(tau_hex: str, dim: int) -> np.ndarray:
+    """Read-only _time_features row of one time.  Keyed by tau.hex(), so
+    -0.0 and 0.0 keep their own (sign-carrying) sines."""
+    row = _time_features(np.array([float.fromhex(tau_hex)]), dim)[0]
+    row.flags.writeable = False
+    return row
 
 
 def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
@@ -206,17 +207,54 @@ def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
     return _forward_chain(net.cond_embed, conds, True)
 
 
-def embed_condition(net: VectorFieldNet, cond: ConditionVector, rows: int) -> np.ndarray:
-    """Read-only (rows, cond_embed_dim) output of the condition branch on
-    cond repeated over rows rows: forward_batch's embedded= argument.
+class _Folded(NamedTuple):
+    """The net under one condition: forward_batch's embedded= argument.
+    Weights are (in, out); every array is read-only, net's own stay writable."""
 
-    The branch runs at the row count of the states it will be fused with,
-    because BLAS rounding depends on the row count; the result then equals
-    the branch's output inside forward_batch bit for bit.
+    state_weight: np.ndarray  # (6, trunk_widths[0])
+    bias: np.ndarray          # the first trunk layer's, with the condition folded in
+    time_weight: np.ndarray   # (time_embed_dim, trunk_widths[0])
+    layers: tuple             # ((weight, bias), ...): the trunk's others, then the heads'
+
+
+def embed_condition(net: VectorFieldNet, cond: ConditionVector) -> _Folded:
+    """Fold net under cond into one first layer and one chain.
+
+    Every row of one estimate shares the condition and each stage's tau,
+    and the state embedding is linear, so the first trunk layer is
+    tanh(states @ state_weight + bias + time(tau) @ time_weight).  The two
+    heads run as one chain: their first weights stacked, their later ones
+    block-diagonal, so the output row is [rotational, translational].  Some
+    arrays are views of net and some are computed from it: fold again
+    after its parameters change.
     """
-    out = _condition_branch(net, np.broadcast_to(cond.values, (rows, cond.dim)))[-1]
-    out.flags.writeable = False
-    return out
+    t, s = net.config.time_embed_dim, net.config.state_embed_dim
+    (w0, b0), (w_se, b_se) = net.layers[0], net.state_embed
+    w_s = w0[:, t:t + s]
+    bias = w0[:, t + s:] @ _condition_branch(net, cond.values[None, :])[-1][0] + w_s @ b_se + b0
+    layers = [(w.T, b[:]) for w, b in net.layers[1:]]
+    for i, ((w_r, b_r), (w_t, b_t)) in enumerate(zip(net.head_rot, net.head_trans)):
+        if i == 0:  # both heads read the trunk's output
+            w = np.concatenate([w_r, w_t])
+        else:
+            w = np.zeros((len(w_r) + len(w_t), w_r.shape[1] + w_t.shape[1]))
+            w[:len(w_r), :w_r.shape[1]], w[len(w_r):, w_r.shape[1]:] = w_r, w_t
+        layers.append((w.T, np.concatenate([b_r, b_t])))
+    fold = _Folded((w_s @ w_se).T, bias, w0[:, :t].T, tuple(layers))
+    for a in (*fold[:3], *itertools.chain(*layers)):  # none is one of net's arrays
+        a.setflags(write=False)
+    return fold
+
+
+def _folded_forward(fold: _Folded, states: np.ndarray, tau) -> np.ndarray:
+    time = _shared_time_features(float(tau).hex(), len(fold.time_weight))
+    x = states @ fold.state_weight
+    x += fold.bias + time @ fold.time_weight
+    for weight, bias in fold.layers:
+        np.tanh(x, out=x)
+        x = x @ weight
+        x += bias
+    return x
 
 
 def _forward_chain(layers, x, linear_last: bool) -> list:
@@ -248,29 +286,25 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
                   keep_cache: bool = False, *, embedded=None):
     """Batched field evaluation: (B,6), (B,), (B,k) -> (B,6) velocities.
 
-    taus may be one float time for every row; its features then come from
-    a 64-entry cache keyed by (tau, B, time_embed_dim) that holds one row
-    per entry.  In place of conds, embedded may give the (B, cond_embed_dim)
-    output of embed_condition, so a caller that evaluates one condition
-    many times runs its branch once.  Either way the velocities are the
-    same bit for bit.
+    In place of conds, embedded may give embed_condition's fold of the net
+    under one condition, with taus one float time for every row: a caller
+    that evaluates one condition many times runs the condition branch
+    once, and each call runs the trunk and one merged head chain on the
+    states alone.  Its velocities equal the layered path's to rounding
+    (about 1e-15), not bit for bit.
 
     With keep_cache=True also returns the intermediate activations needed
     by backward_batch; that needs raw conds.
     """
-    cfg = net.config
-    if embedded is None:
-        cond_acts = _condition_branch(net, conds)
-        embedded = cond_acts[-1]
-    elif conds is not None or keep_cache:
-        raise ValueError("embedded replaces conds and keeps no condition activations "
-                         "for backward_batch; pass conds alone")
+    if embedded is not None:
+        if conds is not None or keep_cache:
+            raise ValueError("embedded replaces conds and keeps no activations "
+                             "for backward_batch; pass conds alone")
+        return _folded_forward(embedded, states, taus)
+    cond_acts = _condition_branch(net, conds)
     state_acts = _forward_chain([net.state_embed], states, True)
-    if isinstance(taus, float):
-        time = _shared_time_features(taus.hex(), len(states), cfg.time_embed_dim)
-    else:
-        time = _time_features(taus, cfg.time_embed_dim)
-    fused = np.concatenate([time, state_acts[-1], embedded], axis=1)
+    time = _time_features(taus, net.config.time_embed_dim)
+    fused = np.concatenate([time, state_acts[-1], cond_acts[-1]], axis=1)
     trunk_acts = _forward_chain(net.layers, fused, False)
     rot_acts = _forward_chain(net.head_rot, trunk_acts[-1], True)
     trans_acts = _forward_chain(net.head_trans, trunk_acts[-1], True)

@@ -315,6 +315,19 @@ class TestEval:
             ate[scale] = float((out / "metrics.csv").read_text().splitlines()[1].split(",")[3])
         assert ate["none"] > 1.0 and ate["per_pair"] < 1e-12
 
+    def test_per_pair_rescales_steps_whose_scale_overflows(self, tmp_path):
+        # Steps of about 1e-300 against 1e10: gt_norm / est_norm overflows,
+        # but est's direction times gt's norm does not.
+        gt, est = tmp_path / "gt.tum", tmp_path / "est.tum"
+        positions = [(i, 0.1 * i * i, 0.0) for i in range(6)]
+        for path, factor in ((gt, 1e10), (est, 1e-300)):
+            path.write_text("".join(f"{i} {x * factor} {y * factor} {z} 0 0 0 1\n"
+                                    for i, (x, y, z) in enumerate(positions)))
+        out = tmp_path / "per_pair"
+        assert run_cli("eval", est, gt, "--align", "none", "--scale", "per_pair",
+                       "--out", out) == 0
+        assert float((out / "metrics.csv").read_text().splitlines()[1].split(",")[3]) < 1e-5
+
     @pytest.mark.parametrize("stem, name", [
         ("est", "a,b"), ("est", "a\nb"), ("est,1", None),
     ], ids=["comma-name", "line-break-name", "comma-stem"])

@@ -144,8 +144,7 @@ class TestIntegrateField:
 
 def integrate_net(net, x0, cond, config):
     """One flow trajectory, integrated as estimate_pose integrates its rows."""
-    rows = len(np.atleast_2d(x0))
-    return sampler.integrate_field(sampler._net_field(net, cond, rows), x0, config)
+    return sampler.integrate_field(sampler._net_field(net, cond), x0, config)
 
 
 class TestIntegrateNet:
@@ -268,6 +267,22 @@ class TestEstimatePose:
         assert np.array_equal(a.mean_state.as_vector(), b.mean_state.as_vector())
         assert np.array_equal(a.std_state, b.std_state)
 
+    def test_reads_parameters_updated_in_place(self):
+        # The fold of net under cond is rebuilt on every call, so an in-place
+        # update, as the optimizer makes, is never read stale.
+        net = small_net(27)
+        cond = vfnet.ConditionVector(np.array([1.0, 0.5, 0.0, -0.5]))
+        config = sampler.SolverConfig("rk4", 3)
+        before = sampler.estimate_pose(net, cond, config, 8, RNG(28))
+        net.flat *= 0.5
+        after = sampler.estimate_pose(net, cond, config, 8, RNG(28))
+        fresh = vfnet._zero_net(net.config)
+        fresh.flat[:] = net.flat
+        want = sampler.estimate_pose(fresh, cond, config, 8, RNG(28))
+        assert np.array_equal(after.mean_state.as_vector(), want.mean_state.as_vector())
+        assert np.array_equal(after.std_state, want.std_state)
+        assert not np.array_equal(after.std_state, before.std_state)
+
     def test_untrained_net_returns_reference_draws(self):
         # Zero-initialized final layers make the field identically zero, so
         # integration is the identity and samples equal their x0 draws.
@@ -297,13 +312,13 @@ class TestEstimateSequence:
         net = small_net(17)
         rng = RNG(18)
         conds = [vfnet.ConditionVector(rng.standard_normal(4)) for _ in range(3)]
-        # The field passes element 1's condition as its embedding, which
-        # is exact: compare with the branch's output at the same rows.
-        poisoned = vfnet.embed_condition(net, conds[1], 2)
+        # The field passes the net folded under element 1's condition, which
+        # is exact given both: compare its bias with a second fold's.
+        poisoned = vfnet.embed_condition(net, conds[1]).bias
         real_forward = vfnet.forward_batch
 
         def tampered(net_, states, taus, conds=None, keep_cache=False, *, embedded=None):
-            if embedded is not None and np.array_equal(embedded, poisoned):
+            if embedded is not None and np.array_equal(embedded.bias, poisoned):
                 return np.full((states.shape[0], 6), np.nan)
             return real_forward(net_, states, taus, conds, keep_cache, embedded=embedded)
 

@@ -187,8 +187,12 @@ class TestScaleAlign:
         ("global", [[1e-100, 0, 0]], [[1e-250, 0, 0]], [[1e-250, 0, 0]]),
         ("global", [[1e-170, 0, 0], [0, 2e-170, 0]], [[0, 0, 1]] * 2, [[0, 0, 0]] * 2),
         ("global", [[0, 0, 0]], [[1e-170, 0, 0]], [[0, 0, 0]]),
+        # gt_norm / est_norm overflows; est's direction times gt's norm does not
+        ("per_pair", [[1e-160, 1e-160, 1e-160]], [[1e150, 0, 0]], [[1e150 / 3 ** 0.5] * 3]),
+        ("per_pair", [[1e-300, 1e-300, 0]], [[1e10, 0, 0]], [[1e10 * 0.5 ** 0.5] * 2 + [0]]),
     ], ids=["per-pair-est", "per-pair-gt", "per-pair-subnormal", "global-den",
-            "global-num", "global-orthogonal", "global-zero-est"])
+            "global-num", "global-orthogonal", "global-zero-est", "per-pair-ratio",
+            "per-pair-tiny-ratio"])
     def test_underflowing_squares_still_rescale(self, mode, est, gt, want):
         got = self.translations(est, gt, mode)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
@@ -208,12 +212,9 @@ class TestScaleAlign:
 
     @pytest.mark.parametrize("mode, est, gt", [
         ("per_pair", [[1e200, 0, 0]], [[1, 0, 0]]),              # a norm overflows
-        ("per_pair", [[1e-160, 1e-160, 1e-160]], [[1e150, 0, 0]]),  # only the ratio does
         ("global", [[1e154, 0, 0]] * 2, [[1, 0, 0]] * 2),        # only the sum does
-        ("per_pair", [[1e-300, 1e-300, 0]], [[1e10, 0, 0]]),     # the ratio to a tiny norm
         ("global", [[5e-324, 0, 0]], [[1e10, 0, 0]]),            # the scale of tiny sums
-    ], ids=["per-pair-norm", "per-pair-ratio", "global-sum", "per-pair-tiny-ratio",
-            "global-tiny-scale"])
+    ], ids=["per-pair-norm", "global-sum", "global-tiny-scale"])
     def test_overflow_raises_without_a_warning(self, mode, est, gt, recwarn):
         with pytest.raises(FloatingPointError, match="overflow"):
             self.translations(est, gt, mode)

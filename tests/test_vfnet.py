@@ -6,6 +6,7 @@ layer equations, kept deliberately dumb.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -208,19 +209,25 @@ class TestForward:
             forward_one(net, np.zeros(6), 0.5, np.zeros(9))
 
 
-@pytest.fixture(params=["small", "kept"])
+@pytest.fixture(params=["small", "kept", "default", "one-layer", "no-heads"])
 def any_net(request):
     if request.param == "kept":
         return vfnet.load_checkpoint(KEPT_CHECKPOINT)
-    return random_net(RNG(30), SMALL_CONFIG)
+    config = {"small": SMALL_CONFIG, "default": vfnet.NetConfig(),
+              "one-layer": replace(SMALL_CONFIG, trunk_widths=(8,)),
+              "no-heads": replace(SMALL_CONFIG, head_widths=())}[request.param]
+    return random_net(RNG(30), config)
+
+
+# Every time an rk4 solve at 5 steps evaluates, spelt as integrate_field does.
+SOLVER_TAUS = sorted({i * 0.2 + c for i in range(5) for c in (0.0, 0.1, 0.2)})
 
 
 class TestSharedInvariants:
-    """A scalar tau and an embedded condition stand in for the per-row
-    inputs without changing a bit of the velocities."""
+    """The net folded under one condition, with a scalar tau, stands in for
+    the per-row inputs: velocities agree with the layered path to rounding."""
 
-    # Every row count reads the cache, which holds one broadcast row of
-    # time features per entry; 20000 rows is far above any command's m.
+    # 20000 rows is far above any command's m.
     @pytest.mark.parametrize("rows", [1, 10, 32, 1100, 20000])
     def test_scalar_tau_and_embedding_match_rows(self, any_net, rows):
         rng = RNG(31)
@@ -228,20 +235,30 @@ class TestSharedInvariants:
         states = rng.standard_normal((rows, 6))
         cond = vfnet.ConditionVector(rng.standard_normal(cfg.cond_dim))
         conds = np.broadcast_to(cond.values, (rows, cfg.cond_dim))
-        embedded = vfnet.embed_condition(any_net, cond, rows)
-        for tau in (0.0, -0.0, 0.1, 0.5, 0.1 + 0.05, 1.0, 0.7381):
+        embedded = vfnet.embed_condition(any_net, cond)
+        for tau in (0.0, -0.0, 1.0, 0.7381, *SOLVER_TAUS):
             want = vfnet.forward_batch(any_net, states, np.full(rows, tau), conds)
-            for got in (vfnet.forward_batch(any_net, states, tau, conds),
-                        vfnet.forward_batch(any_net, states, np.full(rows, tau),
-                                            embedded=embedded),
-                        vfnet.forward_batch(any_net, states, tau, embedded=embedded)):
-                assert got.tobytes() == want.tobytes(), tau
+            got = vfnet.forward_batch(any_net, states, tau, embedded=embedded)
+            assert np.max(np.abs(got - want)) <= 1e-12, tau
+
+    def test_zeroed_final_head_layers_give_zero_velocity(self, any_net):
+        for head in (any_net.head_rot, any_net.head_trans):
+            for arr in head[-1]:
+                arr[...] = 0.0
+        rng = RNG(34)
+        cond = vfnet.ConditionVector(rng.standard_normal(any_net.config.cond_dim))
+        embedded = vfnet.embed_condition(any_net, cond)
+        for tau in (0.0, 0.5, 1.0):
+            got = vfnet.forward_batch(any_net, rng.standard_normal((32, 6)), tau,
+                                      embedded=embedded)
+            assert got.shape == (32, 6) and not got.any()
 
     def test_embedding_refuses_backward_and_raw_conds(self):
         net = random_net(RNG(32), SMALL_CONFIG)
-        cond = vfnet.ConditionVector(np.ones(5))
-        embedded = vfnet.embed_condition(net, cond, 2)
-        assert not embedded.flags.writeable
+        embedded = vfnet.embed_condition(net, vfnet.ConditionVector(np.ones(5)))
+        arrays = [*embedded[:3], *(a for layer in embedded.layers for a in layer)]
+        assert not any(a.flags.writeable for a in arrays)
+        assert all(a.flags.writeable for _, a in vfnet._named_arrays(net))
         with pytest.raises(ValueError, match="backward_batch"):
             vfnet.forward_batch(net, np.zeros((2, 6)), 0.5, keep_cache=True,
                                 embedded=embedded)
@@ -252,24 +269,18 @@ class TestSharedInvariants:
     def test_embedding_rejects_mismatched_condition(self):
         net = vfnet.init_params(RNG(33), SMALL_CONFIG)
         with pytest.raises(ValueError, match="condition dim 9 does not match"):
-            vfnet.embed_condition(net, vfnet.ConditionVector(np.zeros(9)), 3)
+            vfnet.embed_condition(net, vfnet.ConditionVector(np.zeros(9)))
 
     def test_time_feature_cache_is_read_only_and_bounded(self):
         cache = vfnet._shared_time_features
         bound = cache.cache_info().maxsize
         for tau in np.linspace(0.0, 1.0, 1000):
-            features = cache(float(tau).hex(), 3, 4)
+            features = cache(float(tau).hex(), 4)
             assert not features.flags.writeable
             assert cache.cache_info().currsize <= bound
-        assert features.tobytes() == vfnet._time_features(np.full(3, 1.0), 4).tobytes()
-        # An entry holds one row of dim floats, whatever its row count.
-        wide = cache((0.25).hex(), 20000, 16)
-        assert wide.shape == (20000, 16) and wide.strides[0] == 0
-        low, high = np.lib.array_utils.byte_bounds(wide)
-        assert high - low == 16 * wide.itemsize
-        for tau in (0.0, -0.0):  # equal keys as floats, but sin keeps the sign
-            assert (cache(tau.hex(), 3, 4).tobytes()
-                    == vfnet._time_features(np.full(3, tau), 4).tobytes())
+        for tau in (1.0, 0.0, -0.0):  # 0.0 == -0.0 as floats, but sin keeps the sign
+            assert (cache(tau.hex(), 4).tobytes()
+                    == vfnet._time_features(np.array([tau]), 4)[0].tobytes())
 
 
 class TestBackward:
