@@ -56,16 +56,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("lr_decay_epoch", 0),
+                            ("seed", 0)):
+            object.__setattr__(self, name, textio.whole(name, getattr(self, name), least))
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError("lr must be positive and finite")
         if not (0.0 < self.lr_decay_factor <= 1.0):
             raise ValueError("lr_decay_factor must lie in (0, 1]")
-        if self.lr_decay_epoch < 0:
-            raise ValueError("lr_decay_epoch must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def lr_at(self, epoch: int) -> float:
         """Step schedule: one multiplicative drop at lr_decay_epoch."""

@@ -12,7 +12,9 @@ so their convergence orders can be verified directly.
 
 The condition is fixed within one estimate, so vfnet.embed_condition
 folds it into the net once per estimate, and every stage's forward_batch
-call runs that fold on the states, with its tau as a scalar.
+call runs that fold on the states, with its tau as a scalar.  The parts
+of the fold that no condition enters are built once per estimate_sequence
+call (vfnet.shared_fold) and shared by all its elements.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ class SolverConfig:
             raise ValueError(
                 f"unknown solver method {self.method!r}; expected one of {SOLVER_METHODS}"
             )
-        if int(self.steps) < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        object.__setattr__(self, "steps", textio.whole("steps", self.steps, 1))
 
     @property
     def nfe_per_sample(self) -> int:
@@ -118,36 +119,42 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
     return x[0] if squeeze else x
 
 
-def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector):
+def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector, shared=None):
     """field(x, tau) of net under cond.  The condition is folded in once,
-    here; each stage still calls forward_batch."""
-    embedded = vfnet.embed_condition(net, cond)
+    here, onto shared, vfnet.shared_fold(net), which embed_condition builds
+    when not given; each stage still calls forward_batch."""
+    embedded = vfnet.embed_condition(net, cond, shared)
     return lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded)
 
 
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
-                  rng: np.random.Generator) -> PoseSampleSet:
+                  rng: np.random.Generator, *, _shared=None) -> PoseSampleSet:
     """m independent flow samples for one condition, with mean and spread.
 
     All m reference draws come from rng in sequence; the m trajectories
     are integrated together as one (m, 6) batch through the net folded
-    under cond, rebuilt on every call.  The folded field equals the layered
-    forward_batch to rounding, and each row the same draw integrated alone
-    (within 1e-14 on the kept checkpoint), not bit for bit.  The result is
-    exact given its arguments: estimate_sequence's element i equals
-    estimate_pose on that element's child generator.
+    under cond.  The fold is built on every call, its condition-free part
+    too unless estimate_sequence hands over the one it built for the
+    whole sequence as _shared, which gives the same bits.  The folded
+    field equals the layered forward_batch to rounding, and each row the
+    same draw integrated alone (within 1e-14 on the kept checkpoint), not
+    bit for bit.  The result is exact given its arguments:
+    estimate_sequence's element i equals estimate_pose on that element's
+    child generator.  The mean and the population std are computed with
+    the reductions ndarray.mean and ndarray.std run, so their bits match.
     """
-    if m < 1:
-        raise ValueError(f"sample count m must be >= 1, got {m}")
+    m = textio.whole("sample count m", m, 1)
     x0 = se3.sample_initial_batch(rng, m)
-    final = integrate_field(_net_field(net, cond), x0, config)
+    final = integrate_field(_net_field(net, cond, _shared), x0, config)
     final.setflags(write=False)  # checked finite: the states share its rows
     samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
                for row in final]
     states = np.array([se3.pose_to_state(p).as_vector() for p in samples])
-    mean = states.mean(axis=0)
-    std = states.std(axis=0, ddof=0)
+    mean = np.add.reduce(states, 0) / m
+    states -= mean  # the deviations, squared in place as ndarray.std squares them
+    states *= states
+    std = np.sqrt(np.add.reduce(states, 0) / m)
     return PoseSampleSet(samples, se3.MotionState.from_vector(mean), std)
 
 
@@ -157,16 +164,19 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
 
     Each element gets its own child generator spawned from rng, so the
     result for element i does not depend on the length of the sequence
-    before or after it.  Failures are collected and re-raised together
-    with their element indices.
+    before or after it.  The condition-free part of the fold is built
+    once per call and handed to every element's estimate_pose, never kept
+    past the call.  Failures are collected and re-raised together with
+    their element indices.
     """
     conds = list(conds)
     children = rng.spawn(len(conds))
+    shared = vfnet.shared_fold(net)
     results = []
     failures = []
     for i, (cond, child) in enumerate(zip(conds, children)):
         try:
-            results.append(estimate_pose(net, cond, config, m, child))
+            results.append(estimate_pose(net, cond, config, m, child, _shared=shared))
         except IntegrationDivergedError as err:
             failures.append((i, err))
     if failures:

@@ -7,6 +7,7 @@ cell, a wrong width, a constructor's own check) names that line.
 """
 
 import contextlib
+import operator
 
 
 def fmt(values, sep: str = ",") -> str:
@@ -53,3 +54,16 @@ def key_value(line: str, seen):
     if key in seen:
         raise ValueError(f"key {key!r} repeated")
     return key, value
+
+
+def whole(name: str, value, least: int) -> int:
+    """value as an int, or ValueError naming name when value is not an
+    integer (numpy's integers are; floats and strings are not) or is
+    below least."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number

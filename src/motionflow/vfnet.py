@@ -209,7 +209,8 @@ def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
 
 class _Folded(NamedTuple):
     """The net under one condition: forward_batch's embedded= argument.
-    Weights are (in, out); every array is read-only, net's own stay writable."""
+    Weights are (in, out); every array is read-only, net's own stay writable.
+    shared_fold's has no condition yet: its bias is W_s·b_se alone."""
 
     state_weight: np.ndarray  # (6, trunk_widths[0])
     bias: np.ndarray          # the first trunk layer's, with the condition folded in
@@ -217,21 +218,18 @@ class _Folded(NamedTuple):
     layers: tuple             # ((weight, bias), ...): the trunk's others, then the heads'
 
 
-def embed_condition(net: VectorFieldNet, cond: ConditionVector) -> _Folded:
-    """Fold net under cond into one first layer and one chain.
+def shared_fold(net: VectorFieldNet) -> _Folded:
+    """The part of net's fold that no condition enters, for embed_condition.
 
-    Every row of one estimate shares the condition and each stage's tau,
-    and the state embedding is linear, so the first trunk layer is
-    tanh(states @ state_weight + bias + time(tau) @ time_weight).  The two
-    heads run as one chain: their first weights stacked, their later ones
-    block-diagonal, so the output row is [rotational, translational].  Some
-    arrays are views of net and some are computed from it: fold again
-    after its parameters change.
+    Its bias is W_s·b_se alone, the state embedding's bias through the
+    first trunk layer: it lacks the condition and that layer's own bias,
+    so it is not a fold forward_batch can run.  Some arrays are views of
+    net and some are computed from it: build it again after net's
+    parameters change.
     """
     t, s = net.config.time_embed_dim, net.config.state_embed_dim
-    (w0, b0), (w_se, b_se) = net.layers[0], net.state_embed
+    (w0, _), (w_se, b_se) = net.layers[0], net.state_embed
     w_s = w0[:, t:t + s]
-    bias = w0[:, t + s:] @ _condition_branch(net, cond.values[None, :])[-1][0] + w_s @ b_se + b0
     layers = [(w.T, b[:]) for w, b in net.layers[1:]]
     for i, ((w_r, b_r), (w_t, b_t)) in enumerate(zip(net.head_rot, net.head_trans)):
         if i == 0:  # both heads read the trunk's output
@@ -240,10 +238,33 @@ def embed_condition(net: VectorFieldNet, cond: ConditionVector) -> _Folded:
             w = np.zeros((len(w_r) + len(w_t), w_r.shape[1] + w_t.shape[1]))
             w[:len(w_r), :w_r.shape[1]], w[len(w_r):, w_r.shape[1]:] = w_r, w_t
         layers.append((w.T, np.concatenate([b_r, b_t])))
-    fold = _Folded((w_s @ w_se).T, bias, w0[:, :t].T, tuple(layers))
-    for a in (*fold[:3], *itertools.chain(*layers)):  # none is one of net's arrays
+    shared = _Folded((w_s @ w_se).T, w_s @ b_se, w0[:, :t].T, tuple(layers))
+    for a in (*shared[:3], *itertools.chain(*layers)):  # none is one of net's arrays
         a.setflags(write=False)
-    return fold
+    return shared
+
+
+def embed_condition(net: VectorFieldNet, cond: ConditionVector, shared=None) -> _Folded:
+    """Fold net under cond into one first layer and one chain.
+
+    Every row of one estimate shares the condition and each stage's tau,
+    and the state embedding is linear, so the first trunk layer is
+    tanh(states @ state_weight + bias + time(tau) @ time_weight).  The two
+    heads run as one chain: their first weights stacked, their later ones
+    block-diagonal, so the output row is [rotational, translational].
+
+    shared is shared_fold(net), built here when not given: a caller that
+    folds net under many conditions builds it once and runs only the
+    condition branch and the bias row per condition, with the same bits.
+    The fold holds views of net: fold again after its parameters change.
+    """
+    if shared is None:
+        shared = shared_fold(net)
+    t, s = net.config.time_embed_dim, net.config.state_embed_dim
+    w0, b0 = net.layers[0]
+    bias = w0[:, t + s:] @ _condition_branch(net, cond.values[None, :])[-1][0] + shared.bias + b0
+    bias.setflags(write=False)
+    return _Folded(shared.state_weight, bias, shared.time_weight, shared.layers)
 
 
 def _folded_forward(fold: _Folded, states: np.ndarray, tau) -> np.ndarray:

@@ -394,6 +394,21 @@ class TestSingleMotionConvergence:
         assert late < mid < early
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("epochs", 1.5), ("lr_decay_epoch", 0.5), ("seed", 1.5),
+        ("batch_size", 8.0), ("seed", "3"),
+    ])
+    def test_rejects_fractional_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            flowmatch.TrainConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = flowmatch.TrainConfig(batch_size=np.int64(8), seed=np.int32(3))
+        assert (config.batch_size, config.seed) == (8, 3)
+        assert type(config.batch_size) is int and type(config.seed) is int
+
+
 class TestConfigFile:
     def test_round_trip_overrides(self, tmp_path):
         path = tmp_path / "train.cfg"

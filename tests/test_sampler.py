@@ -52,6 +52,11 @@ class TestSolverConfig:
             sampler.SolverConfig(method="heun")
         with pytest.raises(ValueError):
             sampler.SolverConfig(steps=0)
+        for steps in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                sampler.SolverConfig(steps=steps)
+        config = sampler.SolverConfig(steps=np.int64(3))
+        assert config.steps == 3 and type(config.steps) is int
 
     @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
     def test_nfe_per_sample_counts_field_evaluations(self, method):
@@ -172,8 +177,13 @@ class TestIntegrateNet:
         net = small_net(25)
         cond = vfnet.ConditionVector(np.array([0.3, -0.1, 0.2, 0.5]))
         config = sampler.SolverConfig(method, 3)
-        calls = {"branch": 0, "forward": 0}
-        real_chain, real_forward = vfnet._forward_chain, vfnet.forward_batch
+        calls = {"shared": 0, "branch": 0, "forward": 0}
+        real_shared, real_chain = vfnet.shared_fold, vfnet._forward_chain
+        real_forward = vfnet.forward_batch
+
+        def shared(net_):
+            calls["shared"] += 1
+            return real_shared(net_)
 
         def chain(layers, x, linear_last):
             calls["branch"] += layers is net.cond_embed
@@ -183,10 +193,16 @@ class TestIntegrateNet:
             calls["forward"] += 1
             return real_forward(*args, **kwargs)
 
+        monkeypatch.setattr(vfnet, "shared_fold", shared)
         monkeypatch.setattr(vfnet, "_forward_chain", chain)
         monkeypatch.setattr(vfnet, "forward_batch", forward)
         sampler.estimate_pose(net, cond, config, 5, RNG(26))
-        assert calls == {"branch": 1, "forward": config.nfe_per_sample}
+        assert calls == {"shared": 1, "branch": 1, "forward": config.nfe_per_sample}
+        # A sequence builds the condition-free part of the fold once per
+        # call, and runs the condition branch once per element.
+        calls.update(shared=0, branch=0, forward=0)
+        sampler.estimate_sequence(net, [cond] * 4, config, 5, RNG(26))
+        assert calls == {"shared": 1, "branch": 4, "forward": 4 * config.nfe_per_sample}
 
     @pytest.mark.parametrize("method, m", [("midpoint", 10), ("rk4", 32)])
     def test_batched_rows_match_single_rows_to_tolerance(self, method, m):
@@ -225,6 +241,14 @@ class TestPoseSampleSet:
         assert not result.std_state.flags.writeable
 
 
+def same_estimate(a, b) -> bool:
+    """Whether two PoseSampleSets hold the same bits: samples, mean and std."""
+    def bits(result):
+        return ([p.rotation.q.tobytes() + p.translation.tobytes() for p in result.samples],
+                result.mean_state.as_vector().tobytes(), result.std_state.tobytes())
+    return bits(a) == bits(b)
+
+
 class TestEstimatePose:
     def test_single_sample_has_zero_std(self):
         net = small_net(4)
@@ -233,10 +257,11 @@ class TestEstimatePose:
         assert np.array_equal(result.std_state, np.zeros(6))
         assert len(result.samples) == 1
 
-    def test_mean_and_std_match_samples(self):
+    @pytest.mark.parametrize("m", [1, 2, 10, 32])
+    def test_mean_and_std_match_samples(self, m):
         net = small_net(6)
         cond = vfnet.ConditionVector(np.array([0.4, 0.3, -0.2, 0.1]))
-        result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), 12, RNG(7))
+        result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), m, RNG(7))
         states = np.stack([se3.pose_to_state(p).as_vector() for p in result.samples])
         assert np.array_equal(result.mean_state.as_vector(), states.mean(axis=0))
         assert np.array_equal(result.std_state, states.std(axis=0, ddof=0))
@@ -258,6 +283,11 @@ class TestEstimatePose:
         cond = vfnet.ConditionVector(np.zeros(4))
         with pytest.raises(ValueError):
             sampler.estimate_pose(net, cond, sampler.SolverConfig(), 0, RNG(9))
+        for m in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="sample count m must be an integer"):
+                sampler.estimate_pose(net, cond, sampler.SolverConfig(), m, RNG(9))
+        assert len(sampler.estimate_pose(net, cond, sampler.SolverConfig(), np.int64(2),
+                                         RNG(9)).samples) == 2
 
     def test_deterministic_given_seed(self):
         net = small_net(10)
@@ -268,12 +298,14 @@ class TestEstimatePose:
         assert np.array_equal(a.std_state, b.std_state)
 
     def test_reads_parameters_updated_in_place(self):
-        # The fold of net under cond is rebuilt on every call, so an in-place
-        # update, as the optimizer makes, is never read stale.
+        # The fold of net under cond is rebuilt on every call, and its
+        # condition-free part on every estimate_sequence call, so an
+        # in-place update, as the optimizer makes, is never read stale.
         net = small_net(27)
         cond = vfnet.ConditionVector(np.array([1.0, 0.5, 0.0, -0.5]))
         config = sampler.SolverConfig("rk4", 3)
         before = sampler.estimate_pose(net, cond, config, 8, RNG(28))
+        sampler.estimate_sequence(net, [cond] * 2, config, 8, RNG(29))
         net.flat *= 0.5
         after = sampler.estimate_pose(net, cond, config, 8, RNG(28))
         fresh = vfnet._zero_net(net.config)
@@ -282,6 +314,10 @@ class TestEstimatePose:
         assert np.array_equal(after.mean_state.as_vector(), want.mean_state.as_vector())
         assert np.array_equal(after.std_state, want.std_state)
         assert not np.array_equal(after.std_state, before.std_state)
+        got = sampler.estimate_sequence(net, [cond] * 2, config, 8, RNG(29))
+        want = sampler.estimate_sequence(fresh, [cond] * 2, config, 8, RNG(29))
+        for a, b in zip(got, want):
+            assert same_estimate(a, b)
 
     def test_untrained_net_returns_reference_draws(self):
         # Zero-initialized final layers make the field identically zero, so
@@ -295,6 +331,21 @@ class TestEstimatePose:
 
 
 class TestEstimateSequence:
+    @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
+    @pytest.mark.parametrize("kept", [False, True], ids=["small", "kept"])
+    def test_element_equals_estimate_pose_on_its_child(self, method, kept):
+        # The sequence folds the condition-free part of the net once and
+        # hands it to every element, with the same bits as a fold per call.
+        net = vfnet.load_checkpoint(KEPT_CHECKPOINT) if kept else small_net(29)
+        rng = RNG(30)
+        conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
+                 for _ in range(4)]
+        config = sampler.SolverConfig(method, 3)
+        results = sampler.estimate_sequence(net, conds, config, 5, RNG(31))
+        children = RNG(31).spawn(len(conds))
+        for cond, child, got in zip(conds, children, results):
+            assert same_estimate(got, sampler.estimate_pose(net, cond, config, 5, child))
+
     def test_order_and_prefix_stability(self):
         net = small_net(14)
         rng = RNG(15)
