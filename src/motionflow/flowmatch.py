@@ -78,13 +78,14 @@ def path_point(x0: np.ndarray, x1: np.ndarray, taus: np.ndarray):
 
 
 def cfm_loss(net: vfnet.VectorFieldNet, states: np.ndarray, taus: np.ndarray,
-             conds: np.ndarray, targets: np.ndarray):
+             conds: np.ndarray, targets: np.ndarray, grads: vfnet.VectorFieldNet = None):
     """Mean squared residual norm of the field against path velocities.
 
     states (B, 6) are path points at times taus (B,) under conditions
     conds (B, k); targets (B, 6) are their path velocities.  Returns
-    (loss, gradients), the gradients a VectorFieldNet like net.  They are
-    exact for the returned loss, including the 1/B normalization.
+    (loss, gradients), the gradients a VectorFieldNet like net: grads,
+    overwritten, when given, else a fresh one.  They are exact for the
+    returned loss, including the 1/B normalization.
     """
     if len(states) == 0:
         raise ValueError("cfm_loss needs a nonempty batch")
@@ -94,8 +95,7 @@ def cfm_loss(net: vfnet.VectorFieldNet, states: np.ndarray, taus: np.ndarray,
     # differently in the last bit, and loss.csv prints every bit.
     loss = float(np.mean((resid * resid) @ np.ones(6)))
     upstream = resid * (2.0 / states.shape[0])
-    grads = vfnet.backward_batch(net, cache, upstream)
-    return loss, grads
+    return loss, vfnet.backward_batch(net, cache, upstream, grads)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -183,6 +183,7 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
     n = len(dataset)
 
     opt = adam_init(net)
+    grads = vfnet.zero_gradients(net)  # every step overwrites all of it
     history = []
     step = 0
     for epoch in range(config.epochs):
@@ -194,7 +195,7 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
             taus = rng.uniform(size=b)
             x0 = se3.sample_initial_batch(rng, b)
             x_tau, velocity = path_point(x0, targets[idx], taus)
-            loss, grads = cfm_loss(net, x_tau, taus, conds[idx], velocity)
+            loss, grads = cfm_loss(net, x_tau, taus, conds[idx], velocity, grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {lo // config.batch_size}"

@@ -11,7 +11,13 @@ rotational (first 3) and translational (last 3) velocity components.
 - trunk and head hidden layers: tanh; final head layers: linear
 
 All parameters live in plain float64 numpy arrays and gradients are
-computed by hand (reverse mode).  Everything is deterministic given the
+computed by hand (reverse mode).  On the layered path (raw conditions,
+and the one training uses) the two heads run as one stacked chain: each
+head layer is a (2, out, in) weight view and a (2, out) bias view over
+both heads' parameters, so one matmul call does both heads, one gemm per
+head with the operands of a separate call, and keeps each head's bits.
+backward_batch writes the gradients into a caller's buffer, so a
+training loop reuses one.  Everything is deterministic given the
 initializing Generator.
 """
 
@@ -44,18 +50,16 @@ class NetConfig:
     OUT_DIM = 3  # per head
 
     def __post_init__(self):
-        object.__setattr__(self, "trunk_widths", tuple(int(w) for w in self.trunk_widths))
-        object.__setattr__(self, "head_widths", tuple(int(w) for w in self.head_widths))
         for name in ("cond_dim", "time_embed_dim", "state_embed_dim",
                      "cond_hidden_dim", "cond_embed_dim"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, textio.whole(name, getattr(self, name), 1))
+        for name in ("trunk_widths", "head_widths"):
+            widths = tuple(textio.whole(name, w, 1) for w in getattr(self, name))
+            object.__setattr__(self, name, widths)
         if self.time_embed_dim % 2 != 0:
             raise ValueError("time_embed_dim must be even (sin/cos pairs)")
-        if len(self.trunk_widths) < 1 or any(w < 1 for w in self.trunk_widths):
-            raise ValueError("trunk_widths must be a nonempty tuple of positive ints")
-        if any(w < 1 for w in self.head_widths):
-            raise ValueError("head_widths must contain positive ints")
+        if not self.trunk_widths:
+            raise ValueError("trunk_widths must be nonempty")
 
     @property
     def fused_dim(self) -> int:
@@ -89,7 +93,9 @@ class VectorFieldNet:
 
     Every weight and bias is a view into flat, one float64 buffer laid out
     by _layout(config), so the optimizer updates all parameters with a few
-    vector operations.
+    vector operations.  heads views the same parameters as head_rot and
+    head_trans, layer by layer: a (2, out, in) weight and a (2, out) bias,
+    rotational head first.
     """
 
     config: NetConfig
@@ -98,6 +104,7 @@ class VectorFieldNet:
     layers: list       # trunk: [[W, b], ...]
     head_rot: list     # [[W, b], ..., final linear]
     head_trans: list
+    heads: list        # [[W, b], ...]: head_rot's and head_trans's, stacked
     flat: np.ndarray
 
 
@@ -140,13 +147,21 @@ def _zero_net(config: NetConfig) -> VectorFieldNet:
     """All-zero network: each layer's [weight, bias] pair is a view into flat."""
     spans, size = _layout(config)
     flat = np.zeros(size)
-    tree = {"cond_embed": [], "layers": [], "head_rot": [], "head_trans": []}
+    tree = {"cond_embed": [], "layers": [], "head_rot": [], "head_trans": [], "heads": []}
     for _, field, start, bias, end, shape in spans:
         pair = [flat[start:bias].reshape(shape), flat[bias:end]]
         if field == "state_embed":
             tree[field] = pair
         else:
             tree[field].append(pair)
+    # The two heads close the layout, one after the other with the same
+    # shapes: rows of one (2, head size) view, cut layer by layer.
+    depth = len(tree["head_rot"])
+    head_start = spans[-2 * depth][2]
+    both = flat[head_start:].reshape(2, -1)
+    for _, _, start, bias, end, shape in spans[-2 * depth:-depth]:
+        start, bias, end = start - head_start, bias - head_start, end - head_start
+        tree["heads"].append([both[:, start:bias].reshape((2,) + shape), both[:, bias:end]])
     return VectorFieldNet(config, flat=flat, **tree)
 
 
@@ -280,12 +295,18 @@ def _folded_forward(fold: _Folded, states: np.ndarray, tau) -> np.ndarray:
 
 def _forward_chain(layers, x, linear_last: bool) -> list:
     """Run x through (weight, bias) layers, each followed by tanh except a
-    linear last one; returns each layer's input, then the chain's output."""
+    linear last one; returns each layer's input, then the chain's output.
+
+    A stacked chain (net.heads) has (2, out, in) weights and (2, out)
+    biases: (B, in) rows enter it and its activations are (2, B, width).
+    """
     acts = [x]
-    last = layers[-1] if linear_last else None
-    for layer in layers:
-        pre = acts[-1] @ layer[0].T + layer[1]
-        acts.append(pre if layer is last else np.tanh(pre))
+    for i, (weight, bias) in enumerate(layers):
+        x = x @ weight.swapaxes(-1, -2)
+        x += bias[..., None, :]
+        if i < len(layers) - 1 or not linear_last:
+            np.tanh(x, out=x)
+        acts.append(x)
     return acts
 
 
@@ -295,9 +316,11 @@ def _backward_chain(layers, grads, acts, d: np.ndarray, linear_last: bool) -> np
     grads and return the gradient at the first layer's pre-activation."""
     for i in range(len(layers) - 1, -1, -1):
         if i < len(layers) - 1 or not linear_last:
-            d = d * (1.0 - acts[i + 1] ** 2)
-        np.matmul(d.T, acts[i], out=grads[i][0])
-        np.sum(d, axis=0, out=grads[i][1])
+            slope = np.square(acts[i + 1])  # tanh' = 1 - a^2, in one buffer
+            np.subtract(1.0, slope, out=slope)
+            d = np.multiply(d, slope, out=slope)
+        np.matmul(d.swapaxes(-1, -2), acts[i], out=grads[i][0])
+        np.add.reduce(d, axis=-2, out=grads[i][1])
         if i:
             d = d @ layers[i][0]
     return d
@@ -314,8 +337,10 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
     states alone.  Its velocities equal the layered path's to rounding
     (about 1e-15), not bit for bit.
 
-    With keep_cache=True also returns the intermediate activations needed
-    by backward_batch; that needs raw conds.
+    With raw conds the two heads run as one stacked chain over net.heads,
+    each head with the bits of its own chain.  With keep_cache=True this
+    also returns the intermediate activations needed by backward_batch;
+    that needs raw conds.
     """
     if embedded is not None:
         if conds is not None or keep_cache:
@@ -327,26 +352,29 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
     time = _time_features(taus, net.config.time_embed_dim)
     fused = np.concatenate([time, state_acts[-1], cond_acts[-1]], axis=1)
     trunk_acts = _forward_chain(net.layers, fused, False)
-    rot_acts = _forward_chain(net.head_rot, trunk_acts[-1], True)
-    trans_acts = _forward_chain(net.head_trans, trunk_acts[-1], True)
-    out = np.concatenate([rot_acts[-1], trans_acts[-1]], axis=1)
+    head_acts = _forward_chain(net.heads, trunk_acts[-1], True)
+    out = np.concatenate(head_acts[-1], axis=1)  # [rotational, translational]
     if not keep_cache:
         return out
-    return out, (state_acts, cond_acts, trunk_acts, rot_acts, trans_acts)
+    return out, (state_acts, cond_acts, trunk_acts, head_acts)
 
 
-def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray) -> VectorFieldNet:
+def backward_batch(net: VectorFieldNet, cache, upstream: np.ndarray,
+                   grads: VectorFieldNet = None) -> VectorFieldNet:
     """Exact reverse-mode gradients of sum_b <forward_b, upstream_b>.
 
     cache comes from forward_batch(..., keep_cache=True); upstream is (B, 6).
-    The gradients are written into the views of one fresh flat buffer.
+    The heads run back as one stacked chain, like forward_batch's.  The
+    gradients overwrite every entry of grads, a tree like net that a
+    training loop allocates once (zero_gradients), and grads is returned;
+    without it they go into one fresh flat buffer.
     """
-    state_acts, cond_acts, trunk_acts, rot_acts, trans_acts = cache
-    grads = zero_gradients(net)
-    d = (_backward_chain(net.head_rot, grads.head_rot, rot_acts, upstream[:, :3], True)
-         @ net.head_rot[0][0]
-         + _backward_chain(net.head_trans, grads.head_trans, trans_acts, upstream[:, 3:], True)
-         @ net.head_trans[0][0])
+    state_acts, cond_acts, trunk_acts, head_acts = cache
+    if grads is None:
+        grads = zero_gradients(net)
+    d = upstream.reshape(len(upstream), 2, net.config.OUT_DIM).swapaxes(0, 1)
+    d = _backward_chain(net.heads, grads.heads, head_acts, d, True) @ net.heads[0][0]
+    d = d[0] + d[1]  # both heads read the trunk's output
     d = _backward_chain(net.layers, grads.layers, trunk_acts, d, False) @ net.layers[0][0]
 
     # Split the fused-input gradient back into the state and condition branches.

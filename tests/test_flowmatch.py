@@ -7,6 +7,7 @@ steady state.  Convergence on a single repeated motion uses the shared
 session fixture and a floor bound frozen from dedicated probe runs.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -377,6 +378,40 @@ class TestTrain:
             with pytest.raises(flowmatch.TrainingDivergedError,
                                match="epoch 1, batch 0"):
                 flowmatch.train(dataset, config, SMALL_CONFIG)
+
+
+# sha256 of the trained net.flat and of the loss history (step, lr, loss
+# rows as float64) at shapes the benchmark's pinned runs do not reach,
+# taken from the version that ran each head as its own chain: refactors
+# of the forward and backward passes must keep every bit of training.
+TRAIN_DIGESTS = {
+    "last-batch-of-one": (
+        9, dict(batch_size=4, epochs=3, seed=1), SMALL_CONFIG,
+        "cfa93f6de052e83ec595be742dc78c85547a02d5abab3aa20f5d8b879e06eea1",
+        "b820ad7fd0f10f455dd25d4e7c8df9aee4b3cfc4461531073e6b557b004f0622"),
+    "batch-larger-than-n": (
+        5, dict(batch_size=8, epochs=4, seed=2), SMALL_CONFIG,
+        "dde9531bd600fa780fe9409d0fde29444e0630a2d6c38bbc636dd470fbb4c4e7",
+        "069ab4addf3c33bd43130f6924e5afdde1653726ac01650a3022fb80133cc94f"),
+    "one-head-layer": (
+        10, dict(batch_size=4, epochs=3, seed=3), vfnet.NetConfig(cond_dim=5, head_widths=(32,)),
+        "d2ab12a3ef15875af0e9cef19cb89644bcf6a385c7a81c77be649f5794f3e583",
+        "02f97f7165ecdf2003dca2287b1c557b3bd52a54476f97af3a0f9562e7b086b4"),
+    "no-head-layers": (
+        10, dict(batch_size=4, epochs=3, seed=4), vfnet.NetConfig(cond_dim=5, head_widths=()),
+        "cde24a637f50b5447a1c487e92826bfd3186616af459ea762a1176d45d2a6541",
+        "f110e2a0c33bb0be5bde2ddae9bc98441277336f584293218411242b089f3041"),
+}
+
+
+@pytest.mark.parametrize("case", TRAIN_DIGESTS)
+def test_training_keeps_its_bits(case):
+    n, config, net_config, net_digest, history_digest = TRAIN_DIGESTS[case]
+    rng = RNG(30)
+    dataset = [random_pair(rng) for _ in range(n)]
+    net, history = flowmatch.train(dataset, flowmatch.TrainConfig(**config), net_config)
+    assert hashlib.sha256(net.flat.tobytes()).hexdigest() == net_digest
+    assert hashlib.sha256(np.array(history).tobytes()).hexdigest() == history_digest
 
 
 class TestSingleMotionConvergence:

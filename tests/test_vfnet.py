@@ -124,6 +124,31 @@ class TestConfigAndInit:
         with pytest.raises(ValueError):
             vfnet.NetConfig(trunk_widths=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("cond_dim", 4.5), ("time_embed_dim", 4.0), ("state_embed_dim", "16"),
+        ("cond_hidden_dim", 16.0), ("cond_embed_dim", 0.5),
+        ("trunk_widths", (64.7, 64)), ("head_widths", (32, 32.0)), ("head_widths", ("32",)),
+    ])
+    def test_non_integer_sizes_raise_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            vfnet.NetConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("cond_dim", 0), ("cond_embed_dim", -3), ("trunk_widths", (64, 0)),
+        ("head_widths", (0,)),
+    ])
+    def test_sizes_below_one_raise_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            vfnet.NetConfig(**{field: value})
+
+    def test_numpy_integer_sizes_become_ints(self):
+        cfg = vfnet.NetConfig(cond_dim=np.int64(4), time_embed_dim=np.int32(8),
+                              trunk_widths=np.array([16, 8]), head_widths=(np.int16(4),))
+        assert cfg == vfnet.NetConfig(cond_dim=4, time_embed_dim=8, trunk_widths=(16, 8),
+                                      head_widths=(4,))
+        sizes = [cfg.cond_dim, cfg.time_embed_dim, *cfg.trunk_widths, *cfg.head_widths]
+        assert all(type(size) is int for size in sizes)
+
     def test_parameter_count_matches_closed_form(self):
         cfg = vfnet.NetConfig()
         # linear layer cost: out*in + out
@@ -376,6 +401,40 @@ class TestFlatBuffer:
         assert_views_of_flat(grads)
         assert np.array_equal(grads.flat, np.concatenate(
             [g.reshape(-1) for _, g in vfnet._named_arrays(grads)]))
+
+    @pytest.mark.parametrize("head_widths", [(8, 8), (5,), ()])
+    def test_stacked_heads_view_both_heads(self, head_widths):
+        net = random_net(RNG(19), replace(SMALL_CONFIG, head_widths=head_widths))
+        assert len(net.heads) == len(net.head_rot) == len(head_widths) + 1
+        for stacked, rot, trans in zip(net.heads, net.head_rot, net.head_trans):
+            for both, r, t in zip(stacked, rot, trans):
+                assert both.shape == (2,) + r.shape and np.shares_memory(both, net.flat)
+                assert np.array_equal(both[0], r) and np.array_equal(both[1], t)
+        net.heads[-1][1][1, 2] = -7.25
+        assert net.head_trans[-1][1][2] == net.flat[-1] == -7.25
+
+    def test_backward_without_a_buffer_returns_fresh_trees(self):
+        rng = RNG(20)
+        net = random_net(rng, SMALL_CONFIG)
+        _, cache = vfnet.forward_batch(net, rng.standard_normal((3, 6)), rng.uniform(size=3),
+                                       rng.standard_normal((3, 5)), keep_cache=True)
+        upstream = rng.standard_normal((3, 6))
+        first = vfnet.backward_batch(net, cache, upstream)
+        second = vfnet.backward_batch(net, cache, upstream)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, net.flat)
+        assert np.array_equal(first.flat, second.flat)
+
+    def test_backward_overwrites_the_buffer_it_is_given(self):
+        rng = RNG(21)
+        net = random_net(rng, SMALL_CONFIG)
+        _, cache = vfnet.forward_batch(net, rng.standard_normal((3, 6)), rng.uniform(size=3),
+                                       rng.standard_normal((3, 5)), keep_cache=True)
+        upstream = rng.standard_normal((3, 6))
+        grads = vfnet.zero_gradients(net)
+        grads.flat[:] = np.nan
+        assert vfnet.backward_batch(net, cache, upstream, grads) is grads
+        assert np.array_equal(grads.flat, vfnet.backward_batch(net, cache, upstream).flat)
 
 
 class TestCheckpoint:
