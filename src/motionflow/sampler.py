@@ -119,14 +119,6 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
     return x[0] if squeeze else x
 
 
-def _net_field(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector, shared=None):
-    """field(x, tau) of net under cond.  The condition is folded in once,
-    here, onto shared, vfnet.shared_fold(net), which embed_condition builds
-    when not given; each stage still calls forward_batch."""
-    embedded = vfnet.embed_condition(net, cond, shared)
-    return lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded)
-
-
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
                   rng: np.random.Generator, *, _shared=None) -> PoseSampleSet:
@@ -146,7 +138,9 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     """
     m = textio.whole("sample count m", m, 1)
     x0 = se3.sample_initial_batch(rng, m)
-    final = integrate_field(_net_field(net, cond, _shared), x0, config)
+    embedded = vfnet.embed_condition(net, cond, _shared)
+    final = integrate_field(
+        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded), x0, config)
     final.setflags(write=False)  # checked finite: the states share its rows
     samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
                for row in final]

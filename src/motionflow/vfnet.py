@@ -246,13 +246,14 @@ def shared_fold(net: VectorFieldNet) -> _Folded:
     (w0, _), (w_se, b_se) = net.layers[0], net.state_embed
     w_s = w0[:, t:t + s]
     layers = [(w.T, b[:]) for w, b in net.layers[1:]]
-    for i, ((w_r, b_r), (w_t, b_t)) in enumerate(zip(net.head_rot, net.head_trans)):
+    for i, (stacked, b) in enumerate(net.heads):
+        _, out, width = stacked.shape
         if i == 0:  # both heads read the trunk's output
-            w = np.concatenate([w_r, w_t])
+            w = stacked.reshape(2 * out, width)
         else:
-            w = np.zeros((len(w_r) + len(w_t), w_r.shape[1] + w_t.shape[1]))
-            w[:len(w_r), :w_r.shape[1]], w[len(w_r):, w_r.shape[1]:] = w_r, w_t
-        layers.append((w.T, np.concatenate([b_r, b_t])))
+            w = np.zeros((2 * out, 2 * width))
+            w[:out, :width], w[out:, width:] = stacked
+        layers.append((w.T, b.reshape(2 * out)))
     shared = _Folded((w_s @ w_se).T, w_s @ b_se, w0[:, :t].T, tuple(layers))
     for a in (*shared[:3], *itertools.chain(*layers)):  # none is one of net's arrays
         a.setflags(write=False)

@@ -97,6 +97,15 @@ class TestGen:
                        "--noise", noise, "--out", tmp_path / "x")
         assert code == 2
 
+    def test_long_arc_writes_its_artifacts(self, tmp_path):
+        # Recomposing this arc's pairs from pose 0 drifts past 1e-9; gen
+        # does not recompose them, so it writes every artifact.
+        out = gen_small(tmp_path, n=9640, kind="arc")
+        lines = (out / "dataset.csv").read_text().splitlines()
+        assert len(lines) == 4 + 9639
+        assert len(trajeval.read_tum(out / "gt.tum")) == 9640
+        assert read_manifest(out)["config"]["n"] == 9640
+
     def test_bad_kind_and_n_exit_2(self, tmp_path):
         assert run_cli("gen", "--kind", "spiral", "--out", tmp_path / "x") == 2
         assert run_cli("gen", "--kind", "line", "--n", 1,
@@ -152,6 +161,27 @@ class TestTrain:
                            "--config", cfg, "--out", tmp_path / "run")
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        data = gen_small(tmp_path)
+        want = train_small(tmp_path, data, "want", epochs=4, seed=9)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text((tmp_path / "want.cfg").read_text().replace("seed = 9", "seed = 1"))
+        out = tmp_path / "got"
+        assert run_cli("train", "--dataset", data / "dataset.csv", "--config", cfg,
+                       "--seed", 9, "--out", out) == 0
+        assert (out / "checkpoint.txt").read_bytes() == (want / "checkpoint.txt").read_bytes()
+        manifest = read_manifest(out)
+        assert manifest["seed"] == manifest["config"]["train"]["seed"] == 9
+
+    def test_dataset_without_ground_truth_exits_2(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        conditions = tmp_path / "conditions.csv"
+        conditions.write_text("".join(
+            line if line.startswith("#") else line.split(",", 6)[6]
+            for line in (data / "dataset.csv").read_text().splitlines(keepends=True)))
+        assert run_cli("train", "--dataset", conditions, "--out", tmp_path / "run") == 2
+        assert f"dataset has no ground-truth rows: {conditions}" in capsys.readouterr().err
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         data = gen_small(tmp_path)

@@ -438,6 +438,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             flowmatch.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_lr_decay_factor_outside_the_unit_interval(self, factor):
+        with pytest.raises(ValueError, match=r"^lr_decay_factor must lie in \(0, 1\]$"):
+            flowmatch.TrainConfig(lr_decay_factor=factor)
+
     def test_accepts_numpy_integers(self):
         config = flowmatch.TrainConfig(batch_size=np.int64(8), seed=np.int32(3))
         assert (config.batch_size, config.seed) == (8, 3)

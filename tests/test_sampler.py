@@ -149,7 +149,9 @@ class TestIntegrateField:
 
 def integrate_net(net, x0, cond, config):
     """One flow trajectory, integrated as estimate_pose integrates its rows."""
-    return sampler.integrate_field(sampler._net_field(net, cond), x0, config)
+    embedded = vfnet.embed_condition(net, cond)
+    return sampler.integrate_field(
+        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded), x0, config)
 
 
 class TestIntegrateNet:

@@ -358,6 +358,28 @@ class TestNonFiniteRejected:
             assert str(err.value) == message
 
 
+class TestShapeAndTypeRejected:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: se3.RelativePose(se3.Rotation.identity(), [1.0, 2.0]), ValueError,
+         "translation must have 3 components, got shape (2,)"),
+        (lambda: se3.MotionState(np.zeros((2, 2)), np.zeros(3)), ValueError,
+         "rho must have 3 components, got shape (4,)"),
+        (lambda: se3.RelativePose(np.eye(3), np.zeros(3)), TypeError,
+         "rotation must be a Rotation"),
+        (lambda: se3.MotionState.from_vector(np.zeros(5)), ValueError,
+         "state vector must have 6 components, got (5,)"),
+        (lambda: se3.log_map(np.array([1.0, 0.0, 0.0, 0.0])), TypeError,
+         "log_map expects a Rotation"),
+        (lambda: se3.sample_initial_batch(RNG(0), 0), ValueError,
+         "batch size must be >= 1, got 0"),
+    ], ids=["translation-shape", "rho-shape", "rotation-type", "state-vector-shape",
+            "log_map-type", "empty-batch"])
+    def test_messages(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
+
 def same_bits(got, want):
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 

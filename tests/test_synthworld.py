@@ -38,6 +38,15 @@ class TestMakeTrajectory:
             step = float(np.linalg.norm(rel.translation))
             assert 0.01 <= step <= 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 3000, 20001])
+    def test_figure8_steps_span_the_speed_ratio(self, n):
+        # |v|^2 = cos^2 t + cos^2 2t lies in [7/16, 2], so no step of the
+        # curve scaled to a 0.5 m largest step falls below 0.5 m * sqrt(7/32).
+        steps = [float(np.linalg.norm(rel.translation)) for rel in
+                 synthworld.relative_motions(synthworld.make_trajectory("figure8", n, None))]
+        assert 0.5 * math.sqrt(7 / 32) - 1e-12 < min(steps)
+        assert max(steps) == pytest.approx(0.5, abs=1e-12)
+
     def test_random_walk_reproducible(self):
         a = synthworld.make_trajectory("random-walk", 30, RNG(3))
         b = synthworld.make_trajectory("random-walk", 30, RNG(3))
@@ -135,15 +144,16 @@ class TestConditionEncoder:
 
 class TestMakeScenario:
     def test_chaining_and_shapes(self):
-        scenario = synthworld.make_scenario("walk", "random-walk", 40, 0.2, 0.05, RNG(16))
-        assert len(scenario.pairs) == 39
-        # Independent chaining check on top of the constructor's own.
-        poses = [scenario.gt_trajectory.poses[0]]
-        for pair in scenario.pairs:
-            poses.append(se3.compose(poses[-1], se3.state_to_pose(pair.target)))
-        for got, want in zip(poses, scenario.gt_trajectory.poses):
-            assert se3.geodesic_angle(got.rotation, want.rotation) < 1e-9
-            assert np.linalg.norm(got.translation - want.translation) < 1e-9
+        # make_scenario does not recompose its pairs; this does, for every kind.
+        for kind in synthworld.TRAJECTORY_KINDS:
+            scenario = synthworld.make_scenario(kind, kind, 40, 0.2, 0.05, RNG(16))
+            assert len(scenario.pairs) == 39
+            poses = [scenario.gt_trajectory.poses[0]]
+            for pair in scenario.pairs:
+                poses.append(se3.compose(poses[-1], se3.state_to_pose(pair.target)))
+            for got, want in zip(poses, scenario.gt_trajectory.poses):
+                assert se3.geodesic_angle(got.rotation, want.rotation) < 1e-9, kind
+                assert np.linalg.norm(got.translation - want.translation) < 1e-9, kind
 
     def test_reproducible_given_seed(self):
         a = synthworld.make_scenario("s", "figure8", 30, 0.5, 0.1, RNG(17))
@@ -169,6 +179,39 @@ class TestMakeScenario:
     def test_rejects_bad_dial_values(self, ambiguity, noise, message):
         with pytest.raises(ValueError, match=message):
             synthworld.make_scenario("s", "line", 5, ambiguity, noise, RNG(19))
+
+
+SIZED = {
+    "encoder-dim": (lambda v: synthworld.ConditionEncoder(v, 1), "dim", 1),
+    "encoder-lift_seed": (lambda v: synthworld.ConditionEncoder(4, v), "lift_seed", 0),
+    "trajectory-n": (lambda v: synthworld.make_trajectory("line", v, RNG(0)), "n", 2),
+    "bimodal-n": (lambda v: synthworld.make_bimodal_dataset(v, RNG(0)), "n", 2),
+}
+
+
+class TestSizeRule:
+    """Every size in synthworld goes through textio.whole: a non-integer or
+    a value below the least raises ValueError naming the field."""
+
+    @pytest.mark.parametrize("value", [4.5, 4.0, "4"], ids=["fraction", "whole-float", "str"])
+    @pytest.mark.parametrize("case", SIZED)
+    def test_non_integers_raise_naming_the_field(self, case, value):
+        build, field, _ = SIZED[case]
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            build(value)
+
+    @pytest.mark.parametrize("case", SIZED)
+    def test_below_the_least_raises_naming_the_field(self, case):
+        build, field, least = SIZED[case]
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {least - 1}$"):
+            build(least - 1)
+
+    def test_numpy_integers_are_accepted(self):
+        enc = synthworld.ConditionEncoder(np.int32(4), np.uint64(2 ** 63))
+        assert (enc.dim, enc.lift_seed) == (4, 2 ** 63)
+        assert type(enc.dim) is int and type(enc.lift_seed) is int
+        assert len(synthworld.make_trajectory("figure8", np.int64(5), None)) == 5
+        assert len(synthworld.make_bimodal_dataset(np.int16(6), RNG(0))) == 6
 
 
 class TestBimodalDataset:
@@ -213,9 +256,9 @@ class TestBimodalDataset:
         assert np.array_equal(mapped, true_assign)
 
     def test_rejects_odd_or_tiny_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be even, got 7$"):
             synthworld.make_bimodal_dataset(7, RNG(21))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 0$"):
             synthworld.make_bimodal_dataset(0, RNG(22))
 
 

@@ -67,6 +67,19 @@ def test_import_loads_only_se3_and_textio():
                                "motionflow.trajeval"])
 
 
+class TestTrajectoryType:
+    @pytest.mark.parametrize("stamps, poses, error, message", [
+        ([0.0, 1.0], [se3.RelativePose.identity()], ValueError, "2 stamps for 1 poses"),
+        ([], [], ValueError, "trajectory must contain at least one pose"),
+        ([0.0, 1.0], [se3.RelativePose.identity(), se3.MotionState(np.zeros(3), np.zeros(3))],
+         TypeError, "pose 1 is not a RelativePose"),
+    ], ids=["count-mismatch", "empty", "pose-type"])
+    def test_rejects(self, stamps, poses, error, message):
+        with pytest.raises(error) as err:
+            trajeval.Trajectory(stamps, poses)
+        assert str(err.value) == message
+
+
 class TestComposeTrajectory:
     def test_empty_rels(self):
         start = se3.RelativePose(se3.exp_map([0, 0, 0.5]), [1.0, 2.0, 3.0])

@@ -89,6 +89,12 @@ def naive_forward(net, state_vec, tau, cond_vec):
     return np.concatenate([rot, trans])
 
 
+@pytest.mark.parametrize("values", [[], np.zeros((0, 3))], ids=["empty", "empty-2d"])
+def test_condition_vector_rejects_empty_values(values):
+    with pytest.raises(ValueError, match="^condition vector must be nonempty$"):
+        vfnet.ConditionVector(values)
+
+
 class TestTimeEmbedding:
     def test_tau_zero(self):
         emb = time_features(0.0, 8)
