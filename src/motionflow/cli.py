@@ -292,12 +292,6 @@ def cmd_infer(args, out: Path) -> RunManifest:
     return manifest
 
 
-def _mean_spread(rows):
-    """Mean per-component sampling std, split into rotation/translation."""
-    stds = np.stack([std for _, std in rows])
-    return float(np.mean(stds[:, :3])), float(np.mean(stds[:, 3:]))
-
-
 def cmd_eval(args, out: Path) -> RunManifest:
     est = _read_input(args.est, "estimated trajectory", trajeval.read_tum)
     gt = _read_input(args.gt, "ground-truth trajectory", trajeval.read_tum)
@@ -331,7 +325,9 @@ def cmd_eval(args, out: Path) -> RunManifest:
             raise UsageError(
                 f"bad estimates file: {args.estimates} has {len(rows)} rows, but the "
                 f"trajectories have {len(est)} poses; expected {len(est) - 1}")
-        std_rot, std_trans = _mean_spread(rows)
+        if rows:  # mean sampling std, split into rotation/translation
+            stds = np.stack([std for _, std in rows])
+            std_rot, std_trans = float(np.mean(stds[:, :3])), float(np.mean(stds[:, 3:]))
     manifest.lap("evaluate")
 
     metrics_path = out / "metrics.csv"

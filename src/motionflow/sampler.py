@@ -10,11 +10,11 @@ per-component standard deviation is reported alongside.
 Solvers are deliberately plain fixed-step schemes (euler, midpoint, rk4)
 so their convergence orders can be verified directly.
 
-The condition is fixed within one estimate, so vfnet.embed_condition
-folds it into the net once per estimate, and every stage's forward_batch
-call runs that fold on the states, with its tau as a scalar.  The parts
-of the fold that no condition enters are built once per estimate_sequence
-call (vfnet.shared_fold) and shared by all its elements.
+The condition is fixed within one estimate, so the net is folded under
+it (vfnet.embed_conditions) before integration, and every stage's
+forward_batch call runs that fold on the states, with its tau as a
+scalar.  estimate_sequence folds the net under all its conditions with
+one call, so the parts no condition enters are built once per sequence.
 """
 
 from __future__ import annotations
@@ -121,35 +121,39 @@ def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
 
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
-                  rng: np.random.Generator, *, _shared=None) -> PoseSampleSet:
+                  rng: np.random.Generator, *, _fold=None) -> PoseSampleSet:
     """m independent flow samples for one condition, with mean and spread.
 
     All m reference draws come from rng in sequence; the m trajectories
     are integrated together as one (m, 6) batch through the net folded
-    under cond.  The fold is built on every call, its condition-free part
-    too unless estimate_sequence hands over the one it built for the
-    whole sequence as _shared, which gives the same bits.  The folded
+    under cond (_fold, when estimate_sequence has built it).  The folded
     field equals the layered forward_batch to rounding, and each row the
     same draw integrated alone (within 1e-14 on the kept checkpoint), not
     bit for bit.  The result is exact given its arguments:
     estimate_sequence's element i equals estimate_pose on that element's
     child generator.  The mean and the population std are computed with
     the reductions ndarray.mean and ndarray.std run, so their bits match.
+    Finite samples whose rotation vector or statistics overflow the float
+    range raise IntegrationDivergedError, as non-finite states do.
     """
     m = textio.whole("sample count m", m, 1)
     x0 = se3.sample_initial_batch(rng, m)
-    embedded = vfnet.embed_condition(net, cond, _shared)
+    fold = vfnet.embed_conditions(net, [cond])[0] if _fold is None else _fold
     final = integrate_field(
-        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded), x0, config)
+        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=fold), x0, config)
     final.setflags(write=False)  # checked finite: the states share its rows
-    samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
-               for row in final]
-    states = np.array([se3.pose_to_state(p).as_vector() for p in samples])
-    mean = np.add.reduce(states, 0) / m
-    states -= mean  # the deviations, squared in place as ndarray.std squares them
-    states *= states
-    std = np.sqrt(np.add.reduce(states, 0) / m)
-    return PoseSampleSet(samples, se3.MotionState.from_vector(mean), std)
+    try:
+        samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
+                   for row in final]
+        states = np.array([se3.pose_to_state(p).as_vector() for p in samples])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
+            mean = np.add.reduce(states, 0) / m
+            states -= mean  # the deviations, squared in place as ndarray.std squares them
+            states *= states
+            std = np.sqrt(np.add.reduce(states, 0) / m)
+        return PoseSampleSet(samples, se3.MotionState.from_vector(mean), std)
+    except ValueError as err:
+        raise IntegrationDivergedError(f"samples overflow the float range: {err}") from None
 
 
 def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
@@ -158,19 +162,19 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
 
     Each element gets its own child generator spawned from rng, so the
     result for element i does not depend on the length of the sequence
-    before or after it.  The condition-free part of the fold is built
-    once per call and handed to every element's estimate_pose, never kept
-    past the call.  Failures are collected and re-raised together with
-    their element indices.
+    before or after it.  The net is folded under every condition by one
+    vfnet.embed_conditions call, and element i's estimate_pose runs fold
+    i.  Failures are collected and re-raised together with their element
+    indices.
     """
     conds = list(conds)
     children = rng.spawn(len(conds))
-    shared = vfnet.shared_fold(net)
+    folds = vfnet.embed_conditions(net, conds)
     results = []
     failures = []
-    for i, (cond, child) in enumerate(zip(conds, children)):
+    for i, (cond, child, fold) in enumerate(zip(conds, children, folds)):
         try:
-            results.append(estimate_pose(net, cond, config, m, child, _shared=shared))
+            results.append(estimate_pose(net, cond, config, m, child, _fold=fold))
         except IntegrationDivergedError as err:
             failures.append((i, err))
     if failures:

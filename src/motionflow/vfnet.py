@@ -204,10 +204,9 @@ def _time_features(taus: np.ndarray, dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _shared_time_features(tau_hex: str, dim: int) -> np.ndarray:
-    """Read-only _time_features row of one time.  Keyed by tau.hex(), so
-    -0.0 and 0.0 keep their own (sign-carrying) sines."""
-    row = _time_features(np.array([float.fromhex(tau_hex)]), dim)[0]
+def _shared_time_features(tau: float, dim: int) -> np.ndarray:
+    """Read-only _time_features row of one time."""
+    row = _time_features(np.array([tau]), dim)[0]
     row.flags.writeable = False
     return row
 
@@ -223,9 +222,9 @@ def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
 
 
 class _Folded(NamedTuple):
-    """The net under one condition: forward_batch's embedded= argument.
-    Weights are (in, out); every array is read-only, net's own stay writable.
-    shared_fold's has no condition yet: its bias is W_s·b_se alone."""
+    """The net folded under one condition, from embed_conditions: what
+    forward_batch's embedded= runs.  Weights are (in, out); every array is
+    read-only, net's own stay writable."""
 
     state_weight: np.ndarray  # (6, trunk_widths[0])
     bias: np.ndarray          # the first trunk layer's, with the condition folded in
@@ -233,17 +232,23 @@ class _Folded(NamedTuple):
     layers: tuple             # ((weight, bias), ...): the trunk's others, then the heads'
 
 
-def shared_fold(net: VectorFieldNet) -> _Folded:
-    """The part of net's fold that no condition enters, for embed_condition.
+def embed_conditions(net: VectorFieldNet, conds) -> list:
+    """net folded under each ConditionVector of conds, in order.
 
-    Its bias is W_s·b_se alone, the state embedding's bias through the
-    first trunk layer: it lacks the condition and that layer's own bias,
-    so it is not a fold forward_batch can run.  Some arrays are views of
-    net and some are computed from it: build it again after net's
+    Every row of one estimate shares the condition and each stage's tau,
+    and the state embedding is linear, so the first trunk layer is
+    tanh(states @ state_weight + bias + time(tau) @ time_weight).  The two
+    heads run as one chain: their first weights stacked, their later ones
+    block-diagonal, so the output row is [rotational, translational].
+
+    Only the bias row W_c·emb(cond) + W_s·b_se + b_0, summed in that
+    order, depends on the condition: the other arrays are built once per
+    call and shared by every fold, and each condition runs the condition
+    branch once.  Some arrays are views of net: fold again after its
     parameters change.
     """
     t, s = net.config.time_embed_dim, net.config.state_embed_dim
-    (w0, _), (w_se, b_se) = net.layers[0], net.state_embed
+    (w0, b0), (w_se, b_se) = net.layers[0], net.state_embed
     w_s = w0[:, t:t + s]
     layers = [(w.T, b[:]) for w, b in net.layers[1:]]
     for i, (stacked, b) in enumerate(net.heads):
@@ -254,44 +259,16 @@ def shared_fold(net: VectorFieldNet) -> _Folded:
             w = np.zeros((2 * out, 2 * width))
             w[:out, :width], w[out:, width:] = stacked
         layers.append((w.T, b.reshape(2 * out)))
-    shared = _Folded((w_s @ w_se).T, w_s @ b_se, w0[:, :t].T, tuple(layers))
-    for a in (*shared[:3], *itertools.chain(*layers)):  # none is one of net's arrays
+    state_weight, time_weight, layers = (w_s @ w_se).T, w0[:, :t].T, tuple(layers)
+    for a in (state_weight, time_weight, *itertools.chain(*layers)):  # none is net's own
         a.setflags(write=False)
-    return shared
-
-
-def embed_condition(net: VectorFieldNet, cond: ConditionVector, shared=None) -> _Folded:
-    """Fold net under cond into one first layer and one chain.
-
-    Every row of one estimate shares the condition and each stage's tau,
-    and the state embedding is linear, so the first trunk layer is
-    tanh(states @ state_weight + bias + time(tau) @ time_weight).  The two
-    heads run as one chain: their first weights stacked, their later ones
-    block-diagonal, so the output row is [rotational, translational].
-
-    shared is shared_fold(net), built here when not given: a caller that
-    folds net under many conditions builds it once and runs only the
-    condition branch and the bias row per condition, with the same bits.
-    The fold holds views of net: fold again after its parameters change.
-    """
-    if shared is None:
-        shared = shared_fold(net)
-    t, s = net.config.time_embed_dim, net.config.state_embed_dim
-    w0, b0 = net.layers[0]
-    bias = w0[:, t + s:] @ _condition_branch(net, cond.values[None, :])[-1][0] + shared.bias + b0
-    bias.setflags(write=False)
-    return _Folded(shared.state_weight, bias, shared.time_weight, shared.layers)
-
-
-def _folded_forward(fold: _Folded, states: np.ndarray, tau) -> np.ndarray:
-    time = _shared_time_features(float(tau).hex(), len(fold.time_weight))
-    x = states @ fold.state_weight
-    x += fold.bias + time @ fold.time_weight
-    for weight, bias in fold.layers:
-        np.tanh(x, out=x)
-        x = x @ weight
-        x += bias
-    return x
+    w_c, state_bias = w0[:, t + s:], w_s @ b_se
+    folds = []
+    for cond in conds:
+        bias = w_c @ _condition_branch(net, cond.values[None, :])[-1][0] + state_bias + b0
+        bias.setflags(write=False)
+        folds.append(_Folded(state_weight, bias, time_weight, layers))
+    return folds
 
 
 def _forward_chain(layers, x, linear_last: bool) -> list:
@@ -331,12 +308,11 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
                   keep_cache: bool = False, *, embedded=None):
     """Batched field evaluation: (B,6), (B,), (B,k) -> (B,6) velocities.
 
-    In place of conds, embedded may give embed_condition's fold of the net
-    under one condition, with taus one float time for every row: a caller
-    that evaluates one condition many times runs the condition branch
-    once, and each call runs the trunk and one merged head chain on the
-    states alone.  Its velocities equal the layered path's to rounding
-    (about 1e-15), not bit for bit.
+    In place of conds, embedded may give one of embed_conditions' folds,
+    with taus one float time for every row: each call then runs the trunk
+    and one merged head chain on the states alone, and the time features
+    of tau come from a 64-entry cache.  Its velocities equal the layered
+    path's to rounding (about 1e-15), not bit for bit.
 
     With raw conds the two heads run as one stacked chain over net.heads,
     each head with the bits of its own chain.  With keep_cache=True this
@@ -347,7 +323,14 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
         if conds is not None or keep_cache:
             raise ValueError("embedded replaces conds and keeps no activations "
                              "for backward_batch; pass conds alone")
-        return _folded_forward(embedded, states, taus)
+        time = _shared_time_features(taus, len(embedded.time_weight))
+        x = states @ embedded.state_weight
+        x += embedded.bias + time @ embedded.time_weight
+        for weight, bias in embedded.layers:
+            np.tanh(x, out=x)
+            x = x @ weight
+            x += bias
+        return x
     cond_acts = _condition_branch(net, conds)
     state_acts = _forward_chain([net.state_embed], states, True)
     time = _time_features(taus, net.config.time_embed_dim)

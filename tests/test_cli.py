@@ -259,6 +259,19 @@ class TestInfer:
                        "--dataset", other / "dataset.csv", "--out", tmp_path / "x")
         assert code == 2
 
+    def test_overflowing_samples_exit_1(self, tmp_path, capsys):
+        # Translations near 1e161 stay finite, but their squared
+        # deviations overflow: the elements diverge, with no warning.
+        data = gen_small(tmp_path)
+        net = vfnet.init_params(RNG(0), vfnet.NetConfig())
+        net.head_trans[-1][0][...] = 1e160
+        ckpt = tmp_path / "huge.txt"
+        vfnet.save_checkpoint(ckpt, net)
+        code = run_cli("infer", "--checkpoint", ckpt, "--dataset", data / "dataset.csv",
+                       "--out", tmp_path / "x")
+        assert code == 1
+        assert "integration diverged for sequence elements [0, " in capsys.readouterr().err
+
     def test_bad_method_exits_2(self, tmp_path):
         data = gen_small(tmp_path)
         run = train_small(tmp_path, data)
@@ -319,6 +332,19 @@ class TestEval:
         data = gen_small(tmp_path)
         out = tmp_path / "ev"
         assert run_cli("eval", data / "gt.tum", data / "gt.tum", "--out", out) == 0
+        cells = (out / "metrics.csv").read_text().splitlines()[1].split(",")
+        assert np.isnan(float(cells[4])) and np.isnan(float(cells[5]))
+
+    def test_one_pose_with_header_only_estimates_has_nan_spread(self, tmp_path):
+        # One pose has no motions: the header-only estimates file matches
+        # it, and there is no spread to average.
+        one = tmp_path / "one.tum"
+        trajeval.write_tum(one, trajeval.Trajectory(np.zeros(1), [se3.RelativePose.identity()]))
+        estimates = tmp_path / "hdr.csv"
+        estimates.write_text(sampler.ESTIMATES_HEADER + "\n")
+        out = tmp_path / "ev"
+        assert run_cli("eval", one, one, "--align", "none", "--estimates", estimates,
+                       "--out", out) == 0
         cells = (out / "metrics.csv").read_text().splitlines()[1].split(",")
         assert np.isnan(float(cells[4])) and np.isnan(float(cells[5]))
 

