@@ -37,13 +37,9 @@ def run(kind="figure8", n=61, epochs=1500, steps=(2, 5, 10), method="midpoint",
     t0 = time.perf_counter()
     net, _ = flowmatch.train(scenario.pairs, train_config(epochs, seed=10))
     seconds = time.perf_counter() - t0
-    rows = {}
-    for k in steps:
-        results = sampler.estimate_sequence(
-            net, [pair.cond for pair in scenario.pairs], sampler.SolverConfig(method, k),
-            samples, np.random.default_rng(np.random.SeedSequence(17)))
-        rows[k] = results, cli._chained(results)
-    return scenario, seconds, rows
+    conds = [pair.cond for pair in scenario.pairs]
+    return scenario, seconds, {k: cli._sample(net, conds, sampler.SolverConfig(method, k),
+                                              samples, 17) for k in steps}
 
 
 def diameter(trajectory) -> float:

@@ -154,10 +154,15 @@ def _read_model(args):
     return net, [cond for cond, _ in rows]
 
 
-def _chained(estimates):
-    """The trajectory the estimates' chart means chain to from the identity."""
-    return trajeval.compose_trajectory(se3.RelativePose.identity(),
-                                       [e.estimate for e in estimates])
+def _sample(net, conds, solver, samples: int, seed: int):
+    """(estimates for conds, the trajectory their chart means chain to from
+    the identity), sampled from a generator seeded afresh with seed.  So
+    every step count of ablate-steps and scripts/demo_pipeline.py draws
+    what infer draws with that seed, and rows differ only in the integrator."""
+    estimates = sampler.estimate_sequence(
+        net, conds, solver, samples, np.random.default_rng(np.random.SeedSequence(seed)))
+    return estimates, trajeval.compose_trajectory(se3.RelativePose.identity(),
+                                                  [e.estimate for e in estimates])
 
 
 def _motions(traj, path):
@@ -170,7 +175,9 @@ def _motions(traj, path):
 
 def _ate(est, gt, args, est_path=None) -> float:
     """ATE of est (read from est_path, or computed) against gt, read from
-    args.gt, after rescaling est's relative translations by args.scale."""
+    args.gt, after rescaling est's relative translations by args.scale.
+    An overflow makes the input files bad, unless est was computed and
+    lies further from the origin than gt: then the integration diverged."""
     try:
         if args.scale != "none":
             est_rels = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
@@ -178,6 +185,10 @@ def _ate(est, gt, args, est_path=None) -> float:
                 est_rels, _motions(gt, args.gt), args.scale))
         return trajeval.ate(est, gt, args.align)
     except FloatingPointError as err:
+        if est_path is None and np.abs(est.positions()).max() > np.abs(gt.positions()).max():
+            raise sampler.IntegrationDivergedError(
+                f"integration diverged: the ATE of the estimates against {args.gt} "
+                f"overflows the float range: {err}")
         raise UsageError(f"bad trajectories: the ATE of {est_path or 'the estimates'} "
                          f"against {args.gt} overflows the float range: {err}")
 
@@ -200,10 +211,13 @@ def cmd_gen(args, out: Path) -> RunManifest:
     )
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    scenario = synthworld.make_scenario(
-        manifest.config["name"], args.kind, args.n, args.ambiguity,
-        args.noise, rng, cond_dim=args.cond_dim,
-    )
+    try:
+        scenario = synthworld.make_scenario(
+            manifest.config["name"], args.kind, args.n, args.ambiguity,
+            args.noise, rng, cond_dim=args.cond_dim,
+        )
+    except ValueError as err:  # argparse bounds every other flag; the noise can overflow
+        raise UsageError(f"bad --noise {args.noise}: {err}")
     manifest.config["lift_seed"] = scenario.lift_seed
     manifest.lap("generate")
 
@@ -275,9 +289,7 @@ def cmd_infer(args, out: Path) -> RunManifest:
         counts={"nfe_per_sample": solver.nfe_per_sample},
     )
 
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
-    traj = _chained(estimates)
+    estimates, traj = _sample(net, conds, solver, args.samples, args.seed)
     manifest.lap("sample")
 
     estimates_path = out / "estimates.csv"
@@ -367,10 +379,9 @@ def cmd_ablate_steps(args, out: Path) -> RunManifest:
     table = []
     for steps in args.steps:
         solver = sampler.SolverConfig(method=args.method, steps=steps)
-        # Fresh generator per row: rows differ only in the integrator.
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        estimates = sampler.estimate_sequence(net, conds, solver, args.samples, rng)
-        table.append((steps, _ate(_chained(estimates), gt, args)))
+        # No row's samples stay alive while the next row samples.
+        table.append((steps, _ate(_sample(net, conds, solver, args.samples, args.seed)[1],
+                                  gt, args)))
         manifest.lap(f"steps_{steps}")
 
     ablation_path = out / "ablation.csv"

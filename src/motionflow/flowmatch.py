@@ -115,6 +115,17 @@ def adam_init(net: vfnet.VectorFieldNet) -> AdamState:
     return AdamState(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat), step=0)
 
 
+def _first_nonfinite(net: vfnet.VectorFieldNet, flat: np.ndarray) -> str:
+    """Name of the tensor, in checkpoint order, that holds the first
+    non-finite entry of flat, a buffer laid out like net.flat."""
+    bad = int(np.argmin(np.isfinite(flat)))
+    for name, arr in vfnet._named_arrays(net):
+        if bad < arr.size:
+            return name
+        bad -= arr.size
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.VectorFieldNet, state: AdamState,
               lr: float) -> None:
     """One in-place Adam update with bias correction, on the flat buffers.
@@ -122,7 +133,8 @@ def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.VectorFieldNet, state: Ada
     From a zero state the very first step moves each parameter by
     -lr * g / (|g| + eps), which the tests pin down.  Raises
     TrainingDivergedError, naming the first tensor in checkpoint order
-    with a non-finite entry, if any parameter leaves the finite range.
+    with a non-finite entry, if any parameter leaves the finite range, or
+    else any second moment does; it warns nothing.
     """
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
@@ -139,16 +151,16 @@ def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.VectorFieldNet, state: Ada
     update /= denom
     net.flat -= update
     if not np.isfinite(net.flat).all():
-        bad = int(np.argmin(np.isfinite(net.flat)))
-        for name, arr in vfnet._named_arrays(net):
-            if bad < arr.size:
-                break
-            bad -= arr.size
-        raise TrainingDivergedError(
-            f"parameter {name} became non-finite at optimizer step {state.step}"
-        )
+        raise TrainingDivergedError(f"parameter {_first_nonfinite(net, net.flat)} became "
+                                    f"non-finite at optimizer step {state.step}")
+    # A finite gradient whose square overflows leaves its parameter a zero
+    # update from then on: training would go on with that parameter frozen.
+    if not np.isfinite(v).all():
+        raise TrainingDivergedError(f"second moment of {_first_nonfinite(net, v)} left "
+                                    f"the float range at optimizer step {state.step}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises, and warns nothing
 def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
           net: vfnet.VectorFieldNet = None):
     """Train a vector field on a list of TrainingPairs.

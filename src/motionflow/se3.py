@@ -51,18 +51,13 @@ class Rotation:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=np.float64).reshape(-1)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
-        values = q.tolist()
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"quaternion contains non-finite values: {q}")
+        q = _finite_vector(self.q, 4, "quaternion")
         # np.linalg.norm of a 1-d float vector is this same sqrt of a dot; np.vdot
         # is ndarray.dot without its status check, so overflow is inf, no warning.
         norm = math.sqrt(np.vdot(q, q))
         if not 1e-12 <= norm < math.inf:
             raise ValueError(f"quaternion norm is zero or not finite: {norm}")
-        object.__setattr__(self, "q", _canonical(values, norm))
+        object.__setattr__(self, "q", _canonical(q.tolist(), norm))
 
     @classmethod
     def identity(cls) -> "Rotation":

@@ -152,7 +152,10 @@ class ConditionEncoder:
         if noise_sigma > 0.0:
             if rng is None:
                 raise ValueError("noise_sigma > 0 requires an rng")
-            values = values + noise_sigma * rng.standard_normal(self.dim)
+            with np.errstate(over="ignore"):
+                values = values + noise_sigma * rng.standard_normal(self.dim)
+            if not np.isfinite(values).all():
+                raise ValueError(f"noise_sigma {noise_sigma} overflows the condition values")
         return ConditionVector(values)
 
 

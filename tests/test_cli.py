@@ -15,6 +15,8 @@ import pytest
 from motionflow import cli, sampler, se3, synthworld, trajeval, vfnet
 
 RNG = np.random.default_rng
+KEPT_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                   / "perfbench" / "data" / "figure8_checkpoint.txt")
 
 
 def run_cli(*argv):
@@ -96,6 +98,12 @@ class TestGen:
         code = run_cli("gen", "--kind", "figure8", "--n", 9,
                        "--noise", noise, "--out", tmp_path / "x")
         assert code == 2
+
+    def test_overflowing_noise_exits_2_and_names_it(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("gen", "--noise", "1e308", "--out", out) == 2
+        assert "error: bad --noise 1e+308: " in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
 
     def test_long_arc_writes_its_artifacts(self, tmp_path):
         # Recomposing this arc's pairs from pose 0 drifts past 1e-9; gen
@@ -476,6 +484,36 @@ class TestAblateSteps:
                                    "--out", ev) == 0
                     cells = (ev / "metrics.csv").read_text().splitlines()[1].split(",")
                     assert row == f"{k},{cells[3]}"
+
+    @pytest.mark.parametrize("scale", ["none", "per_pair"])
+    def test_diverged_estimates_exit_1(self, tmp_path, scale, capsys):
+        # Saturated stages collapse each estimate's spread, so nothing
+        # overflows in sampling; the ATE of the estimates, near 1e160, does.
+        data = gen_small(tmp_path)
+        net = vfnet.load_checkpoint(KEPT_CHECKPOINT)
+        net.head_trans[-1][0][...] = 1e160
+        ckpt = tmp_path / "huge.txt"
+        vfnet.save_checkpoint(ckpt, net)
+        gt = data / "gt.tum"
+        code = run_cli("ablate-steps", "--checkpoint", ckpt, "--dataset",
+                       data / "dataset.csv", "--gt", gt, "--scale", scale,
+                       "--out", tmp_path / "x")
+        assert code == 1
+        assert (f"error: integration diverged: the ATE of the estimates against {gt} "
+                "overflows the float range") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("align", ["none", "sim3"])
+    def test_far_gt_exits_2_and_names_it(self, tmp_path, align, capsys):
+        data = gen_small(tmp_path, n=4)
+        gt = tmp_path / "far.tum"
+        gt.write_text("".join(f"{i} {x} {y} {z} 0 0 0 1\n" for i, (x, y, z)
+                              in enumerate(TestMalformedInputs.FAR)))
+        code = run_cli("ablate-steps", "--checkpoint", KEPT_CHECKPOINT, "--dataset",
+                       data / "dataset.csv", "--gt", gt, "--align", align,
+                       "--out", tmp_path / "x")
+        assert code == 2
+        assert (f"error: bad trajectories: the ATE of the estimates against {gt} "
+                "overflows the float range") in capsys.readouterr().err
 
     def test_gt_length_mismatch_exits_2(self, tmp_path):
         data = gen_small(tmp_path, "a", n=9)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from motionflow import flowmatch, se3, vfnet
+from motionflow import flowmatch, se3, synthworld, vfnet
 
 RNG = np.random.default_rng
 
@@ -378,6 +378,19 @@ class TestTrain:
             with pytest.raises(flowmatch.TrainingDivergedError,
                                match="epoch 1, batch 0"):
                 flowmatch.train(dataset, config, SMALL_CONFIG)
+
+    @pytest.mark.parametrize("lr, message", [
+        (1e100, "second moment of state_embed.w left the float range at optimizer step 2"),
+        (1e200, "non-finite loss at epoch 1, batch 0"),
+    ], ids=["lr-1e100", "lr-1e200"])
+    def test_divergence_raises_and_warns_nothing(self, lr, message):
+        # gen --kind figure8 --n 12 --seed 3.  At lr 1e100 the squared
+        # gradients overflow while the loss stays finite, which would leave
+        # most parameters a zero update; at 1e200 the forward pass overflows.
+        scenario = synthworld.make_scenario("figure8", "figure8", 12, 0.0, 0.0,
+                                            RNG(np.random.SeedSequence(3)))
+        with pytest.raises(flowmatch.TrainingDivergedError, match=f"^{message}$"):
+            flowmatch.train(scenario.pairs, flowmatch.TrainConfig(epochs=3, lr=lr))
 
 
 # sha256 of the trained net.flat and of the loss history (step, lr, loss
