@@ -13,8 +13,15 @@ so their convergence orders can be verified directly.
 The condition is fixed within one estimate, so the net is folded under
 it (vfnet.embed_conditions) before integration, and every stage's
 forward_batch call runs that fold on the states, with its tau as a
-scalar.  estimate_sequence folds the net under all its conditions with
-one call, so the parts no condition enters are built once per sequence.
+scalar.  States are integrated as (n, m, 6) stacks, n conditions of m
+rows each: estimate_sequence folds the net under all its conditions with
+one call and integrates consecutive elements in blocks of at most
+BLOCK_ROWS rows, one forward_batch call per stage per block, while
+estimate_pose alone integrates a one-element stack.  The stacked matmuls
+stay 3-D, one gemm per element with the operands of a one-element call,
+so an element's bits do not depend on its block; one flat (n*m, 6)
+matmul would round them differently.  BLOCK_ROWS bounds the memory of a
+stack and its stage buffers, which would otherwise grow with n*m.
 """
 
 from __future__ import annotations
@@ -30,9 +37,18 @@ from . import se3, textio, vfnet
 STAGES = {"euler": 1, "midpoint": 2, "rk4": 4}
 SOLVER_METHODS = tuple(STAGES)
 
+# Rows estimate_sequence integrates as one stack: max(1, BLOCK_ROWS // m)
+# consecutive elements of m rows each.
+BLOCK_ROWS = 512
+
 
 class IntegrationDivergedError(RuntimeError):
-    """State became non-finite during integration; message says where."""
+    """State became non-finite during integration; message says where.
+
+    Raised by integrate_field, it also carries failures, each diverged
+    element's index mapped to its own message, and states, the whole
+    integrated stack.
+    """
 
 
 @dataclass(frozen=True)
@@ -87,61 +103,90 @@ class PoseSampleSet:
 def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Integrate dx/dtau = field(x, tau) from tau 0 to 1, batched.
 
-    field maps ((B, 6) states, scalar tau) -> (B, 6) velocities; x0 is
-    (B, 6), or one 6-vector, integrated as one row and returned as a
-    6-vector.  Raises IntegrationDivergedError naming the step and the
-    first offending batch row if the state leaves the finite range.
+    x0 is an (n, m, 6) stack of n elements of m rows, (B, 6) rows of one
+    element, or one 6-vector, integrated as one row and returned as a
+    6-vector; field maps (states shaped as x0, scalar tau) -> velocities
+    of that shape.  An element whose state leaves the finite range is
+    integrated on, under np.errstate so that nothing warns, and the
+    others run to tau 1; integration stops early only once every element
+    has left it.  IntegrationDivergedError then names the step and first
+    offending row of the first such element; its failures map each such
+    element's index to its own message, and its states hold the stack,
+    whose other elements a caller can still use.
     """
     x = np.array(x0, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
+    elements = len(x) if x.ndim == 3 else 1
+    failures = {}
     h = 1.0 / config.steps
-    for i in range(config.steps):
-        tau = i * h
-        if config.method == "euler":
-            x = x + h * field(x, tau)
-        elif config.method == "midpoint":
-            k = field(x, tau)
-            x = x + h * field(x + 0.5 * h * k, tau + 0.5 * h)
-        else:  # rk4
-            k1 = field(x, tau)
-            k2 = field(x + 0.5 * h * k1, tau + 0.5 * h)
-            k3 = field(x + 0.5 * h * k2, tau + 0.5 * h)
-            k4 = field(x + h * k3, tau + h)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
-            bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
-            raise IntegrationDivergedError(
-                f"non-finite state after step {i + 1}/{config.steps} "
-                f"(sample {bad}, method {config.method})"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # diverged elements raise below
+        for i in range(config.steps):
+            tau = i * h
+            if config.method == "euler":
+                x = x + h * field(x, tau)
+            elif config.method == "midpoint":
+                k = field(x, tau)
+                x = x + h * field(x + 0.5 * h * k, tau + 0.5 * h)
+            else:  # rk4
+                k1 = field(x, tau)
+                k2 = field(x + 0.5 * h * k1, tau + 0.5 * h)
+                k3 = field(x + 0.5 * h * k2, tau + 0.5 * h)
+                k4 = field(x + h * k3, tau + h)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if np.isfinite(x).all():
+                continue
+            finite = np.isfinite(x).reshape(elements, -1, x.shape[-1]).all(axis=2)
+            for e in np.flatnonzero(~finite.all(axis=1)).tolist():
+                failures.setdefault(e, f"non-finite state after step {i + 1}/{config.steps} "
+                                       f"(sample {int(np.argmin(finite[e]))}, "
+                                       f"method {config.method})")
+            if len(failures) == elements:
+                break
+    if failures:
+        err = IntegrationDivergedError(failures[min(failures)])
+        err.failures, err.states = failures, x
+        raise err
     return x[0] if squeeze else x
+
+
+def _integrate(net: vfnet.VectorFieldNet, fold, x0: np.ndarray,
+               config: SolverConfig) -> np.ndarray:
+    """The (n, m, 6) stack x0 integrated through net folded under n
+    conditions (fold, from vfnet.embed_conditions): one forward_batch call
+    per stage for the whole stack."""
+    return integrate_field(
+        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=fold), x0, config)
 
 
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
-                  rng: np.random.Generator, *, _fold=None) -> PoseSampleSet:
+                  rng: np.random.Generator, *, _states=None) -> PoseSampleSet:
     """m independent flow samples for one condition, with mean and spread.
 
     All m reference draws come from rng in sequence; the m trajectories
-    are integrated together as one (m, 6) batch through the net folded
-    under cond (_fold, when estimate_sequence has built it).  The folded
-    field equals the layered forward_batch to rounding, and each row the
-    same draw integrated alone (within 1e-14 on the kept checkpoint), not
-    bit for bit.  The result is exact given its arguments:
-    estimate_sequence's element i equals estimate_pose on that element's
-    child generator.  The mean and the population std are computed with
-    the reductions ndarray.mean and ndarray.std run, so their bits match.
-    Finite samples whose rotation vector or statistics overflow the float
-    range raise IntegrationDivergedError, as non-finite states do.
+    are integrated together as a one-element (1, m, 6) stack through the
+    net folded under cond, as estimate_sequence integrates its blocks.
+    The folded field equals the layered forward_batch to rounding, and
+    each row the same draw integrated alone (within 1e-14 on the kept
+    checkpoint), not bit for bit.  The result is exact given its
+    arguments: estimate_sequence's element i equals estimate_pose on that
+    element's child generator.  estimate_sequence passes the element's
+    integrated (m, 6) states as _states, having drawn them from rng.
+
+    The samples share the rows of the integrated states.  The mean and
+    the population std are computed with the reductions ndarray.mean and
+    ndarray.std run, so their bits match.  Finite samples whose rotation
+    vector or statistics overflow the float range raise
+    IntegrationDivergedError, as non-finite states do.
     """
-    m = textio.whole("sample count m", m, 1)
-    x0 = se3.sample_initial_batch(rng, m)
-    fold = vfnet.embed_conditions(net, [cond])[0] if _fold is None else _fold
-    final = integrate_field(
-        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=fold), x0, config)
-    final.setflags(write=False)  # checked finite: the states share its rows
+    final = _states
+    if final is None:
+        m = textio.whole("sample count m", m, 1)
+        x0 = se3.sample_initial_batch(rng, m)
+        final = _integrate(net, vfnet.embed_conditions(net, [cond]), x0[None], config)[0]
+    final.setflags(write=False)  # checked finite: the samples share its rows
     try:
         samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
                    for row in final]
@@ -160,23 +205,46 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
                       m: int, rng: np.random.Generator):
     """Independent estimates for a sequence of conditions, order preserved.
 
-    Each element gets its own child generator spawned from rng, so the
-    result for element i does not depend on the length of the sequence
-    before or after it.  The net is folded under every condition by one
-    vfnet.embed_conditions call, and element i's estimate_pose runs fold
-    i.  Failures are collected and re-raised together with their element
-    indices.
+    Each element gets its own child generator spawned from rng and draws
+    its m reference rows from it, so the result for element i does not
+    depend on the length of the sequence before or after it.  The net is
+    folded under every condition by one vfnet.embed_conditions call.
+    Consecutive elements are integrated together in blocks of at most
+    BLOCK_ROWS rows (at least one element each): one (n, m, 6) stack and
+    one forward_batch call per stage per block.  Each element keeps the
+    bits estimate_pose gives it, since the stacked matmuls run one gemm
+    per element; BLOCK_ROWS bounds the memory the stack and its stage
+    buffers take, whatever the sequence's length.  Element i's
+    estimate_pose then turns its integrated states into the estimate.
+
+    m is checked before any draw, for an empty sequence too.  Every
+    element runs to its own end; failures are collected and re-raised
+    together with their element indices, quoting the first.
     """
+    m = textio.whole("sample count m", m, 1)
     conds = list(conds)
     children = rng.spawn(len(conds))
-    folds = vfnet.embed_conditions(net, conds)
+    fold = vfnet.embed_conditions(net, conds)
+    size = max(1, BLOCK_ROWS // m)
     results = []
     failures = []
-    for i, (cond, child, fold) in enumerate(zip(conds, children, folds)):
+    for start in range(0, len(conds), size):
+        block = range(start, min(start + size, len(conds)))
+        x0 = np.stack([se3.sample_initial_batch(children[i], m) for i in block])
         try:
-            results.append(estimate_pose(net, cond, config, m, child, _fold=fold))
+            states, diverged = _integrate(
+                net, fold._replace(bias=fold.bias[start:block.stop]), x0, config), {}
         except IntegrationDivergedError as err:
-            failures.append((i, err))
+            states, diverged = err.states, err.failures
+        for i, final in zip(block, states):
+            if i - start in diverged:
+                failures.append((i, diverged[i - start]))
+                continue
+            try:
+                results.append(estimate_pose(net, conds[i], config, m, children[i],
+                                             _states=final))
+            except IntegrationDivergedError as err:
+                failures.append((i, err))
     if failures:
         index_list = ", ".join(str(i) for i, _ in failures)
         raise IntegrationDivergedError(

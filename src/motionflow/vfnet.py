@@ -222,20 +222,23 @@ def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
 
 
 class _Folded(NamedTuple):
-    """The net folded under one condition, from embed_conditions: what
-    forward_batch's embedded= runs.  Weights are (in, out); every array is
-    read-only, net's own stay writable."""
+    """The net folded under n conditions, from embed_conditions: what
+    forward_batch's embedded= runs on an (n, m, 6) stack of states.
+    Weights are (in, out); every array is read-only, net's own stay
+    writable.  Slicing bias along its first axis gives the fold of those
+    conditions alone: fold._replace(bias=fold.bias[a:b])."""
 
     state_weight: np.ndarray  # (6, trunk_widths[0])
-    bias: np.ndarray          # the first trunk layer's, with the condition folded in
+    bias: np.ndarray          # (n, 1, trunk_widths[0]): the first trunk layer's,
+                              # with condition i folded into row i
     time_weight: np.ndarray   # (time_embed_dim, trunk_widths[0])
     layers: tuple             # ((weight, bias), ...): the trunk's others, then the heads'
 
 
-def embed_conditions(net: VectorFieldNet, conds) -> list:
-    """net folded under each ConditionVector of conds, in order.
+def embed_conditions(net: VectorFieldNet, conds) -> _Folded:
+    """net folded under the ConditionVectors of conds: one bias row each.
 
-    Every row of one estimate shares the condition and each stage's tau,
+    Every row of one element shares the condition and each stage's tau,
     and the state embedding is linear, so the first trunk layer is
     tanh(states @ state_weight + bias + time(tau) @ time_weight).  The two
     heads run as one chain: their first weights stacked, their later ones
@@ -243,9 +246,9 @@ def embed_conditions(net: VectorFieldNet, conds) -> list:
 
     Only the bias row W_c·emb(cond) + W_s·b_se + b_0, summed in that
     order, depends on the condition: the other arrays are built once per
-    call and shared by every fold, and each condition runs the condition
-    branch once.  Some arrays are views of net: fold again after its
-    parameters change.
+    call and shared by every condition, and each condition runs the
+    condition branch once.  Some arrays are views of net: fold again
+    after its parameters change.
     """
     t, s = net.config.time_embed_dim, net.config.state_embed_dim
     (w0, b0), (w_se, b_se) = net.layers[0], net.state_embed
@@ -260,15 +263,14 @@ def embed_conditions(net: VectorFieldNet, conds) -> list:
             w[:out, :width], w[out:, width:] = stacked
         layers.append((w.T, b.reshape(2 * out)))
     state_weight, time_weight, layers = (w_s @ w_se).T, w0[:, :t].T, tuple(layers)
-    for a in (state_weight, time_weight, *itertools.chain(*layers)):  # none is net's own
-        a.setflags(write=False)
     w_c, state_bias = w0[:, t + s:], w_s @ b_se
-    folds = []
-    for cond in conds:
-        bias = w_c @ _condition_branch(net, cond.values[None, :])[-1][0] + state_bias + b0
-        bias.setflags(write=False)
-        folds.append(_Folded(state_weight, bias, time_weight, layers))
-    return folds
+    conds = list(conds)
+    bias = np.empty((len(conds), 1, len(b0)))
+    for row, cond in zip(bias, conds):
+        row[0] = w_c @ _condition_branch(net, cond.values[None, :])[-1][0] + state_bias + b0
+    for a in (state_weight, bias, time_weight, *itertools.chain(*layers)):  # none is net's own
+        a.setflags(write=False)
+    return _Folded(state_weight, bias, time_weight, layers)
 
 
 def _forward_chain(layers, x, linear_last: bool) -> list:
@@ -308,11 +310,16 @@ def forward_batch(net: VectorFieldNet, states: np.ndarray, taus, conds=None,
                   keep_cache: bool = False, *, embedded=None):
     """Batched field evaluation: (B,6), (B,), (B,k) -> (B,6) velocities.
 
-    In place of conds, embedded may give one of embed_conditions' folds,
-    with taus one float time for every row: each call then runs the trunk
-    and one merged head chain on the states alone, and the time features
-    of tau come from a 64-entry cache.  Its velocities equal the layered
-    path's to rounding (about 1e-15), not bit for bit.
+    In place of conds, embedded may give embed_conditions' fold of n
+    conditions, with states an (n, m, 6) stack, row block i under
+    condition i, and taus one float time for every row: each call then
+    runs the trunk and one merged head chain on the states alone, and
+    returns (n, m, 6) velocities.  Its matmuls stay 3-D, so numpy runs one
+    gemm per condition with the operands of an (m, 6) call, and each
+    condition's velocities keep their bits whatever n is; one flat
+    (n*m, 6) matmul would round differently.  They equal the layered
+    path's to rounding (about 1e-15), not bit for bit.  The time features
+    of tau come from a 64-entry cache.
 
     With raw conds the two heads run as one stacked chain over net.heads,
     each head with the bits of its own chain.  With keep_cache=True this

@@ -149,10 +149,12 @@ class TestIntegrateField:
 
 
 def integrate_net(net, x0, cond, config):
-    """One flow trajectory, integrated as estimate_pose integrates its rows."""
-    embedded = vfnet.embed_conditions(net, [cond])[0]
-    return sampler.integrate_field(
-        lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=embedded), x0, config)
+    """One flow trajectory per row of x0, integrated as estimate_pose
+    integrates its rows: as a one-element stack."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    stack = x0.reshape(1, -1, 6)
+    return sampler._integrate(net, vfnet.embed_conditions(net, [cond]), stack,
+                              config).reshape(x0.shape)
 
 
 class TestIntegrateNet:
@@ -202,10 +204,13 @@ class TestIntegrateNet:
         sampler.estimate_pose(net, cond, config, 5, RNG(26))
         assert calls == {"fold": 1, "branch": 1, "forward": config.nfe_per_sample}
         # A sequence folds the net under all its conditions in one call,
-        # and runs the condition branch once per element.
-        calls.update(fold=0, branch=0, forward=0)
-        sampler.estimate_sequence(net, [cond] * 4, config, 5, RNG(26))
-        assert calls == {"fold": 1, "branch": 4, "forward": 4 * config.nfe_per_sample}
+        # runs the condition branch once per element, and evaluates the
+        # field once per stage per block of elements.
+        for m, blocks in ((5, 1), (sampler.BLOCK_ROWS // 2, 2), (sampler.BLOCK_ROWS + 1, 4)):
+            calls.update(fold=0, branch=0, forward=0)
+            sampler.estimate_sequence(net, [cond] * 4, config, m, RNG(26))
+            assert calls == {"fold": 1, "branch": 4,
+                             "forward": blocks * config.nfe_per_sample}
 
     @pytest.mark.parametrize("method, m", [("midpoint", 10), ("rk4", 32)])
     def test_batched_rows_match_single_rows_to_tolerance(self, method, m):
@@ -350,17 +355,23 @@ class TestEstimateSequence:
     @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
     @pytest.mark.parametrize("kept", [False, True], ids=["small", "kept"])
     def test_element_equals_estimate_pose_on_its_child(self, method, kept):
-        # The sequence folds the net under all its conditions in one call,
-        # with the same bits as a fold per estimate_pose call.
+        # The sequence folds the net under all its conditions in one call
+        # and integrates blocks of elements as stacks, with the same bits
+        # as a fold and an integration per estimate_pose call: in one
+        # block, and in three or more blocks at m = 1 and m = 32.  At m = 1
+        # every element is one row, which BLAS takes down its vector path.
         net = vfnet.load_checkpoint(KEPT_CHECKPOINT) if kept else small_net(29)
-        rng = RNG(30)
-        conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
-                 for _ in range(4)]
         config = sampler.SolverConfig(method, 3)
-        results = sampler.estimate_sequence(net, conds, config, 5, RNG(31))
-        children = RNG(31).spawn(len(conds))
-        for cond, child, got in zip(conds, children, results):
-            assert same_estimate(got, sampler.estimate_pose(net, cond, config, 5, child))
+        for length, m in ((4, 5), (2 * sampler.BLOCK_ROWS + 1, 1),
+                          (3 * (sampler.BLOCK_ROWS // 32) + 1, 32)):
+            rng = RNG(30)
+            conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
+                     for _ in range(length)]
+            results = sampler.estimate_sequence(net, conds, config, m, RNG(31))
+            assert len(results) == length
+            children = RNG(31).spawn(len(conds))
+            for cond, child, got in zip(conds, children, results):
+                assert same_estimate(got, sampler.estimate_pose(net, cond, config, m, child))
 
     def test_order_and_prefix_stability(self):
         net = small_net(14)
@@ -373,25 +384,69 @@ class TestEstimateSequence:
             assert np.array_equal(a.mean_state.as_vector(), b.mean_state.as_vector())
             assert np.array_equal(a.std_state, b.std_state)
 
+    def test_empty_sequence_checks_m(self):
+        # m is checked before any draw, whatever the sequence's length; an
+        # empty sequence with a valid m has no estimates.
+        net = small_net(53)
+        for conds in ([], [vfnet.ConditionVector(np.zeros(4))]):
+            for m in (0, 2.5):
+                with pytest.raises(ValueError, match="sample count m must be"):
+                    sampler.estimate_sequence(net, conds, sampler.SolverConfig(), m, RNG(54))
+        assert sampler.estimate_sequence(net, [], sampler.SolverConfig(), 3, RNG(54)) == []
+        assert sampler.estimate_sequence(net, iter([]), sampler.SolverConfig(), 3,
+                                         RNG(54)) == []
+
     def test_failure_reports_element_indices(self, monkeypatch):
-        # Inject a non-finite field evaluation for one marked condition and
-        # check the aggregate error carries that element's index.
+        # Inject a non-finite field evaluation for one element and check
+        # the aggregate error carries that element's index.
         net = small_net(17)
         rng = RNG(18)
         conds = [vfnet.ConditionVector(rng.standard_normal(4)) for _ in range(3)]
-        # The field passes the net folded under element 1's condition, which
-        # is exact given both: compare its bias with a second fold's.
-        poisoned = vfnet.embed_conditions(net, [conds[1]])[0].bias
         real_forward = vfnet.forward_batch
 
         def tampered(net_, states, taus, conds=None, keep_cache=False, *, embedded=None):
-            if embedded is not None and np.array_equal(embedded.bias, poisoned):
-                return np.full((states.shape[0], 6), np.nan)
-            return real_forward(net_, states, taus, conds, keep_cache, embedded=embedded)
+            out = real_forward(net_, states, taus, conds, keep_cache, embedded=embedded)
+            out[1] = np.nan  # the three elements are one block: poison element 1's slice
+            return out
 
         monkeypatch.setattr(vfnet, "forward_batch", tampered)
         with pytest.raises(sampler.IntegrationDivergedError, match=r"\[1\]"):
             sampler.estimate_sequence(net, conds, sampler.SolverConfig(), 2, RNG(19))
+
+    def test_divergence_names_every_element_and_quotes_the_first(self, monkeypatch):
+        # Elements 1 and 4 leave the finite range at steps 3 and 4 of 5
+        # (rows 7 and 3), in different blocks of 200-row elements;
+        # element 2's states stay finite, but its rotation vectors of
+        # about 2e299 overflow their norm.  Every element runs to its own
+        # end, the error names all three and quotes element 1's failure,
+        # and no warning is raised (any warning fails the suite).
+        net = small_net(50)
+        rng = RNG(51)
+        conds = [vfnet.ConditionVector(rng.standard_normal(4)) for _ in range(6)]
+        m, width = 200, net.config.trunk_widths[0]
+        assert 1 // (sampler.BLOCK_ROWS // m) != 4 // (sampler.BLOCK_ROWS // m)
+        rows = vfnet.embed_conditions(net, conds).bias[:, 0]
+        # element -> (first poisoned tau, the sample rows and components hit, value)
+        poison = {1: (0.45, (7, slice(None)), np.nan),
+                  4: (0.65, (3, slice(None)), np.inf),
+                  2: (0.85, (slice(None), slice(0, 3)), 1e300)}
+        real_forward = vfnet.forward_batch
+
+        def tampered(net_, states, taus, conds=None, keep_cache=False, *, embedded=None):
+            out = real_forward(net_, states, taus, conds, keep_cache, embedded=embedded)
+            elements = out.reshape(-1, m, 6)
+            for k, bias in enumerate(embedded.bias.reshape(-1, width)):
+                i = int(np.flatnonzero((rows == bias).all(axis=1))[0])
+                if i in poison and taus >= poison[i][0]:
+                    elements[k][poison[i][1]] = poison[i][2]
+            return out
+
+        monkeypatch.setattr(vfnet, "forward_batch", tampered)
+        with pytest.raises(sampler.IntegrationDivergedError) as err:
+            sampler.estimate_sequence(net, conds, sampler.SolverConfig(), m, RNG(52))
+        assert str(err.value) == (
+            "integration diverged for sequence elements [1, 2, 4]; first failure: "
+            "non-finite state after step 3/5 (sample 7, method midpoint)")
 
 
 # sha256 over the samples, means and stds of estimate_sequence on three

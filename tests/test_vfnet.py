@@ -266,10 +266,10 @@ class TestSharedInvariants:
         states = rng.standard_normal((rows, 6))
         cond = vfnet.ConditionVector(rng.standard_normal(cfg.cond_dim))
         conds = np.broadcast_to(cond.values, (rows, cfg.cond_dim))
-        embedded = vfnet.embed_conditions(any_net, [cond])[0]
+        embedded = vfnet.embed_conditions(any_net, [cond])
         for tau in (0.0, -0.0, 1.0, 0.7381, *SOLVER_TAUS):
             want = vfnet.forward_batch(any_net, states, np.full(rows, tau), conds)
-            got = vfnet.forward_batch(any_net, states, tau, embedded=embedded)
+            got = vfnet.forward_batch(any_net, states[None], tau, embedded=embedded)[0]
             assert np.max(np.abs(got - want)) <= 1e-12, tau
 
     def test_zeroed_final_head_layers_give_zero_velocity(self, any_net):
@@ -278,15 +278,32 @@ class TestSharedInvariants:
                 arr[...] = 0.0
         rng = RNG(34)
         cond = vfnet.ConditionVector(rng.standard_normal(any_net.config.cond_dim))
-        embedded = vfnet.embed_conditions(any_net, [cond])[0]
+        embedded = vfnet.embed_conditions(any_net, [cond])
         for tau in (0.0, 0.5, 1.0):
-            got = vfnet.forward_batch(any_net, rng.standard_normal((32, 6)), tau,
+            got = vfnet.forward_batch(any_net, rng.standard_normal((1, 32, 6)), tau,
                                       embedded=embedded)
-            assert got.shape == (32, 6) and not got.any()
+            assert got.shape == (1, 32, 6) and not got.any()
+
+    @pytest.mark.parametrize("m", [1, 10])
+    def test_stacked_fold_keeps_each_conditions_bits(self, any_net, m):
+        # The matmuls of a stack run one gemm per condition, so a
+        # condition's velocities do not depend on the others in its stack.
+        rng = RNG(35)
+        conds = [vfnet.ConditionVector(rng.standard_normal(any_net.config.cond_dim))
+                 for _ in range(5)]
+        states = rng.standard_normal((5, m, 6))
+        fold = vfnet.embed_conditions(any_net, conds)
+        assert fold.bias.shape == (5, 1, any_net.config.trunk_widths[0])
+        for tau in (0.0, 0.3, 1.0):
+            got = vfnet.forward_batch(any_net, states, tau, embedded=fold)
+            for i, cond in enumerate(conds):
+                alone = vfnet.forward_batch(any_net, states[i:i + 1], tau,
+                                            embedded=vfnet.embed_conditions(any_net, [cond]))
+                assert np.array_equal(got[i], alone[0])
 
     def test_embedding_refuses_backward_and_raw_conds(self):
         net = random_net(RNG(32), SMALL_CONFIG)
-        embedded = vfnet.embed_conditions(net, [vfnet.ConditionVector(np.ones(5))])[0]
+        embedded = vfnet.embed_conditions(net, [vfnet.ConditionVector(np.ones(5))])
         arrays = [*embedded[:3], *(a for layer in embedded.layers for a in layer)]
         assert not any(a.flags.writeable for a in arrays)
         assert all(a.flags.writeable for _, a in vfnet._named_arrays(net))
