@@ -39,7 +39,8 @@ def spreads(epochs=4000, reps=6, noise=0.05, samples=32, seed=41) -> list:
     out = []
     for level in LEVELS:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pairs = [flowmatch.TrainingPair(se3.pose_to_state(rel),
+        pairs = [flowmatch.TrainingPair(se3.MotionState(se3.log_map(rel.rotation),
+                                                        rel.translation),
                                         encoder.encode(rel, level, noise, rng))
                  for _ in range(reps) for rel in rels]
         net, _ = flowmatch.train(pairs, config)

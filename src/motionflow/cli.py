@@ -290,6 +290,16 @@ def cmd_infer(args, out: Path) -> RunManifest:
     )
 
     estimates, traj = _sample(net, conds, solver, args.samples, args.seed)
+    # Every ATE squares the positions: estimates that overflow there are a
+    # diverged model, not files eval should reject.
+    positions = traj.positions()
+    with np.errstate(over="ignore"):  # an overflow is inf, raised below
+        finite = np.isfinite(np.sum(positions * positions, axis=1))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise sampler.IntegrationDivergedError(
+            f"integration diverged: estimated position {k} overflows the float range "
+            f"once squared: {positions[k]}")
     manifest.lap("sample")
 
     estimates_path = out / "estimates.csv"

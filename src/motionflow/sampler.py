@@ -22,6 +22,11 @@ stay 3-D, one gemm per element with the operands of a one-element call,
 so an element's bits do not depend on its block; one flat (n*m, 6)
 matmul would round them differently.  BLOCK_ROWS bounds the memory of a
 stack and its stage buffers, which would otherwise grow with n*m.
+
+The integrated rows go to their principal chart rows, over which the
+statistics are taken, with one call of each of se3's stack chart maps per
+block (or per estimate_pose alone).  A PoseSampleSet keeps the m
+integrated rows, not m pose objects; its samples are built on access.
 """
 
 from __future__ import annotations
@@ -80,24 +85,47 @@ def _spread_vector(values) -> np.ndarray:
     return std
 
 
+def _sample_rows(values) -> np.ndarray:
+    """values as read-only (m, 6) sample rows: finite."""
+    rows = np.array(values, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 6 or not np.isfinite(rows).all():
+        raise ValueError(f"states must be finite (m, 6) sample rows, got shape {rows.shape}")
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class PoseSampleSet:
-    """m pose samples plus their chart mean and spread.
+    """m flow samples, as their integrated chart rows, plus their chart
+    mean and spread.
 
-    mean_state/std_state are component-wise over pose_to_state of the
-    samples; std uses the population convention, so m=1 gives exact zeros.
+    states holds the m integrated (rho, trans) rows, read-only; samples
+    builds their poses from them on each access.  mean_state/std_state
+    are component-wise over the samples' principal chart rows; std uses
+    the population convention, so m=1 gives exact zeros.
     """
 
-    samples: list
+    states: np.ndarray
     mean_state: se3.MotionState
     std_state: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "states", _sample_rows(self.states))
         object.__setattr__(self, "std_state", _spread_vector(self.std_state))
 
     @property
+    def samples(self) -> list:
+        """The m sample poses, one se3.state_to_pose call over states."""
+        q, t = se3.state_to_pose(self.states)
+        q.setflags(write=False)
+        return [se3._frozen(se3.RelativePose, rotation=se3._frozen(se3.Rotation, q=qi),
+                            translation=ti) for qi, ti in zip(q, t)]
+
+    @property
     def estimate(self) -> se3.RelativePose:
-        return se3.state_to_pose(self.mean_state)
+        mean = self.mean_state
+        return se3._frozen(se3.RelativePose, rotation=se3.exp_map(mean.rho),
+                           translation=mean.trans)
 
 
 def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -160,6 +188,13 @@ def _integrate(net: vfnet.VectorFieldNet, fold, x0: np.ndarray,
         lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=fold), x0, config)
 
 
+def _chart(states: np.ndarray) -> np.ndarray:
+    """The principal chart rows of integrated (..., 6) states, each row
+    taken to its pose and back: one se3.state_to_pose and one
+    se3.pose_to_state call for the whole stack."""
+    return se3.pose_to_state(*se3.state_to_pose(states))
+
+
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
                   rng: np.random.Generator, *, _states=None) -> PoseSampleSet:
@@ -172,31 +207,32 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     each row the same draw integrated alone (within 1e-14 on the kept
     checkpoint), not bit for bit.  The result is exact given its
     arguments: estimate_sequence's element i equals estimate_pose on that
-    element's child generator.  estimate_sequence passes the element's
-    integrated (m, 6) states as _states, having drawn them from rng.
+    element's child generator.  estimate_sequence passes _states, having
+    drawn them from rng: the element's integrated (m, 6) states and their
+    chart rows from its block's conversion, or None when that conversion
+    failed, so that the element converts its own.
 
-    The samples share the rows of the integrated states.  The mean and
-    the population std are computed with the reductions ndarray.mean and
-    ndarray.std run, so their bits match.  Finite samples whose rotation
-    vector or statistics overflow the float range raise
-    IntegrationDivergedError, as non-finite states do.
+    The statistics are taken over the principal chart rows of the
+    samples (_chart), with the reductions ndarray.mean and ndarray.std
+    run, so their bits match.  Finite samples whose rotation vector or
+    statistics overflow the float range raise IntegrationDivergedError,
+    as non-finite states do.
     """
-    final = _states
-    if final is None:
+    if _states is None:
         m = textio.whole("sample count m", m, 1)
         x0 = se3.sample_initial_batch(rng, m)
         final = _integrate(net, vfnet.embed_conditions(net, [cond]), x0[None], config)[0]
-    final.setflags(write=False)  # checked finite: the samples share its rows
+        _states = final, None
+    final, rows = _states
     try:
-        samples = [se3.state_to_pose(se3._frozen(se3.MotionState, rho=row[:3], trans=row[3:]))
-                   for row in final]
-        states = np.array([se3.pose_to_state(p).as_vector() for p in samples])
+        if rows is None:
+            rows = _chart(final)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
-            mean = np.add.reduce(states, 0) / m
-            states -= mean  # the deviations, squared in place as ndarray.std squares them
-            states *= states
-            std = np.sqrt(np.add.reduce(states, 0) / m)
-        return PoseSampleSet(samples, se3.MotionState.from_vector(mean), std)
+            mean = np.add.reduce(rows, 0) / m
+            rows -= mean  # the deviations, squared in place as ndarray.std squares them
+            rows *= rows
+            std = np.sqrt(np.add.reduce(rows, 0) / m)
+        return PoseSampleSet(final, se3.MotionState.from_vector(mean), std)
     except ValueError as err:
         raise IntegrationDivergedError(f"samples overflow the float range: {err}") from None
 
@@ -214,8 +250,11 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
     one forward_batch call per stage per block.  Each element keeps the
     bits estimate_pose gives it, since the stacked matmuls run one gemm
     per element; BLOCK_ROWS bounds the memory the stack and its stage
-    buffers take, whatever the sequence's length.  Element i's
-    estimate_pose then turns its integrated states into the estimate.
+    buffers take, whatever the sequence's length.  The block's elements
+    that did not diverge then go to their chart rows with one
+    se3.state_to_pose and one se3.pose_to_state call, the same row maps
+    estimate_pose applies to one element, and element i's estimate_pose
+    turns its rows into the estimate.
 
     m is checked before any draw, for an empty sequence too.  Every
     element runs to its own end; failures are collected and re-raised
@@ -236,13 +275,18 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
                 net, fold._replace(bias=fold.bias[start:block.stop]), x0, config), {}
         except IntegrationDivergedError as err:
             states, diverged = err.states, err.failures
-        for i, final in zip(block, states):
-            if i - start in diverged:
-                failures.append((i, diverged[i - start]))
+        live = [e for e in range(len(block)) if e not in diverged]
+        try:
+            rows = dict(zip(live, _chart(states[live])))
+        except ValueError:  # an element's rotation vectors overflow: each converts its own
+            rows = {}
+        for e, i in enumerate(block):
+            if e in diverged:
+                failures.append((i, diverged[e]))
                 continue
             try:
                 results.append(estimate_pose(net, conds[i], config, m, children[i],
-                                             _states=final))
+                                             _states=(states[e], rows.get(e))))
             except IntegrationDivergedError as err:
                 failures.append((i, err))
     if failures:

@@ -12,8 +12,14 @@ uncoupled from rotation (no SE(3) left-Jacobian mixing): it is the
 coordinate system the generative model operates in, not a group
 parameterization.
 
-Values are checked once, where they enter: the constructors, exp_map and
-MotionState.from_vector.  The chart maps, compose and inverse build with
+The chart maps work on stacks of rows, so a whole block of samples
+converts in one call of each: state_to_pose takes (..., 6) rows to
+canonical quaternions and translations, and pose_to_state takes those
+back to principal (..., 6) rows.  Each row equals exp_map or log_map of
+that one row bit for bit; those two stay the maps of a single pose.
+
+Values are checked once, where they enter: the constructors, exp_map,
+state_to_pose and MotionState.from_vector.  compose and inverse build with
 _frozen from checked read-only arrays; compose renormalizes its product as
 Rotation does, and compose and inverse check their translation for overflow.
 """
@@ -196,11 +202,7 @@ def exp_map(rho) -> Rotation:
     Below SMALL_ANGLE the sin/cos terms use their second-order Taylor
     series, which keeps the map exact to double precision there.
     """
-    return _exp(_finite_vector(rho, 3, "rho"))
-
-
-def _exp(rho: np.ndarray) -> Rotation:
-    """exp_map of a checked rotation vector."""
+    rho = _finite_vector(rho, 3, "rho")
     theta = math.sqrt(np.vdot(rho, rho))  # inf, with no warning, on overflow
     if theta < SMALL_ANGLE:
         # cos(t/2) ~ 1 - t^2/8,  sin(t/2)/t ~ 1/2 - t^2/48
@@ -257,16 +259,74 @@ def inverse(pose: RelativePose) -> RelativePose:
     return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))
 
 
-def pose_to_state(pose: RelativePose) -> MotionState:
-    """Chart coordinates of a pose: (log(R), t)."""
-    rho = log_map(pose.rotation)
-    rho.setflags(write=False)
-    return _frozen(MotionState, rho=rho, trans=pose.translation)
+def state_to_pose(states) -> tuple:
+    """Inverse chart on a stack of rows: (..., 6) rows (rho, trans) ->
+    (q, t), the (..., 4) canonical unit quaternions exp(rho) and the
+    (..., 3) translations, a view of the rows.
+
+    Each q row equals exp_map(rho).q bit for bit: the same norm kernel
+    (_row_norms), the same series below SMALL_ANGLE, math.cos and math.sin
+    per row (numpy's vector kernels may round differently), the same
+    products and _canonical's sign rule.  A row with a non-finite value,
+    or whose rho norm overflows, raises ValueError naming the row.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    if states.shape[-1:] != (6,):
+        raise ValueError(f"state rows must have 6 components, got shape {states.shape}")
+    rows = states.reshape(-1, 6)
+    rho = rows[:, :3]
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, raised below
+        theta = _row_norms(rho)
+    bad = ~(np.isfinite(rows).all(axis=1) & (theta < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = ", ".join(str(int(i)) for i in np.unravel_index(k, states.shape[:-1]))
+        if np.isfinite(rows[k]).all():
+            raise ValueError(f"rho norm overflows in row [{where}]: {rho[k]}")
+        raise ValueError(f"state row [{where}] contains non-finite values: {rows[k]}")
+    halves = (0.5 * theta).tolist()
+    w = np.array([math.cos(h) for h in halves])
+    ratio = np.array([math.sin(h) for h in halves])
+    small = theta < SMALL_ANGLE
+    ratio[~small] /= theta[~small]
+    square = theta[small] * theta[small]
+    w[small] = 1.0 - square / 8.0  # the series, as exp_map takes it
+    ratio[small] = 0.5 - square / 48.0
+    q = np.empty((len(rows), 4))
+    q[:, 0] = w
+    q[:, 1:] = rho * ratio[:, None]
+    # cos is never 0 at a double, so _canonical's sign rule (the first
+    # nonzero component made positive) flips the rows with w < 0; + 0.0
+    # drops negative zeros, as there.
+    q = np.where((w < 0.0)[:, None], -q, q) + 0.0
+    return q.reshape(states.shape[:-1] + (4,)), states[..., 3:]
 
 
-def state_to_pose(state: MotionState) -> RelativePose:
-    """Inverse chart: (exp(rho), trans)."""
-    return _frozen(RelativePose, rotation=_exp(state.rho), translation=state.trans)
+def pose_to_state(q, t) -> np.ndarray:
+    """Chart coordinates of a stack of poses: canonical unit quaternions q
+    (..., 4), as state_to_pose or Rotation hold them, and translations t
+    (..., 3) -> fresh (..., 6) rows (log(q), t).
+
+    Each rotation vector equals log_map of its quaternion bit for bit:
+    the same norm kernel (_row_norms), the same series below SMALL_ANGLE
+    and math.atan2 per row (np.arctan2 may use its own vector kernel,
+    which differs from the C library's in the last bit for about one row
+    in twenty), in log_map's order of operations.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if q.shape[-1:] != (4,) or t.shape != q.shape[:-1] + (3,):
+        raise ValueError(f"quaternions {q.shape} and translations {t.shape} do not pair up")
+    quats = q.reshape(-1, 4)
+    v = quats[:, 1:]
+    ratios = [2.0 / w * (1.0 - s * s / (3.0 * w * w)) if s < SMALL_ANGLE
+              else 2.0 * math.atan2(s, w) / s
+              for s, w in zip(_row_norms(v).tolist(), quats[:, 0].tolist())]
+    out = np.empty(q.shape[:-1] + (6,))
+    rows = out.reshape(-1, 6)
+    rows[:, :3] = v * np.array(ratios)[:, None]
+    rows[:, 3:] = t.reshape(-1, 3)
+    return out
 
 
 def geodesic_angle(a: Rotation, b: Rotation) -> float:
@@ -279,10 +339,10 @@ def geodesic_angle(a: Rotation, b: Rotation) -> float:
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-d array.
 
-    Each row goes through the same dot kernel np.linalg.norm uses on a
-    single vector (a stacked 1 x k by k x 1 product), so a row's norm equals
-    the one Rotation and log_map take of it, bit for bit; a sum of squares
-    along axis 1 rounds differently in about a fifth of rows.
+    Each row goes through the same dot kernel np.vdot and ndarray.dot use
+    on a single vector (a stacked 1 x k by k x 1 product), so a row's norm
+    equals the one Rotation, exp_map and log_map take of it, bit for bit; a
+    sum of squares along axis 1 rounds differently in about a fifth of rows.
     """
     return np.sqrt((x[:, None, :] @ x[:, :, None]).reshape(-1))
 
@@ -297,17 +357,15 @@ def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     for the translation, then 4 for the quaternion, so a batch of n equals
     n batches of 1 drawn from the same stream.
 
-    The normalization, sign rule and log are Rotation and log_map written
-    as array operations and per-row float arithmetic in the same order, so
-    every row equals log_map(Rotation(q)) exactly.  The normalizing
-    division and the sign flip are one division by a signed divisor per
-    row (raw / -d is -(raw / d) bit for bit, and raw / 1.0 is raw), and
-    the angle takes math.atan2 per row, as log_map does: np.arctan2 may
-    use its own vector kernel, which differs from the C library's in the
-    last bit for about one row in twenty.  Rows with w == 0 (the angle-pi
-    tie rule) or a vanishing norm have probability zero and go through
-    Rotation itself; they divide by nan, which keeps the row arithmetic
-    free of zero divisions until they are redone.
+    The normalization and sign rule are Rotation written as array
+    operations and per-row float arithmetic in the same order, and
+    pose_to_state takes each row's log as log_map does, so every row
+    equals log_map(Rotation(q)) exactly.  The normalizing division and
+    the sign flip are one division by a signed divisor per row (raw / -d
+    is -(raw / d) bit for bit, and raw / 1.0 is raw).  Rows with w == 0
+    (the angle-pi tie rule) or a vanishing norm have probability zero and
+    go through Rotation itself; they divide by nan, which keeps the row
+    arithmetic free of zero divisions until they are redone.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -320,15 +378,7 @@ def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
             redo.append(i)
             d = math.nan
         divisors.append(-d if w < 0.0 else d)
-    q = raw / np.array(divisors)[:, None] + 0.0
-    v = q[:, 1:]
-    ratios = [2.0 / w * (1.0 - s * s / (3.0 * w * w)) if s < SMALL_ANGLE
-              else 2.0 * math.atan2(s, w) / s
-              for s, w in zip(_row_norms(v).tolist(), q[:, 0].tolist())]
-    out = np.empty((n, 6))
-    out[:, :3] = v * np.array(ratios)[:, None]
-    out[:, 3:] = normals[:, :3]
+    out = pose_to_state(raw / np.array(divisors)[:, None] + 0.0, normals[:, :3])
     for i in redo:
         out[i, :3] = log_map(Rotation(raw[i]))
     return out
-

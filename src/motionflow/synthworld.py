@@ -140,8 +140,7 @@ class ConditionEncoder:
             raise ValueError(f"ambiguity must lie in [0, 1], got {ambiguity}")
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        state = se3.pose_to_state(rel)
-        rho, trans = state.rho, state.trans
+        rho, trans = se3.log_map(rel.rotation), rel.translation
         scale = float(np.linalg.norm(trans))
         t_hat = trans / scale if scale > 1e-12 else np.zeros(3)
         base = np.concatenate([
@@ -176,7 +175,7 @@ def make_scenario(name: str, kind: str, n: int, ambiguity: float,
     encoder = ConditionEncoder(cond_dim, lift_seed)
     rels = relative_motions(traj)
     pairs = [
-        TrainingPair(se3.pose_to_state(rel),
+        TrainingPair(se3.MotionState(se3.log_map(rel.rotation), rel.translation),
                      encoder.encode(rel, ambiguity, noise_sigma, rng))
         for rel in rels
     ]

@@ -23,7 +23,7 @@ def dirac_pair():
     target = se3.MotionState(DIRAC_RHO, DIRAC_TRANS)
     encoder = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
                                           synthworld.DEFAULT_LIFT_SEED)
-    cond = encoder.encode(se3.state_to_pose(target), 0.0, 0.0)
+    cond = encoder.encode(se3.RelativePose(se3.exp_map(target.rho), target.trans), 0.0, 0.0)
     return flowmatch.TrainingPair(target=target, cond=cond)
 
 

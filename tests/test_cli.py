@@ -72,7 +72,8 @@ class TestGen:
         out = gen_small(tmp_path)
         gt = trajeval.read_tum(out / "gt.tum")
         rows = synthworld.ingest_features(out / "dataset.csv")
-        rels = [se3.state_to_pose(pair.target) for _, pair in rows]
+        rels = [se3.RelativePose(se3.exp_map(pair.target.rho), pair.target.trans)
+                for _, pair in rows]
         rebuilt = trajeval.compose_trajectory(gt.poses[0], rels)
         for got, want in zip(rebuilt.poses, gt.poses):
             assert np.linalg.norm(got.translation - want.translation) < 1e-9
@@ -279,6 +280,23 @@ class TestInfer:
                        "--out", tmp_path / "x")
         assert code == 1
         assert "integration diverged for sequence elements [0, " in capsys.readouterr().err
+
+    def test_diverged_positions_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # Saturated stages collapse each estimate's spread, so sampling
+        # raises nothing, but the chained positions, near 1e159, overflow
+        # once squared, as every ATE squares them: eval would blame the files.
+        data = gen_small(tmp_path)
+        net = vfnet.load_checkpoint(KEPT_CHECKPOINT)
+        net.head_trans[-1][0][...] = 1e160
+        ckpt = tmp_path / "huge.txt"
+        vfnet.save_checkpoint(ckpt, net)
+        out = tmp_path / "x"
+        code = run_cli("infer", "--checkpoint", ckpt, "--dataset", data / "dataset.csv",
+                       "--out", out)
+        assert code == 1
+        assert ("error: integration diverged: estimated position 1 overflows the float "
+                "range once squared") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_bad_method_exits_2(self, tmp_path):
         data = gen_small(tmp_path)

@@ -212,6 +212,39 @@ class TestIntegrateNet:
             assert calls == {"fold": 1, "branch": 4,
                              "forward": blocks * config.nfe_per_sample}
 
+    def test_chart_converts_each_block_once(self, monkeypatch):
+        # A sequence takes each block's integrated samples to their chart
+        # rows with one call of each chart map, and estimate_pose runs once
+        # per element for the statistics; per-sample conversion would call
+        # the maps m times per element.  Each element's reference draw
+        # takes its quaternions through pose_to_state once as well.
+        net = small_net(25)
+        cond = vfnet.ConditionVector(np.array([0.3, -0.1, 0.2, 0.5]))
+        config = sampler.SolverConfig("midpoint", 3)
+        calls = {}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((se3, "state_to_pose"), (se3, "pose_to_state"),
+                             (sampler, "estimate_pose")):
+            counted(module, name)
+        sampler.estimate_pose(net, cond, config, 5, RNG(26))
+        assert calls == {"estimate_pose": 1, "state_to_pose": 1, "pose_to_state": 2}
+        for m, blocks in ((5, 1), (sampler.BLOCK_ROWS // 2, 2), (sampler.BLOCK_ROWS + 1, 4)):
+            calls.clear()
+            results = sampler.estimate_sequence(net, [cond] * 4, config, m, RNG(26))
+            assert calls == {"estimate_pose": 4, "state_to_pose": blocks,
+                             "pose_to_state": blocks + 4}
+            # samples are built on access, one state_to_pose call each time
+            assert len(results[0].samples) == m and calls["state_to_pose"] == blocks + 1
+
     @pytest.mark.parametrize("method, m", [("midpoint", 10), ("rk4", 32)])
     def test_batched_rows_match_single_rows_to_tolerance(self, method, m):
         # BLAS rounding depends on the row count, so a row integrated in a
@@ -239,14 +272,19 @@ class TestPoseSampleSet:
         std = np.full(6, 0.1)
         std[4] = bad
         with pytest.raises(ValueError) as err:
-            sampler.PoseSampleSet([], mean, std)
+            sampler.PoseSampleSet(np.empty((0, 6)), mean, std)
         assert str(err.value) == "std_state must be finite and non-negative"
 
     def test_accepts_zero_std_of_either_sign(self):
         mean = se3.MotionState(np.zeros(3), np.zeros(3))
-        result = sampler.PoseSampleSet([], mean, [0.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+        result = sampler.PoseSampleSet(np.empty((0, 6)), mean, [0.0, -0.0, 0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(result.std_state, [0, 0, 0, 1, 2, 3])
         assert not result.std_state.flags.writeable
+
+
+def chart_row(pose) -> np.ndarray:
+    """One pose's principal chart row, through the single-pose log_map."""
+    return np.concatenate([se3.log_map(pose.rotation), pose.translation])
 
 
 def same_estimate(a, b) -> bool:
@@ -270,20 +308,20 @@ class TestEstimatePose:
         net = small_net(6)
         cond = vfnet.ConditionVector(np.array([0.4, 0.3, -0.2, 0.1]))
         result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), m, RNG(7))
-        states = np.stack([se3.pose_to_state(p).as_vector() for p in result.samples])
+        states = np.stack([chart_row(p) for p in result.samples])
         assert np.array_equal(result.mean_state.as_vector(), states.mean(axis=0))
         assert np.array_equal(result.std_state, states.std(axis=0, ddof=0))
 
     def test_samples_and_mean_hold_read_only_arrays(self):
-        # The samples share the rows of the integrated batch: writing
+        # The samples share the rows of the sample set's states: writing
         # through one must fail, not change the estimate.
         net = small_net(6)
         cond = vfnet.ConditionVector(np.array([0.4, 0.3, -0.2, 0.1]))
         result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), 3, RNG(7))
-        arrays = [result.mean_state.rho, result.mean_state.trans, result.std_state]
+        arrays = [result.states, result.mean_state.rho, result.mean_state.trans,
+                  result.std_state]
         for pose in result.samples:
-            state = se3.pose_to_state(pose)
-            arrays += [pose.rotation.q, pose.translation, state.rho, state.trans]
+            arrays += [pose.rotation.q, pose.translation]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_rejects_bad_m(self):
@@ -347,7 +385,7 @@ class TestEstimatePose:
         cond = vfnet.ConditionVector(np.ones(4))
         result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), 6, RNG(13))
         x0 = se3.sample_initial_batch(RNG(13), 6)
-        got = np.stack([se3.pose_to_state(p).as_vector() for p in result.samples])
+        got = np.stack([chart_row(p) for p in result.samples])
         assert np.max(np.abs(got - x0)) < 1e-12
 
 

@@ -68,11 +68,9 @@ class TestRotationType:
                 se3.Rotation(np.array(big))
         # |rho| overflows in exp_map the same way: rejected by name.
         for big in ([1e200, 0.0, 0.0], [1e155, 1e155, 0.0]):
-            message = f"rho norm overflows: {np.array(big)}"
-            for build in (se3.exp_map, lambda rho: se3.state_to_pose(se3.MotionState(rho, rho))):
-                with pytest.raises(ValueError) as err:
-                    build(big)
-                assert str(err.value) == message
+            with pytest.raises(ValueError) as err:
+                se3.exp_map(big)
+            assert str(err.value) == f"rho norm overflows: {np.array(big)}"
 
     def test_quaternion_is_immutable(self):
         r = se3.Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -401,19 +399,6 @@ class TestCheckedBuilders:
         trans = rng.standard_normal((len(quats), 3)) * 10.0 ** rng.integers(-3, 4, (len(quats), 1))
         return [se3.RelativePose(se3.Rotation(q), t) for q, t in zip(quats, trans)]
 
-    def test_chart_maps_match_constructors_bitwise(self):
-        rng = RNG(110)
-        _, rhos = edge_inputs(rng, 2500)
-        for rho, trans in zip(rhos, rng.standard_normal((len(rhos), 3))):
-            state = se3.MotionState(rho, trans)
-            got, want = se3.state_to_pose(state), se3.RelativePose(se3.exp_map(rho), trans)
-            assert same_bits(got.rotation.q, want.rotation.q), rho
-            assert same_bits(got.translation, want.translation), rho
-        for pose in self.poses(rng, 2500):
-            got = se3.pose_to_state(pose)
-            want = se3.MotionState(se3.log_map(pose.rotation), pose.translation)
-            assert same_bits(got.as_vector(), want.as_vector()), pose.rotation.q
-
     def test_compose_and_inverse_match_constructors_bitwise(self):
         poses = self.poses(RNG(111), 2500)
         for a, b in zip(poses, poses[1:] + poses[:1]):
@@ -431,13 +416,10 @@ class TestCheckedBuilders:
 
     def test_results_hold_read_only_arrays(self):
         a, b = self.poses(RNG(112), 10)[2:4]
-        state = se3.MotionState([0.3, -0.2, 0.1], [1.0, 2.0, 3.0])
         assert read_only(se3.exp_map([0.3, -0.2, 0.1]).q)
-        for pose in (se3.state_to_pose(state), se3.compose(a, b), se3.inverse(a)):
+        for pose in (se3.compose(a, b), se3.inverse(a)):
             assert isinstance(pose.rotation, se3.Rotation)
             assert read_only(pose.rotation.q, pose.translation)
-        back = se3.pose_to_state(a)
-        assert read_only(back.rho, back.trans)
 
     def test_overflowing_translation_is_rejected(self):
         big = se3.RelativePose(se3.Rotation.identity(), [1e308, 0.0, 0.0])
@@ -457,13 +439,80 @@ class TestCheckedBuilders:
         assert str(err.value) == "translation contains non-finite values: [inf  0.  0.]"
 
 
+class TestStackChart:
+    """state_to_pose and pose_to_state on stacks of rows: each row must equal
+    exp_map and log_map of that one row, bit for bit."""
+
+    @staticmethod
+    def edge_rhos():
+        rows = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0],
+                [3e-7, -0.0, 1e-8], [-0.0, -2e-7, 0.0], [1e-300, 0.0, -1e-300]]
+        for axis in range(3):
+            # exactly pi (cos(pi/2) is the w == 0 tie, to rounding), the float
+            # just under it, and angles in (pi, 2 pi), where the sign flips
+            for angle in (math.pi, -math.pi, np.nextafter(math.pi, 0.0),
+                          np.nextafter(math.pi, 4.0), 1.5 * math.pi, -1.9 * math.pi):
+                rho = [-0.0, -0.0, -0.0]
+                rho[axis] = angle
+                rows.append(rho)
+        return np.array(rows)
+
+    def test_rows_match_exp_map_and_log_map_bitwise(self):
+        rng = RNG(110)
+        _, rhos = edge_inputs(rng, 4000)
+        rhos = np.concatenate([rhos, self.edge_rhos()])
+        states = np.concatenate([rhos, rng.standard_normal(rhos.shape)], axis=1)
+        q, t = se3.state_to_pose(states)
+        assert q.shape == (len(states), 4) and same_bits(t, states[:, 3:])
+        for rho, got in zip(rhos, q):
+            assert same_bits(got, se3.exp_map(rho).q), rho
+        # The quaternions state_to_pose gives, and those the constructor
+        # gives (near pi, below SMALL_ANGLE, accepted off unit norm).
+        rotations = ([se3.Rotation(quat) for quat in q]
+                     + [pose.rotation for pose in TestCheckedBuilders.poses(rng, 2500)])
+        quats = np.stack([r.q for r in rotations])
+        trans = rng.standard_normal((len(quats), 3))
+        back = se3.pose_to_state(quats, trans)
+        assert back.shape == (len(quats), 6) and same_bits(back[:, 3:], trans)
+        for got, rotation in zip(back, rotations):
+            assert same_bits(got[:3], se3.log_map(rotation)), rotation.q
+
+    def test_stack_equals_its_flattened_rows(self):
+        rng = RNG(111)
+        states = np.concatenate([rng.uniform(-4.0, 4.0, (7, 5, 3)),
+                                 rng.standard_normal((7, 5, 3))], axis=2)
+        q, t = se3.state_to_pose(states)
+        flat_q, flat_t = se3.state_to_pose(states.reshape(-1, 6))
+        assert q.shape == (7, 5, 4) and t.shape == (7, 5, 3)
+        assert same_bits(q.reshape(-1, 4), flat_q) and same_bits(t.reshape(-1, 3), flat_t)
+        rows = se3.pose_to_state(q, t)
+        assert rows.shape == (7, 5, 6)
+        assert same_bits(rows.reshape(-1, 6), se3.pose_to_state(flat_q, flat_t))
+
+    def test_bad_row_is_named(self):
+        # The norm overflows without a warning (any warning fails the suite).
+        states = np.zeros((2, 3, 6))
+        states[1, 2, :3] = [1e155, 1e155, 0.0]
+        with pytest.raises(ValueError) as err:
+            se3.state_to_pose(states)
+        assert str(err.value) == f"rho norm overflows in row [1, 2]: {states[1, 2, :3]}"
+        states[0, 1, 4] = math.inf
+        with pytest.raises(ValueError) as err:
+            se3.state_to_pose(states)
+        assert str(err.value) == f"state row [0, 1] contains non-finite values: {states[0, 1]}"
+        with pytest.raises(ValueError, match="6 components"):
+            se3.state_to_pose(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="do not pair up"):
+            se3.pose_to_state(np.zeros((4, 4)), np.zeros((3, 3)))
+
+
 class TestStateChart:
     @given(rotvec_strategy(), st.tuples(*[st.floats(-10, 10)] * 3))
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, rho, trans):
-        state = se3.MotionState(np.array(rho), np.array(trans))
-        back = se3.pose_to_state(se3.state_to_pose(state))
-        assert np.linalg.norm(back.as_vector() - state.as_vector()) < 1e-9
+        row = np.concatenate([rho, trans])
+        back = se3.pose_to_state(*se3.state_to_pose(row))
+        assert np.linalg.norm(back - row) < 1e-9
 
     def test_vector_round_trip(self):
         vec = np.array([0.1, -0.2, 0.3, 1.0, 2.0, -3.0])
@@ -471,9 +520,10 @@ class TestStateChart:
 
     def test_translation_is_passthrough(self):
         # The chart never couples translation to rotation.
-        state = se3.MotionState([0.5, -0.4, 0.3], [7.0, -8.0, 9.0])
-        pose = se3.state_to_pose(state)
-        assert np.array_equal(pose.translation, state.trans)
+        rows = np.array([[0.5, -0.4, 0.3, 7.0, -8.0, 9.0], [3.0, 1.0, -2.0, 0.0, -0.0, 1e300]])
+        _, trans = se3.state_to_pose(rows)
+        assert same_bits(trans, rows[:, 3:])
+        assert same_bits(se3.pose_to_state(*se3.state_to_pose(rows))[:, 3:], rows[:, 3:])
 
     def test_geodesic_angle_symmetry_and_known_value(self):
         a = se3.exp_map([0, 0, 0.3])

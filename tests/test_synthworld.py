@@ -150,7 +150,8 @@ class TestMakeScenario:
             assert len(scenario.pairs) == 39
             poses = [scenario.gt_trajectory.poses[0]]
             for pair in scenario.pairs:
-                poses.append(se3.compose(poses[-1], se3.state_to_pose(pair.target)))
+                rel = se3.RelativePose(se3.exp_map(pair.target.rho), pair.target.trans)
+                poses.append(se3.compose(poses[-1], rel))
             for got, want in zip(poses, scenario.gt_trajectory.poses):
                 assert se3.geodesic_angle(got.rotation, want.rotation) < 1e-9, kind
                 assert np.linalg.norm(got.translation - want.translation) < 1e-9, kind

@@ -128,7 +128,8 @@ def _config(path):
 def _estimates(path):
     rng = RNG(6)
     sampler.write_estimates_csv(path, [
-        sampler.PoseSampleSet([], se3.MotionState.from_vector(rng.uniform(-1, 1, 6)),
+        sampler.PoseSampleSet(np.empty((0, 6)),
+                              se3.MotionState.from_vector(rng.uniform(-1, 1, 6)),
                               rng.uniform(0, 1, 6))
         for _ in range(4)])
 

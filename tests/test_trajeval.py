@@ -96,7 +96,8 @@ class TestComposeTrajectory:
 
     def test_inverts_scenario_relative_motions(self):
         scenario = synthworld.make_scenario("c", "figure8", 25, 0.0, 0.0, RNG(1))
-        rels = [se3.state_to_pose(p.target) for p in scenario.pairs]
+        rels = [se3.RelativePose(se3.exp_map(p.target.rho), p.target.trans)
+                for p in scenario.pairs]
         rebuilt = trajeval.compose_trajectory(scenario.gt_trajectory.poses[0], rels)
         for got, want in zip(rebuilt.poses, scenario.gt_trajectory.poses):
             assert se3.geodesic_angle(got.rotation, want.rotation) < 1e-9
