@@ -31,21 +31,20 @@ def spreads(epochs=4000, reps=6, noise=0.05, samples=32, seed=41) -> list:
     """Mean sampling spread of the model trained at each level of LEVELS."""
     encoder = synthworld.ConditionEncoder(
         synthworld.DEFAULT_COND_DIM, synthworld.DEFAULT_LIFT_SEED)
-    rels = [se3.RelativePose(se3.Rotation.identity(), [float(length), 0.0, 0.0])
-            for length in np.linspace(0.1, 1.2, 8)]
+    motions = np.zeros((8, 6))  # chart rows (rho, trans): lengths along x, no rotation
+    motions[:, 3] = np.linspace(0.1, 1.2, 8)
     config = flowmatch.TrainConfig(
         batch_size=48, epochs=epochs, lr=2e-3,
         lr_decay_factor=0.05, lr_decay_epoch=max(1, epochs // 2), seed=5)
     out = []
     for level in LEVELS:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pairs = [flowmatch.TrainingPair(se3.MotionState(se3.log_map(rel.rotation),
-                                                        rel.translation),
-                                        encoder.encode(rel, level, noise, rng))
-                 for _ in range(reps) for rel in rels]
+        pairs = [flowmatch.TrainingPair(se3.MotionState(row[:3], row[3:]),
+                                        encoder.encode(row, level, noise, rng))
+                 for _ in range(reps) for row in motions]
         net, _ = flowmatch.train(pairs, config)
         results = sampler.estimate_sequence(
-            net, [p.cond for p in pairs[:2 * len(rels)]],
+            net, [p.cond for p in pairs[:2 * len(motions)]],
             sampler.SolverConfig("midpoint", 5), samples,
             np.random.default_rng(np.random.SeedSequence(51)))
         out.append(float(np.mean([r.std_state for r in results])))

@@ -2,7 +2,7 @@
 
 Subpackages are plain modules, imported lazily by callers:
 
-- ``se3``: quaternion rotations, relative poses, exp/log maps, motion states
+- ``se3``: quaternion rotations, pose stacks and their composition, the motion chart
 - ``vfnet``: small MLP vector field with analytic gradients and text checkpoints
 - ``flowmatch``: linear-path flow matching loss and Adam training loop
 - ``sampler``: fixed-step ODE solvers and repeated-sample pose estimation

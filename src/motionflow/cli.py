@@ -161,8 +161,8 @@ def _sample(net, conds, solver, samples: int, seed: int):
     what infer draws with that seed, and rows differ only in the integrator."""
     estimates = sampler.estimate_sequence(
         net, conds, solver, samples, np.random.default_rng(np.random.SeedSequence(seed)))
-    return estimates, trajeval.compose_trajectory(se3.RelativePose.identity(),
-                                                  [e.estimate for e in estimates])
+    means = np.stack([e.mean_state.as_vector() for e in estimates])
+    return estimates, trajeval.compose_trajectory(se3.IDENTITY, se3.state_to_pose(means))
 
 
 def _motions(traj, path):
@@ -180,9 +180,9 @@ def _ate(est, gt, args, est_path=None) -> float:
     lies further from the origin than gt: then the integration diverged."""
     try:
         if args.scale != "none":
-            est_rels = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
-            est = trajeval.compose_trajectory(est.poses[0], trajeval.scale_align(
-                est_rels, _motions(gt, args.gt), args.scale))
+            est_q, est_t = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
+            scaled = trajeval.scale_align(est_t, _motions(gt, args.gt)[1], args.scale)
+            est = trajeval.compose_trajectory((est.q[:1], est.t[:1]), (est_q, scaled))
         return trajeval.ate(est, gt, args.align)
     except FloatingPointError as err:
         if est_path is None and np.abs(est.positions()).max() > np.abs(gt.positions()).max():

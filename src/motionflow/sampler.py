@@ -121,11 +121,6 @@ class PoseSampleSet:
         return [se3._frozen(se3.RelativePose, rotation=se3._frozen(se3.Rotation, q=qi),
                             translation=ti) for qi, ti in zip(q, t)]
 
-    @property
-    def estimate(self) -> se3.RelativePose:
-        mean = self.mean_state
-        return se3._frozen(se3.RelativePose, rotation=se3.exp_map(mean.rho),
-                           translation=mean.trans)
 
 
 def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:

@@ -1,27 +1,30 @@
-"""Rigid-body rotations and relative poses on SO(3)/SE(3).
+"""Rigid-body rotations and poses on SO(3)/SE(3).
 
 Rotations are unit quaternions in (w, x, y, z) order with the sign fixed so
 that w >= 0; when w == 0 the first nonzero vector component is made positive.
 This makes every rotation have exactly one representation and pins the
-branch of the logarithm at rotation angle pi.
+branch of the logarithm at rotation angle pi.  One rule, _canonical,
+normalizes and signs every quaternion.
+
+Poses come as stacks: pairs (q, t) of (n, 4) canonical unit quaternions
+and (n, 3) translations in meters, which compose, inverse and chain take.
+Rotation, RelativePose and MotionState are single poses, for the API's
+boundaries.
 
 Motion between two camera frames is kept as a 6-vector chart
 (rho, trans) with rho = log(R) the rotation vector and trans the raw
 translation in meters.  The chart deliberately leaves translation
 uncoupled from rotation (no SE(3) left-Jacobian mixing): it is the
 coordinate system the generative model operates in, not a group
-parameterization.
+parameterization.  Its maps work on stacks of rows: state_to_pose takes
+(..., 6) rows to canonical quaternions and translations, and
+pose_to_state takes those back to principal (..., 6) rows.
 
-The chart maps work on stacks of rows, so a whole block of samples
-converts in one call of each: state_to_pose takes (..., 6) rows to
-canonical quaternions and translations, and pose_to_state takes those
-back to principal (..., 6) rows.  Each row equals exp_map or log_map of
-that one row bit for bit; those two stay the maps of a single pose.
-
-Values are checked once, where they enter: the constructors, exp_map,
-state_to_pose and MotionState.from_vector.  compose and inverse build with
-_frozen from checked read-only arrays; compose renormalizes its product as
-Rotation does, and compose and inverse check their translation for overflow.
+Values are checked once, where they enter: the constructors, stack,
+state_to_pose and MotionState.from_vector.  A fault in a stack is a
+RowError naming the first bad row.  compose, inverse and chain build from
+checked values, renormalizing products as Rotation does and rejecting
+translations that overflow.
 """
 
 from __future__ import annotations
@@ -50,6 +53,28 @@ def _finite_vector(values, n: int, name: str) -> np.ndarray:
     return arr
 
 
+class RowError(ValueError):
+    """A fault in one row of a stack: row is its index, and the message
+    says what is wrong with it."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _finite_rows(values, width: int, name: str) -> np.ndarray:
+    """values as a fresh (n, width) float64 array, or RowError naming the
+    first row with a non-finite value."""
+    rows = np.array(values, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} rows must have {width} components, got shape {rows.shape}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise RowError(k, f"{name} contains non-finite values: {rows[k]}")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """Unit quaternion (w, x, y, z), canonical sign, immutable."""
@@ -58,16 +83,7 @@ class Rotation:
 
     def __post_init__(self):
         q = _finite_vector(self.q, 4, "quaternion")
-        # np.linalg.norm of a 1-d float vector is this same sqrt of a dot; np.vdot
-        # is ndarray.dot without its status check, so overflow is inf, no warning.
-        norm = math.sqrt(np.vdot(q, q))
-        if not 1e-12 <= norm < math.inf:
-            raise ValueError(f"quaternion norm is zero or not finite: {norm}")
-        object.__setattr__(self, "q", _canonical(q.tolist(), norm))
-
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]))
+        object.__setattr__(self, "q", _unit_rows(q[None])[0])
 
     def matrix(self) -> np.ndarray:
         """Equivalent 3x3 rotation matrix."""
@@ -81,15 +97,74 @@ class Rotation:
         )
 
 
-def _canonical(values: list, norm: float) -> np.ndarray:
-    """Rotation's read-only q from finite components and their norm."""
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        values = [c / norm for c in values]
-    # Canonical sign: the first nonzero component is positive, which is
-    # w > 0, or at w == 0 (angle pi) the first nonzero vector component.
-    if next((c for c in values if c != 0.0), 0.0) < 0.0:
-        values = [-c for c in values]
-    q = np.array([c + 0.0 for c in values])  # + 0.0 drops negative zeros
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> for each pair of rows of two 2-d arrays, through the dot
+    kernel np.dot uses on two vectors (a stacked 1 x k by k x 1 product),
+    bit for bit; a sum of products along axis 1 rounds differently in
+    about a fifth of rows."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a 2-d array, bit for bit."""
+    return np.sqrt(row_dots(x, x))
+
+
+def _canonical(q: np.ndarray, norms=None) -> np.ndarray:
+    """Rotation's rule on (n, 4) rows of finite quaternions, as fresh rows.
+
+    norms are the rows' norms as _row_norms takes them, or None for rows of
+    unit norm, which only the sign rule changes.  A row is divided by its
+    norm unless that lies within UNIT_NORM_TOL of 1, and its sign is fixed
+    so that the first nonzero component is positive: w > 0, or at w == 0
+    (angle pi) the first nonzero vector component.  One pass over each
+    row's (norm, w) as floats gives its signed divisor (row / -d is
+    -(row / d) bit for bit, and row / 1.0 is row); only rows whose w is 0
+    after the division are looked at again.  + 0.0 drops negative zeros.
+    A norm that is zero or not finite raises RowError naming its row.
+    """
+    ws = q[:, 0].tolist()
+    norms = [1.0] * len(ws) if norms is None else norms.tolist()
+    divisors, ties = [], []  # len(divisors) is the index of the row at hand
+    for norm, w in zip(norms, ws):
+        d = 1.0
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
+            if not 1e-12 <= norm < math.inf:
+                raise RowError(len(divisors), f"quaternion norm is zero or not finite: {norm}")
+            d = norm
+        if w / d == 0.0:
+            ties.append(len(divisors))
+        divisors.append(-d if w < 0.0 else d)
+    out = q / np.array(divisors)[:, None] + 0.0
+    for i in ties:  # angle pi: the first nonzero vector component decides
+        if next((c for c in out[i].tolist() if c != 0.0), 0.0) < 0.0:
+            out[i] = -out[i] + 0.0
+    return out
+
+
+def first_fault(*checks) -> list:
+    """The results of checks, callables of no argument run in turn; of the
+    RowErrors they raise, the one naming the smallest row (the earlier
+    check's on a tie), so the first bad row is named whatever its fault."""
+    results, faults = [], []
+    for check in checks:
+        try:
+            results.append(check())
+        except RowError as err:
+            faults.append(err)
+    if faults:
+        raise min(faults, key=lambda err: err.row)
+    return results
+
+
+def _unit_rows(values) -> np.ndarray:
+    """(n, 4) quaternion rows as fresh read-only canonical rows, or
+    RowError naming the first that is not finite or whose norm is zero or
+    overflows."""
+    rows = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected by the rule
+        _, q = first_fault(lambda: _finite_rows(rows, 4, "quaternion"),
+                           lambda: _canonical(rows, _row_norms(rows)))
     q.setflags(write=False)
     return q
 
@@ -105,11 +180,7 @@ def _frozen(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class RelativePose:
-    """Rigid transform: rotation plus translation in meters.
-
-    Used both for frame-to-frame motion and, in trajectory containers, for
-    absolute world-from-camera poses (same algebra either way).
-    """
+    """Rigid transform: rotation plus translation in meters."""
 
     rotation: Rotation
     translation: np.ndarray
@@ -120,17 +191,6 @@ class RelativePose:
         object.__setattr__(
             self, "translation", _finite_vector(self.translation, 3, "translation")
         )
-
-    @classmethod
-    def identity(cls) -> "RelativePose":
-        return cls(Rotation.identity(), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        """Equivalent 4x4 homogeneous transform."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation.matrix()
-        m[:3, 3] = self.translation
-        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,107 +216,85 @@ class MotionState:
         return cls(arr[:3], arr[3:])
 
 
-def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of two (w, x, y, z) quaternions, on Python floats."""
-    aw, ax, ay, az = a.tolist()
-    bw, bx, by, bz = b.tolist()
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
+def stack(q, t) -> tuple:
+    """A checked pose stack from n quaternion rows q and n translation
+    rows t: fresh read-only (q, t), each q row canonical as Rotation holds
+    it.  A row that is not finite, or a quaternion whose norm is zero or
+    overflows, raises RowError naming it."""
+    q, t = first_fault(lambda: _unit_rows(q), lambda: _finite_rows(t, 3, "translation"))
+    if len(q) != len(t):
+        raise ValueError(f"{len(q)} rotations for {len(t)} translations")
+    t.setflags(write=False)
+    return q, t
+
+
+# The identity as a one-pose stack: where chained trajectories start.
+IDENTITY = (np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros((1, 3)))
+IDENTITY[0].setflags(write=False)
+IDENTITY[1].setflags(write=False)
+
+
+def _product(a, b) -> tuple:
+    """Hamilton product of (w, x, y, z) quaternions a and b, each given as
+    its four components: floats, or arrays of one component of every row."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
-def _quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def _quat_rotate(q: np.ndarray, v: np.ndarray) -> tuple:
-    """Rotate vector v by unit quaternion q (Rodrigues via two cross products).
-
-    t = 2 u x v and the result is v + w t + u x t, with u the vector part of
-    q.  The cross products are written out per component on Python floats:
-    the same products and differences np.cross forms, at a fraction of its
-    call overhead on 3-vectors.  The result stays three Python floats, so
-    callers finish their sums on them: an overflow is inf, with no warning.
-    """
-    w, ux, uy, uz = q.tolist()
-    vx, vy, vz = v.tolist()
+def _rotate(q, v) -> tuple:
+    """v rotated by the unit quaternion q, both given as components as
+    _product takes them (Rodrigues via two cross products): t = 2 u x v
+    and the result is v + w t + u x t, with u the vector part of q."""
+    w, ux, uy, uz = q
+    vx, vy, vz = v
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)
-    return (
-        vx + w * tx + (uy * tz - uz * ty),
-        vy + w * ty + (uz * tx - ux * tz),
-        vz + w * tz + (ux * ty - uy * tx),
-    )
+    return (vx + w * tx + (uy * tz - uz * ty),
+            vy + w * ty + (uz * tx - ux * tz),
+            vz + w * tz + (ux * ty - uy * tx))
 
 
-def exp_map(rho) -> Rotation:
-    """Rotation-vector exponential: axis * angle -> unit quaternion.
-
-    q = (cos(theta/2), sin(theta/2) * rho / theta) with theta = |rho|.
-    Below SMALL_ANGLE the sin/cos terms use their second-order Taylor
-    series, which keeps the map exact to double precision there.
-    """
-    rho = _finite_vector(rho, 3, "rho")
-    theta = math.sqrt(np.vdot(rho, rho))  # inf, with no warning, on overflow
-    if theta < SMALL_ANGLE:
-        # cos(t/2) ~ 1 - t^2/8,  sin(t/2)/t ~ 1/2 - t^2/48
-        w = 1.0 - theta * theta / 8.0
-        ratio = 0.5 - theta * theta / 48.0
-    elif theta < math.inf:
-        half = 0.5 * theta
-        w = math.cos(half)
-        ratio = math.sin(half) / theta
-    else:
-        raise ValueError(f"rho norm overflows: {rho}")
-    x, y, z = rho.tolist()
-    # |q| stays within 1e-15 of 1, so Rotation would not renormalize it.
-    return _frozen(Rotation, q=_canonical([w, x * ratio, y * ratio, z * ratio], 1.0))
+def compose(a, b) -> tuple:
+    """Row-wise composition of pose stacks a then b, in a's frame:
+    (R_a R_b, R_a t_b + t_a) as a fresh stack.  Each product is
+    renormalized and signed by Rotation's rule; a translation that
+    overflows raises RowError naming its row, with no warning."""
+    (qa, ta), (qb, tb) = a, b
+    q = np.stack(_product(qa.T, qb.T), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        t = np.stack(_rotate(qa.T, tb.T), axis=-1) + ta
+    return _canonical(q, _row_norms(q)), _finite_rows(t, 3, "translation")
 
 
-def log_map(rotation: Rotation) -> np.ndarray:
-    """Principal rotation vector of a unit quaternion, |result| <= pi.
-
-    theta = 2 * atan2(|v|, w) and the axis is v / |v|.  The canonical
-    quaternion sign (w >= 0) keeps theta in [0, pi]; at exactly pi the
-    constructor's sign rule decides between the two antipodal axes.
-    Below SMALL_ANGLE the ratio theta/|v| uses its series in |v|.
-    """
-    if not isinstance(rotation, Rotation):
-        raise TypeError("log_map expects a Rotation")
-    w = float(rotation.q[0])
-    v = rotation.q[1:4]
-    s = math.sqrt(v.dot(v))
-    if s < SMALL_ANGLE:
-        # w = sqrt(1 - s^2) ~ 1 here, so the quotient is well conditioned:
-        # theta/s = 2/w * (1 - s^2 / (3 w^2)) + O(s^4)
-        return v * (2.0 / w * (1.0 - s * s / (3.0 * w * w)))
-    theta = 2.0 * math.atan2(s, w)
-    return v * (theta / s)
+def inverse(pose) -> tuple:
+    """Row-wise inverse of a pose stack: (R^T, -R^T t) as a fresh stack.
+    A translation that overflows raises RowError naming its row."""
+    q, t = pose
+    conjugate = q * np.array([1.0, -1.0, -1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        t = -np.stack(_rotate(conjugate.T, t.T), axis=-1)
+    # The conjugate has its quaternion's norm: only the sign rule applies.
+    return _canonical(conjugate), _finite_rows(t, 3, "translation")
 
 
-def compose(a: RelativePose, b: RelativePose) -> RelativePose:
-    """Transform composition a then b in a's frame: (R_a R_b, R_a t_b + t_a)."""
-    q = _quat_multiply(a.rotation.q, b.rotation.q)
-    rx, ry, rz = _quat_rotate(a.rotation.q, b.translation)
-    ax, ay, az = a.translation.tolist()
-    t = [rx + ax, ry + ay, rz + az]
-    rot = _frozen(Rotation, q=_canonical(q.tolist(), math.sqrt(q.dot(q))))
-    return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))
-
-
-def inverse(pose: RelativePose) -> RelativePose:
-    """Inverse transform: (R^T, -R^T t)."""
-    q_inv = _quat_conjugate(pose.rotation.q)
-    t = [-r for r in _quat_rotate(q_inv, pose.translation)]
-    # q_inv has the norm of an accepted q: only the sign rule can apply.
-    rot = _frozen(Rotation, q=_canonical(q_inv.tolist(), 1.0))
-    return _frozen(RelativePose, rotation=rot, translation=_finite_vector(t, 3, "translation"))
+def chain(start, motions) -> tuple:
+    """The n + 1 poses a stack of n motions leads to from start, a one-pose
+    stack: pose i + 1 is compose of pose i and motion i as one-row stacks,
+    bit for bit.  The scan runs compose's product and rotation on Python
+    floats and _canonical on each product.  A translation that overflows
+    raises RowError naming its pose."""
+    qs, ts = start[0][:1].tolist(), start[1][:1].tolist()
+    for dq, dt in zip(motions[0].tolist(), motions[1].tolist()):
+        qa, ta = qs[-1], ts[-1]
+        q = np.array([_product(qa, dq)])
+        qs.append(_canonical(q, _row_norms(q))[0].tolist())
+        ts.append([r + a for r, a in zip(_rotate(qa, dt), ta)])
+    return np.array(qs), _finite_rows(ts, 3, "translation")
 
 
 def state_to_pose(states) -> tuple:
@@ -264,11 +302,13 @@ def state_to_pose(states) -> tuple:
     (q, t), the (..., 4) canonical unit quaternions exp(rho) and the
     (..., 3) translations, a view of the rows.
 
-    Each q row equals exp_map(rho).q bit for bit: the same norm kernel
-    (_row_norms), the same series below SMALL_ANGLE, math.cos and math.sin
-    per row (numpy's vector kernels may round differently), the same
-    products and _canonical's sign rule.  A row with a non-finite value,
-    or whose rho norm overflows, raises ValueError naming the row.
+    q = (cos(theta/2), sin(theta/2) * rho / theta) with theta = |rho|
+    (_row_norms), math.cos and math.sin per row (numpy's vector kernels
+    may round differently), signed by _canonical.  Below SMALL_ANGLE the
+    sin/cos terms use their second-order Taylor series, which keeps the
+    map exact to double precision there.  A row with a non-finite value,
+    or whose rho norm overflows, raises ValueError naming the row (unless
+    states is that one row).
     """
     states = np.asarray(states, dtype=np.float64)
     if states.shape[-1:] != (6,):
@@ -281,25 +321,23 @@ def state_to_pose(states) -> tuple:
     if bad.any():
         k = int(np.argmax(bad))
         where = ", ".join(str(int(i)) for i in np.unravel_index(k, states.shape[:-1]))
+        row = f" row [{where}]" if states.ndim > 1 else ""  # a single row goes unnamed
         if np.isfinite(rows[k]).all():
-            raise ValueError(f"rho norm overflows in row [{where}]: {rho[k]}")
-        raise ValueError(f"state row [{where}] contains non-finite values: {rows[k]}")
+            raise ValueError(f"rho norm overflows{' in' + row if row else ''}: {rho[k]}")
+        raise ValueError(f"state{row} contains non-finite values: {rows[k]}")
     halves = (0.5 * theta).tolist()
     w = np.array([math.cos(h) for h in halves])
     ratio = np.array([math.sin(h) for h in halves])
     small = theta < SMALL_ANGLE
     ratio[~small] /= theta[~small]
     square = theta[small] * theta[small]
-    w[small] = 1.0 - square / 8.0  # the series, as exp_map takes it
-    ratio[small] = 0.5 - square / 48.0
+    w[small] = 1.0 - square / 8.0  # cos(t/2) ~ 1 - t^2/8
+    ratio[small] = 0.5 - square / 48.0  # sin(t/2)/t ~ 1/2 - t^2/48
     q = np.empty((len(rows), 4))
     q[:, 0] = w
     q[:, 1:] = rho * ratio[:, None]
-    # cos is never 0 at a double, so _canonical's sign rule (the first
-    # nonzero component made positive) flips the rows with w < 0; + 0.0
-    # drops negative zeros, as there.
-    q = np.where((w < 0.0)[:, None], -q, q) + 0.0
-    return q.reshape(states.shape[:-1] + (4,)), states[..., 3:]
+    # |q| stays within 1e-15 of 1, so the rule would not renormalize it.
+    return _canonical(q).reshape(states.shape[:-1] + (4,)), states[..., 3:]
 
 
 def pose_to_state(q, t) -> np.ndarray:
@@ -307,11 +345,13 @@ def pose_to_state(q, t) -> np.ndarray:
     (..., 4), as state_to_pose or Rotation hold them, and translations t
     (..., 3) -> fresh (..., 6) rows (log(q), t).
 
-    Each rotation vector equals log_map of its quaternion bit for bit:
-    the same norm kernel (_row_norms), the same series below SMALL_ANGLE
-    and math.atan2 per row (np.arctan2 may use its own vector kernel,
-    which differs from the C library's in the last bit for about one row
-    in twenty), in log_map's order of operations.
+    theta = 2 * atan2(|v|, w) and the axis is v / |v|, with |v| from
+    _row_norms and math.atan2 per row (np.arctan2 may use its own vector
+    kernel, which differs from the C library's in the last bit for about
+    one row in twenty).  The canonical sign (w >= 0) keeps theta in
+    [0, pi]; at exactly pi the sign rule decides between the two antipodal
+    axes.  Below SMALL_ANGLE the ratio theta/|v| uses its series in |v|:
+    w = sqrt(1 - s^2) ~ 1 there, and theta/s = 2/w * (1 - s^2 / (3 w^2)).
     """
     q = np.asarray(q, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -331,20 +371,9 @@ def pose_to_state(q, t) -> np.ndarray:
 
 def geodesic_angle(a: Rotation, b: Rotation) -> float:
     """Rotation angle of a^-1 b in radians, in [0, pi]."""
-    q = _quat_multiply(_quat_conjugate(a.q), b.q)
-    s = float(np.linalg.norm(q[1:4]))
-    return 2.0 * math.atan2(s, abs(float(q[0])))
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-d array.
-
-    Each row goes through the same dot kernel np.vdot and ndarray.dot use
-    on a single vector (a stacked 1 x k by k x 1 product), so a row's norm
-    equals the one Rotation, exp_map and log_map take of it, bit for bit; a
-    sum of squares along axis 1 rounds differently in about a fifth of rows.
-    """
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).reshape(-1))
+    aw, ax, ay, az = a.q.tolist()
+    w, x, y, z = _product((aw, -ax, -ay, -az), b.q.tolist())
+    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
 
 
 def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -357,28 +386,12 @@ def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     for the translation, then 4 for the quaternion, so a batch of n equals
     n batches of 1 drawn from the same stream.
 
-    The normalization and sign rule are Rotation written as array
-    operations and per-row float arithmetic in the same order, and
-    pose_to_state takes each row's log as log_map does, so every row
-    equals log_map(Rotation(q)) exactly.  The normalizing division and
-    the sign flip are one division by a signed divisor per row (raw / -d
-    is -(raw / d) bit for bit, and raw / 1.0 is raw).  Rows with w == 0
-    (the angle-pi tie rule) or a vanishing norm have probability zero and
-    go through Rotation itself; they divide by nan, which keeps the row
-    arithmetic free of zero divisions until they are redone.
+    Each row is normalized and signed by Rotation's rule (_canonical) and
+    stored as its principal log (pose_to_state).  A row whose quaternion
+    has norm zero, which has probability zero, raises RowError.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     normals = rng.standard_normal((n, 7))
     raw = normals[:, 3:]
-    divisors, redo = [], []
-    for i, (norm, w) in enumerate(zip(_row_norms(raw).tolist(), raw[:, 0].tolist())):
-        d = norm if abs(norm - 1.0) > UNIT_NORM_TOL else 1.0
-        if norm < 1e-12 or w / d == 0.0:
-            redo.append(i)
-            d = math.nan
-        divisors.append(-d if w < 0.0 else d)
-    out = pose_to_state(raw / np.array(divisors)[:, None] + 0.0, normals[:, :3])
-    for i in redo:
-        out[i, :3] = log_map(Rotation(raw[i]))
-    return out
+    return pose_to_state(_canonical(raw, _row_norms(raw)), normals[:, :3])

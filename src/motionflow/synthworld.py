@@ -55,12 +55,9 @@ class Scenario:
     lift_seed: int
 
 
-def relative_motions(traj: trajeval.Trajectory):
-    """Frame-to-frame motions: rel_i = pose_i^-1 o pose_{i+1}."""
-    return [
-        se3.compose(se3.inverse(traj.poses[i]), traj.poses[i + 1])
-        for i in range(len(traj) - 1)
-    ]
+def relative_motions(traj: trajeval.Trajectory) -> tuple:
+    """Frame-to-frame motions as a stack: rel_i = pose_i^-1 o pose_{i+1}."""
+    return se3.compose(se3.inverse((traj.q[:-1], traj.t[:-1])), (traj.q[1:], traj.t[1:]))
 
 
 def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> trajeval.Trajectory:
@@ -73,15 +70,13 @@ def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> trajeval.Tra
     stamps = np.arange(n, dtype=np.float64)
 
     if kind == "line":
-        poses = [
-            se3.RelativePose(se3.Rotation.identity(), [float(i), 0.0, 0.0])
-            for i in range(n)
-        ]
-        return trajeval.Trajectory(stamps, poses)
+        positions = np.zeros((n, 3))
+        positions[:, 0] = stamps
+        return trajeval.Trajectory(stamps, np.tile(se3.IDENTITY[0], (n, 1)), positions)
 
     if kind == "arc":
-        step = se3.RelativePose(se3.exp_map([0.0, 0.0, 0.1]), [0.3, 0.0, 0.0])
-        return trajeval.compose_trajectory(se3.RelativePose.identity(), [step] * (n - 1))
+        steps = np.tile([0.0, 0.0, 0.1, 0.3, 0.0, 0.0], (n - 1, 1))
+        return trajeval.compose_trajectory(se3.IDENTITY, se3.state_to_pose(steps))
 
     if kind == "figure8":
         # Parameter grid offset by a quarter step so no sample hits t = 0 or
@@ -90,25 +85,21 @@ def make_trajectory(kind: str, n: int, rng: np.random.Generator) -> trajeval.Tra
         unit = np.stack([np.sin(t), np.sin(t) * np.cos(t), np.zeros(n)], axis=1)
         steps = np.linalg.norm(np.diff(unit, axis=0), axis=1)
         scale = 0.5 / steps.max()
-        points = unit * scale
-        yaw = 0.5 * np.sin(t)
-        poses = [
-            se3.RelativePose(se3.exp_map([0.0, 0.0, float(y)]), p)
-            for y, p in zip(yaw, points)
-        ]
-        return trajeval.Trajectory(stamps, poses)
+        rows = np.zeros((n, 6))
+        rows[:, 2] = 0.5 * np.sin(t)  # yaw
+        rows[:, 3:] = unit * scale
+        return trajeval.Trajectory(stamps, *se3.state_to_pose(rows))
 
-    # random-walk
-    rels = []
-    for _ in range(n - 1):
+    # random-walk: each step draws its axis, angle, direction and length in turn
+    rows = np.empty((n - 1, 6))
+    for row in rows:
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.0, 0.2)
+        row[:3] = axis * rng.uniform(0.0, 0.2)
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
-        length = rng.uniform(0.05, 0.5)
-        rels.append(se3.RelativePose(se3.exp_map(axis * angle), direction * length))
-    return trajeval.compose_trajectory(se3.RelativePose.identity(), rels)
+        row[3:] = direction * rng.uniform(0.05, 0.5)
+    return trajeval.compose_trajectory(se3.IDENTITY, se3.state_to_pose(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +125,15 @@ class ConditionEncoder:
         object.__setattr__(self, "_w_base", w_base)
         object.__setattr__(self, "_w_scale", w_scale)
 
-    def encode(self, rel: se3.RelativePose, ambiguity: float, noise_sigma: float,
+    def encode(self, motion, ambiguity: float, noise_sigma: float,
                rng: np.random.Generator = None) -> ConditionVector:
+        """The condition vector of a motion given as its chart row (rho, trans)."""
         if not (0.0 <= ambiguity <= 1.0):
             raise ValueError(f"ambiguity must lie in [0, 1], got {ambiguity}")
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        rho, trans = se3.log_map(rel.rotation), rel.translation
+        motion = np.asarray(motion, dtype=np.float64)
+        rho, trans = motion[:3], motion[3:]
         scale = float(np.linalg.norm(trans))
         t_hat = trans / scale if scale > 1e-12 else np.zeros(3)
         base = np.concatenate([
@@ -173,12 +166,9 @@ def make_scenario(name: str, kind: str, n: int, ambiguity: float,
         lift_seed = int(rng.integers(0, 2 ** 63))
     traj = make_trajectory(kind, n, rng)
     encoder = ConditionEncoder(cond_dim, lift_seed)
-    rels = relative_motions(traj)
-    pairs = [
-        TrainingPair(se3.MotionState(se3.log_map(rel.rotation), rel.translation),
-                     encoder.encode(rel, ambiguity, noise_sigma, rng))
-        for rel in rels
-    ]
+    pairs = [TrainingPair(se3.MotionState(row[:3], row[3:]),
+                          encoder.encode(row, ambiguity, noise_sigma, rng))
+             for row in se3.pose_to_state(*relative_motions(traj))]
     return Scenario(name, traj, pairs, ambiguity, noise_sigma, cond_dim, lift_seed)
 
 
@@ -199,7 +189,7 @@ def make_bimodal_dataset(n: int, rng: np.random.Generator):
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     encoder = ConditionEncoder(DEFAULT_COND_DIM, DEFAULT_LIFT_SEED)
-    shared = encoder.encode(se3.RelativePose.identity(), 0.0, 0.0)
+    shared = encoder.encode(np.zeros(6), 0.0, 0.0)
     mode_a = se3.MotionState(*BIMODAL_MODE_A)
     mode_b = se3.MotionState(*BIMODAL_MODE_B)
     picks = rng.random(n) < 0.5

@@ -41,33 +41,41 @@ class DegenerateTrajectoryError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-stamped absolute poses (world-from-camera)."""
+    """Time-stamped absolute poses (world-from-camera) as read-only arrays:
+    stamps (n,) and a pose stack, canonical q (n, 4) and t (n, 3).  Checked
+    once, here: at least one pose, stamps finite and strictly increasing,
+    and the pose rows as se3.stack checks them; a fault raises se3.RowError
+    naming the first pose with one."""
 
     stamps: np.ndarray
-    poses: list
+    q: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
         stamps = np.array(self.stamps, dtype=np.float64).reshape(-1)
-        if stamps.size != len(self.poses):
-            raise ValueError(
-                f"{stamps.size} stamps for {len(self.poses)} poses"
-            )
+
+        def rising():
+            ok = np.isfinite(stamps)
+            ok[1:] &= stamps[1:] > stamps[:-1]
+            if not ok.all():
+                raise se3.RowError(int(np.argmin(ok)),
+                                   "stamps must be finite and strictly increasing")
+
+        (q, t), _ = se3.first_fault(lambda: se3.stack(self.q, self.t), rising)
+        if stamps.size != len(q):
+            raise ValueError(f"{stamps.size} stamps for {len(q)} poses")
         if stamps.size == 0:
             raise ValueError("trajectory must contain at least one pose")
-        if not (np.isfinite(stamps).all() and (np.diff(stamps) > 0).all()):
-            raise ValueError("stamps must be finite and strictly increasing")
-        for i, pose in enumerate(self.poses):
-            if not isinstance(pose, se3.RelativePose):
-                raise TypeError(f"pose {i} is not a RelativePose")
         stamps.flags.writeable = False
         object.__setattr__(self, "stamps", stamps)
-        object.__setattr__(self, "poses", list(self.poses))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.stamps)
 
     def positions(self) -> np.ndarray:
-        return np.stack([p.translation for p in self.poses])
+        return self.t
 
 
 class Alignment(NamedTuple):
@@ -79,24 +87,27 @@ class Alignment(NamedTuple):
     ate_rmse: float
 
 
-def compose_trajectory(start: se3.RelativePose, rels) -> Trajectory:
-    """Chain relative motions onto a start pose; stamps are 0..n seconds."""
-    poses = [start]
-    for rel in rels:
-        poses.append(se3.compose(poses[-1], rel))
-    return Trajectory(np.arange(len(poses), dtype=np.float64), poses)
+def compose_trajectory(start, rels) -> Trajectory:
+    """Chain a stack of relative motions onto start, a one-pose stack, as
+    se3.chain does; stamps are 0..n seconds."""
+    q, t = se3.chain(start, rels)
+    return Trajectory(np.arange(len(q), dtype=np.float64), q, t)
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v), sqrt(<v, v>), unless <v, v> underflows; then
-    math.hypot, which scales v before it squares."""
-    sq = float(np.dot(v, v))
-    return math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(*v.tolist())
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, sqrt(<v, v>), except where <v, v>
+    underflows: there math.hypot, which scales v before it squares."""
+    squares = se3.row_dots(v, v)
+    norms = np.sqrt(squares)
+    for i in np.flatnonzero(squares < sys.float_info.min).tolist():
+        norms[i] = math.hypot(*v[i].tolist())
+    return norms
 
 
 @np.errstate(over="raise", invalid="raise")
-def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
-    """Rescale estimated translations against ground truth; rotations untouched.
+def scale_align(est_t, gt_t, mode: str = "per_pair") -> np.ndarray:
+    """Rescale estimated relative translations, an (n, 3) stack, against
+    the ground truth's; returns a fresh stack (rotations are untouched).
 
     per_pair: each estimate takes its ground-truth pair's translation norm
     (pairs whose ground truth or estimate is the zero vector pass through
@@ -106,44 +117,33 @@ def scale_align(est_rels, gt_rels, mode: str = "per_pair"):
     FloatingPointError, and warns nothing, when a norm, a sum, global's
     scale or a rescaled translation overflows.
     """
-    est_rels, gt_rels = list(est_rels), list(gt_rels)
-    if len(est_rels) != len(gt_rels):
-        raise ValueError(
-            f"scale_align needs equal lengths, got {len(est_rels)} vs {len(gt_rels)}"
-        )
+    est = np.array(est_t, dtype=np.float64).reshape(-1, 3)
+    gt = np.asarray(gt_t, dtype=np.float64).reshape(-1, 3)
+    if len(est) != len(gt):
+        raise ValueError(f"scale_align needs equal lengths, got {len(est)} vs {len(gt)}")
     if mode not in ("per_pair", "global"):
         raise ValueError(f"unknown scale mode {mode!r}")
     if mode == "per_pair":
-        out = []
-        for est, gt in zip(est_rels, gt_rels):
-            gt_norm = _norm(gt.translation)
-            est_norm = _norm(est.translation)
-            if gt_norm == 0.0 or est_norm == 0.0:
-                out.append(est)
-                continue
-            ratio = gt_norm / est_norm
-            if math.isfinite(ratio):
-                out.append(se3.RelativePose(est.rotation, est.translation * ratio))
-            else:  # the scale overflows; est's direction times gt's norm need not
-                out.append(se3.RelativePose(est.rotation, est.translation / est_norm * gt_norm))
-        return out
-    est = [e.translation for e in est_rels]
+        gt_norms, est_norms = _norms(gt), _norms(est)
+        pairs = np.flatnonzero((gt_norms != 0.0) & (est_norms != 0.0))
+        with np.errstate(over="ignore"):  # an overflowing scale is inf, handled below
+            ratios = gt_norms[pairs] / est_norms[pairs]
+        finite = np.isfinite(ratios)
+        est[pairs[finite]] *= ratios[finite, None]
+        # The scale overflows; est's direction times gt's norm need not.
+        big = pairs[~finite]
+        est[big] = est[big] / est_norms[big, None] * gt_norms[big, None]
+        return est
     # Both sides times one power of two, which leaves s* as it is: the largest
     # estimated entry is then at least 0.5, so sum<est, est> cannot underflow.
     k = max(0, -math.frexp(float(np.max(np.abs(est), initial=0.0)))[1])
-    est, gt = np.ldexp(est, k), np.ldexp([g.translation for g in gt_rels], k)
-    num = sum(float(np.dot(e, g)) for e, g in zip(est, gt))
-    den = sum(float(np.dot(e, e)) for e in est)
+    scaled = np.ldexp(est, k)
+    num = sum(se3.row_dots(scaled, np.ldexp(gt, k)).tolist())
+    den = sum(se3.row_dots(scaled, scaled).tolist())
     s = num / den if den > 0.0 else 1.0
     if not (math.isfinite(den) and math.isfinite(s)):
         raise FloatingPointError(f"overflow encountered in the scale {num} / {den}")
-    return [se3.RelativePose(e.rotation, e.translation * s) for e in est_rels]
-
-
-def _centered(points: np.ndarray):
-    mean = points.mean(axis=0)
-    centered = points - mean
-    return mean, centered
+    return est * s
 
 
 def _check_rank(centered: np.ndarray, label: str) -> None:
@@ -169,8 +169,8 @@ def umeyama_align(est: Trajectory, gt: Trajectory, with_scale: bool = True) -> A
         raise ValueError("alignment needs at least 3 poses")
     x = est.positions()
     y = gt.positions()
-    mu_x, xc = _centered(x)
-    mu_y, yc = _centered(y)
+    mu_x, mu_y = x.mean(axis=0), y.mean(axis=0)
+    xc, yc = x - mu_x, y - mu_y
     _check_rank(xc, "estimated")
     _check_rank(yc, "ground-truth")
 
@@ -215,25 +215,25 @@ def ate(est: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
 
 def write_tum(path, traj: Trajectory) -> None:
     """TUM format: `timestamp tx ty tz qx qy qz qw` per line."""
-    lines = []
-    for stamp, pose in zip(traj.stamps.tolist(), traj.poses):
-        w, x, y, z = pose.rotation.q.tolist()
-        lines.append(textio.fmt([stamp, *pose.translation.tolist(), x, y, z, w], " "))
-    textio.write_lines(path, lines)
+    rows = np.concatenate([traj.stamps[:, None], traj.t, traj.q[:, 1:], traj.q[:, :1]], axis=1)
+    textio.write_lines(path, [textio.fmt(row, " ") for row in rows.tolist()])
 
 
 def read_tum(path) -> Trajectory:
-    stamps = []
-    poses = []
+    """The trajectory a TUM file holds.  A malformed line, or one whose
+    stamp or pose the Trajectory rejects, raises ValueError naming it."""
+    wheres, rows = [], []
     for where, line in textio.numbered(path):
         with textio.at(where):
-            stamp, tx, ty, tz, qx, qy, qz, qw = textio.floats(line.split(), 8)
-            poses.append(se3.RelativePose(se3.Rotation([qw, qx, qy, qz]), [tx, ty, tz]))
-            stamps.append(stamp)
-    if not poses:
+            rows.append(textio.floats(line.split(), 8))
+        wheres.append(where)
+    if not rows:
         raise ValueError(f"{path}: no poses found")
-    with textio.at(path):
-        return Trajectory(stamps, poses)
+    rows = np.array(rows)
+    try:
+        return Trajectory(rows[:, 0], rows[:, [7, 4, 5, 6]], rows[:, 1:4])
+    except se3.RowError as err:
+        raise ValueError(f"{wheres[err.row]}: {err}") from err
 
 
 METRICS_HEADER = "scenario,align_mode,scale_mode,ate_rmse,mean_std_rot,mean_std_trans"

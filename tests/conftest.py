@@ -23,7 +23,9 @@ def dirac_pair():
     target = se3.MotionState(DIRAC_RHO, DIRAC_TRANS)
     encoder = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
                                           synthworld.DEFAULT_LIFT_SEED)
-    cond = encoder.encode(se3.RelativePose(se3.exp_map(target.rho), target.trans), 0.0, 0.0)
+    # The encoder sees the motion's chart row taken to its pose and back.
+    row = se3.pose_to_state(*se3.state_to_pose(target.as_vector()))
+    cond = encoder.encode(row, 0.0, 0.0)
     return flowmatch.TrainingPair(target=target, cond=cond)
 
 

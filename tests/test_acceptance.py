@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 import ambiguity_sweep as sweep_script
 import demo_pipeline
@@ -43,11 +44,15 @@ def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def random_pose(rng) -> se3.RelativePose:
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    rho = axis * rng.uniform(0.0, math.pi - 1e-3)
-    return se3.RelativePose(se3.exp_map(rho), rng.standard_normal(3))
+def random_poses(rng, n) -> tuple:
+    """n random poses as a stack, each drawn in turn: axis, angle, translation."""
+    rows = np.empty((n, 6))
+    for row in rows:
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        row[:3] = axis * rng.uniform(0.0, math.pi - 1e-3)
+        row[3:] = rng.standard_normal(3)
+    return se3.state_to_pose(rows)
 
 
 # --- trained fixtures -------------------------------------------------------------
@@ -96,24 +101,21 @@ def test_criterion_1_lie_group_suite():
     rng = RNG(SEQ(101))
 
     # exp/log round-trip over the principal ball.
-    worst_rt = 0.0
-    for _ in range(2000):
+    rows = np.zeros((2000, 6))
+    for row in rows:
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        rho = axis * rng.uniform(0.0, math.pi - 1e-6)
-        back = se3.log_map(se3.exp_map(rho))
-        worst_rt = max(worst_rt, float(np.max(np.abs(back - rho))))
+        row[:3] = axis * rng.uniform(0.0, math.pi - 1e-6)
+    back = se3.pose_to_state(*se3.state_to_pose(rows))
+    worst_rt = float(np.max(np.abs(back - rows)))
 
-    # Composition associativity.
-    worst_assoc = 0.0
-    for _ in range(500):
-        a, b, c = (random_pose(rng) for _ in range(3))
-        left = se3.compose(se3.compose(a, b), c)
-        right = se3.compose(a, se3.compose(b, c))
-        worst_assoc = max(
-            worst_assoc,
-            float(np.max(np.abs(left.translation - right.translation))),
-            float(np.max(np.abs(left.rotation.q - right.rotation.q))))
+    # Composition associativity, over 500 triples drawn in turn.
+    q, t = random_poses(rng, 1500)
+    a, b, c = ((q[k::3], t[k::3]) for k in range(3))
+    left = se3.compose(se3.compose(a, b), c)
+    right = se3.compose(a, se3.compose(b, c))
+    worst_assoc = max(float(np.max(np.abs(left[1] - right[1]))),
+                      float(np.max(np.abs(left[0] - right[0]))))
 
     # Uniform-rotation angle law: density (1 - cos t)/pi, CDF (t - sin t)/pi.
     states = se3.sample_initial_batch(rng, 100_000)
@@ -263,33 +265,30 @@ def test_criterion_8_alignment_oracle():
     gt = synthworld.make_trajectory("random-walk", 12, RNG(2024))
 
     # (a) Exact recovery of a known sim(3) disturbance.
-    rot = se3.exp_map([0.3, -0.4, 0.5])
+    n = len(gt)
+    rot = ScipyRotation.from_rotvec([0.3, -0.4, 0.5])
     scale, shift = 1.7, np.array([2.0, -1.0, 3.0])
-    moved = trajeval.Trajectory(gt.stamps, [
-        se3.RelativePose(se3.Rotation(se3._quat_multiply(rot.q, p.rotation.q)),
-                         scale * (rot.matrix() @ p.translation) + shift)
-        for p in gt.poses
-    ])
+    turn = (np.tile(np.roll(rot.as_quat(), 1), (n, 1)), np.zeros((n, 3)))
+    moved = trajeval.Trajectory(gt.stamps, se3.compose(turn, (gt.q, gt.t))[0],
+                                scale * (gt.t @ rot.as_matrix().T) + shift)
     exact = trajeval.ate(moved, gt, align="sim3")
 
     # (b) Invariance to a global rescaling of the estimate.
-    noisy = []
-    for p in gt.poses:
-        drho = 0.02 * rng.standard_normal(3)
-        q = se3._quat_multiply(p.rotation.q, se3.exp_map(drho).q)
-        noisy.append(se3.RelativePose(
-            se3.Rotation(q), p.translation + 0.05 * rng.standard_normal(3)))
-    est = trajeval.Trajectory(gt.stamps, noisy)
+    drho, dt = np.zeros((n, 6)), np.empty((n, 3))
+    for i in range(n):
+        drho[i, :3] = 0.02 * rng.standard_normal(3)
+        dt[i] = 0.05 * rng.standard_normal(3)
+    est = trajeval.Trajectory(gt.stamps, se3.compose((gt.q, gt.t), se3.state_to_pose(drho))[0],
+                              gt.t + dt)
     ref_ate = trajeval.ate(est, gt, align="sim3")
-    scaled = trajeval.Trajectory(gt.stamps, [
-        se3.RelativePose(p.rotation, 3.7 * p.translation) for p in est.poses])
+    scaled = trajeval.Trajectory(gt.stamps, est.q, 3.7 * est.t)
     rescale_gap = abs(trajeval.ate(scaled, gt, align="sim3") - ref_ate)
 
     # (c) Closed form versus a naive 7-parameter optimizer.
     est_pos, gt_pos = est.positions(), gt.positions()
 
     def cost(params):
-        rot_m = se3.exp_map(params[:3]).matrix()
+        rot_m = ScipyRotation.from_rotvec(params[:3]).as_matrix()
         mapped = math.exp(params[6]) * (rot_m @ est_pos.T).T + params[3:6]
         return math.sqrt(float(np.mean(np.sum((mapped - gt_pos) ** 2, axis=1))))
 

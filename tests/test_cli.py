@@ -5,6 +5,7 @@ checked directly.  Configurations are kept tiny; the CLI plumbing is the
 subject here, not model quality.
 """
 
+import hashlib
 import json
 import platform
 from pathlib import Path
@@ -72,11 +73,9 @@ class TestGen:
         out = gen_small(tmp_path)
         gt = trajeval.read_tum(out / "gt.tum")
         rows = synthworld.ingest_features(out / "dataset.csv")
-        rels = [se3.RelativePose(se3.exp_map(pair.target.rho), pair.target.trans)
-                for _, pair in rows]
-        rebuilt = trajeval.compose_trajectory(gt.poses[0], rels)
-        for got, want in zip(rebuilt.poses, gt.poses):
-            assert np.linalg.norm(got.translation - want.translation) < 1e-9
+        rels = se3.state_to_pose(np.stack([pair.target.as_vector() for _, pair in rows]))
+        rebuilt = trajeval.compose_trajectory((gt.q[:1], gt.t[:1]), rels)
+        assert np.max(np.linalg.norm(rebuilt.t - gt.t, axis=1)) < 1e-9
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         a = gen_small(tmp_path, "a", seed=5)
@@ -336,7 +335,7 @@ class TestEval:
         data = gen_small(tmp_path)
         gt = trajeval.read_tum(data / "gt.tum")
         est = tmp_path / "est.tum"
-        trajeval.write_tum(est, trajeval.Trajectory(gt.stamps + 100.0, gt.poses))
+        trajeval.write_tum(est, trajeval.Trajectory(gt.stamps + 100.0, gt.q, gt.t))
         assert run_cli("eval", est, data / "gt.tum", "--out", tmp_path / "ev") == 2
         assert "stamp mismatch at pose 0" in capsys.readouterr().err
         assert not (tmp_path / "ev" / "metrics.csv").exists()
@@ -365,7 +364,7 @@ class TestEval:
         # One pose has no motions: the header-only estimates file matches
         # it, and there is no spread to average.
         one = tmp_path / "one.tum"
-        trajeval.write_tum(one, trajeval.Trajectory(np.zeros(1), [se3.RelativePose.identity()]))
+        trajeval.write_tum(one, trajeval.Trajectory(np.zeros(1), *se3.IDENTITY))
         estimates = tmp_path / "hdr.csv"
         estimates.write_text(sampler.ESTIMATES_HEADER + "\n")
         out = tmp_path / "ev"
@@ -876,3 +875,43 @@ class TestMalformedInputs:
                 "overflows the float range") in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (out / "metrics.csv").exists()
+
+
+# sha256 of every artifact (all but the manifests) of one tiny pipeline:
+# gen a noisy random walk, train, infer, eval with per-pair scale and
+# spread columns, and ablate-steps with global scale.  It pins what the
+# training and sampling digests do not: the ground truth, the dataset,
+# composition, scale alignment and the TUM reader and writer.
+PIPELINE_DIGESTS = {
+    "ablate/ablation.csv": "c0a05905589d7e1e38a0c336a3e664131026f1673e03e3eafe49cd555378d3bc",
+    "eval/metrics.csv": "8b5071f3c38d3131449b016cddeceda511630cca1cdb569dad4fee54aac006ce",
+    "gen/dataset.csv": "8e3d41486aa89d767482c33de7550c715eb22ebd99f7b78a35f521c13540d4ff",
+    "gen/gt.tum": "8ee6aad26fd7fe991cd014351fc8a43cec14773d0e873cc0b8d1c4104179b17e",
+    "infer/est.tum": "ada458847ccc4d4f70cbd7ee10a7e9728dcc5ecac8939aa774f48b12c7b2a73d",
+    "infer/estimates.csv": "a5a75643743169aa2df673a7afde81d1a794f4b6cd6d04f107ae50b2568972c1",
+    "train/checkpoint.txt": "04f856eb195ec39011c0feb618397986bd8108ccc1b3ec1017f357b7da638b44",
+    "train/loss.csv": "7f0c5d25d264e1d1fa73a0d743e13d4f12b1595011a3ca50c9d85291fcb1b16f",
+}
+
+
+def test_pipeline_artifacts_keep_their_bytes(tmp_path):
+    gen, train, infer = tmp_path / "gen", tmp_path / "train", tmp_path / "infer"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 4\nbatch_size = 8\nseed = 5\n")
+    for argv in (
+        ["gen", "--kind", "random-walk", "--n", 31, "--noise", 0.05, "--seed", 11,
+         "--out", gen],
+        ["train", "--dataset", gen / "dataset.csv", "--config", cfg, "--out", train],
+        ["infer", "--checkpoint", train / "checkpoint.txt", "--dataset", gen / "dataset.csv",
+         "--samples", 3, "--steps", 2, "--seed", 13, "--out", infer],
+        ["eval", infer / "est.tum", gen / "gt.tum", "--estimates", infer / "estimates.csv",
+         "--scale", "per_pair", "--out", tmp_path / "eval"],
+        ["ablate-steps", "--checkpoint", train / "checkpoint.txt",
+         "--dataset", gen / "dataset.csv", "--gt", gen / "gt.tum", "--steps", "1,3",
+         "--samples", 2, "--seed", 13, "--scale", "global", "--out", tmp_path / "ablate"],
+    ):
+        assert run_cli(*argv) == 0, argv
+    digests = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.rglob("*"))
+               if path.is_file() and path.suffix != ".cfg" and path.name != "manifest.json"}
+    assert digests == PIPELINE_DIGESTS

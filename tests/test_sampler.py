@@ -282,9 +282,10 @@ class TestPoseSampleSet:
         assert not result.std_state.flags.writeable
 
 
-def chart_row(pose) -> np.ndarray:
-    """One pose's principal chart row, through the single-pose log_map."""
-    return np.concatenate([se3.log_map(pose.rotation), pose.translation])
+def chart_rows(poses) -> np.ndarray:
+    """The poses' principal chart rows, one se3.pose_to_state call."""
+    return se3.pose_to_state(np.stack([p.rotation.q for p in poses]),
+                             np.stack([p.translation for p in poses]))
 
 
 def same_estimate(a, b) -> bool:
@@ -308,7 +309,7 @@ class TestEstimatePose:
         net = small_net(6)
         cond = vfnet.ConditionVector(np.array([0.4, 0.3, -0.2, 0.1]))
         result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), m, RNG(7))
-        states = np.stack([chart_row(p) for p in result.samples])
+        states = chart_rows(result.samples)
         assert np.array_equal(result.mean_state.as_vector(), states.mean(axis=0))
         assert np.array_equal(result.std_state, states.std(axis=0, ddof=0))
 
@@ -385,7 +386,7 @@ class TestEstimatePose:
         cond = vfnet.ConditionVector(np.ones(4))
         result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), 6, RNG(13))
         x0 = se3.sample_initial_batch(RNG(13), 6)
-        got = np.stack([chart_row(p) for p in result.samples])
+        got = chart_rows(result.samples)
         assert np.max(np.abs(got - x0)) < 1e-12
 
 

@@ -12,15 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionflow import se3
+from scipy.spatial.transform import Rotation as ScipyRotation
+
+from motionflow import se3, trajeval
 
 RNG = np.random.default_rng
-
-
-def random_pose(rng):
-    return se3.RelativePose(
-        se3.Rotation(rng.standard_normal(4)), rng.standard_normal(3)
-    )
 
 
 def rotvec_strategy(max_norm=math.pi - 1e-3):
@@ -66,10 +62,10 @@ class TestRotationType:
         for big in ([1e200, 0.0, 0.0, 0.0], [1e155, -1e155, 0.0, 1.0]):
             with pytest.raises(ValueError, match="not finite"):
                 se3.Rotation(np.array(big))
-        # |rho| overflows in exp_map the same way: rejected by name.
+        # |rho| overflows in the chart the same way: rejected by name.
         for big in ([1e200, 0.0, 0.0], [1e155, 1e155, 0.0]):
             with pytest.raises(ValueError) as err:
-                se3.exp_map(big)
+                exp_quat(big)
             assert str(err.value) == f"rho norm overflows: {np.array(big)}"
 
     def test_quaternion_is_immutable(self):
@@ -85,21 +81,54 @@ class TestRotationType:
             assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
 
+def exp_quat(rho):
+    """The quaternion of one rotation vector, through state_to_pose."""
+    return se3.state_to_pose(np.concatenate([rho, np.zeros(3)]))[0]
+
+
+def log_quat(q):
+    """The rotation vector of one canonical quaternion, through pose_to_state."""
+    return se3.pose_to_state(q, np.zeros(3))[:3]
+
+
+def pose_stack(rng, n):
+    """n random poses as a checked stack."""
+    return se3.stack(rng.standard_normal((n, 4)), rng.standard_normal((n, 3)))
+
+
+def geodesic_angles(a, b):
+    """geodesic_angle of each pair of rows of two quaternion stacks."""
+    b = np.broadcast_to(b, a.shape)
+    return np.array([se3.geodesic_angle(se3.Rotation(x), se3.Rotation(y)) for x, y in zip(a, b)])
+
+
+def matrices(q, t):
+    """4x4 homogeneous transforms of a stack, built from Rotation.matrix."""
+    out = np.tile(np.eye(4), (len(q), 1, 1))
+    for m, qi, ti in zip(out, q, t):
+        m[:3, :3] = se3.Rotation(qi).matrix()
+        m[:3, 3] = ti
+    return out
+
+
 class TestExpLog:
+    """The chart maps on one row: exp (state_to_pose) and log (pose_to_state)."""
+
     def test_identity(self):
-        assert np.allclose(se3.exp_map(np.zeros(3)).q, [1, 0, 0, 0])
-        assert np.allclose(se3.log_map(se3.Rotation.identity()), 0.0)
+        assert np.allclose(exp_quat(np.zeros(3)), [1, 0, 0, 0])
+        assert np.allclose(log_quat(se3.Rotation([1.0, 0.0, 0.0, 0.0]).q), 0.0)
 
     def test_known_quarter_turn(self):
         # 90 degrees about z: q = (cos 45, 0, 0, sin 45)
-        r = se3.exp_map([0.0, 0.0, math.pi / 2])
-        assert np.allclose(r.q, [math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)])
-        assert np.allclose(r.matrix(), [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
+        q = exp_quat([0.0, 0.0, math.pi / 2])
+        assert np.allclose(q, [math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)])
+        assert np.allclose(se3.Rotation(q).matrix(), [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                           atol=1e-15)
 
     @given(rotvec_strategy())
     @settings(max_examples=200, deadline=None)
     def test_round_trip_inside_ball(self, rho):
-        back = se3.log_map(se3.exp_map(rho))
+        back = log_quat(exp_quat(rho))
         assert np.linalg.norm(back - rho) < 1e-9
 
     def test_round_trip_dense_norm_sweep(self):
@@ -107,16 +136,15 @@ class TestExpLog:
         axes = rng.standard_normal((200, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
         norms = np.linspace(1e-12, math.pi - 1e-3, 200)
-        for axis, norm in zip(axes, norms):
-            rho = axis * norm
-            back = se3.log_map(se3.exp_map(rho))
-            assert np.linalg.norm(back - rho) < 1e-9
+        rows = np.concatenate([axes * norms[:, None], np.zeros((200, 3))], axis=1)
+        back = se3.pose_to_state(*se3.state_to_pose(rows))
+        assert np.max(np.linalg.norm(back - rows, axis=1)) < 1e-9
 
     def test_small_angle_series_matches_closed_form(self):
         # Straddle the series threshold; both branches must agree smoothly.
         axis = np.array([1.0, 2.0, 2.0]) / 3.0
         for norm in [1e-9, 1e-7, 9.9e-7, 1.01e-6, 1e-5]:
-            q = se3.exp_map(axis * norm).q
+            q = exp_quat(axis * norm)
             exact = np.array(
                 [math.cos(norm / 2), *(axis * math.sin(norm / 2))]
             )
@@ -124,9 +152,9 @@ class TestExpLog:
 
     def test_log_range_is_principal(self):
         rng = RNG(6)
-        for _ in range(200):
-            rho = se3.log_map(se3.Rotation(rng.standard_normal(4)))
-            assert np.linalg.norm(rho) <= math.pi + 1e-9
+        q, t = pose_stack(rng, 200)
+        rho = se3.pose_to_state(q, t)[:, :3]
+        assert np.max(np.linalg.norm(rho, axis=1)) <= math.pi + 1e-9
 
     def test_angle_pi_branch(self):
         # At a half turn the quaternion has w == 0 and q/-q describe the same
@@ -137,106 +165,139 @@ class TestExpLog:
             ([0.0, -1.0, 0.0, 0.0], [math.pi, 0, 0]),
             ([0.0, 0.0, -0.6, -0.8], [0, 0.6 * math.pi, 0.8 * math.pi]),
         ]:
-            back = se3.log_map(se3.Rotation(np.array(quat)))
+            back = log_quat(se3.Rotation(np.array(quat)).q)
             assert np.allclose(back, want, atol=1e-12)
 
     def test_half_turn_exp_consistency(self):
         # exp of +/-pi about one axis is the same rotation even though the
         # two charts sit on opposite sides of the branch cut.
-        a = se3.exp_map([math.pi, 0.0, 0.0])
-        b = se3.exp_map([-math.pi, 0.0, 0.0])
+        a = se3.Rotation(exp_quat([math.pi, 0.0, 0.0]))
+        b = se3.Rotation(exp_quat([-math.pi, 0.0, 0.0]))
         assert se3.geodesic_angle(a, b) < 1e-9
 
     def test_wrap_beyond_pi(self):
         # |rho| = 3*pi/2 about z wraps to pi/2 about -z.
-        back = se3.log_map(se3.exp_map([0, 0, 1.5 * math.pi]))
+        back = log_quat(exp_quat([0, 0, 1.5 * math.pi]))
         assert np.allclose(back, [0, 0, -math.pi / 2], atol=1e-12)
 
     def test_same_axis_homomorphism(self):
         rng = RNG(7)
-        for _ in range(50):
-            axis = rng.standard_normal(3)
-            axis /= np.linalg.norm(axis)
-            a, b = rng.uniform(0, math.pi / 2, size=2)
-            lhs = se3._quat_multiply(se3.exp_map(axis * a).q, se3.exp_map(axis * b).q)
-            rhs = se3.exp_map(axis * (a + b)).q
-            assert np.linalg.norm(lhs - rhs) < 1e-12
+        axes = rng.standard_normal((50, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        a, b = rng.uniform(0, math.pi / 2, size=(2, 50, 1))
+        zeros = np.zeros((50, 3))
+        qa, _ = se3.state_to_pose(np.concatenate([axes * a, zeros], axis=1))
+        qb, _ = se3.state_to_pose(np.concatenate([axes * b, zeros], axis=1))
+        want, _ = se3.state_to_pose(np.concatenate([axes * (a + b), zeros], axis=1))
+        got, _ = se3.compose((qa, zeros), (qb, zeros))
+        assert np.max(np.linalg.norm(got - want, axis=1)) < 1e-12
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            se3.exp_map([np.inf, 0.0, 0.0])
+            exp_quat([np.inf, 0.0, 0.0])
         with pytest.raises(ValueError):
-            se3.exp_map([0.0, np.nan, 0.0])
+            exp_quat([0.0, np.nan, 0.0])
 
 
 class TestPoseAlgebra:
+    """compose and inverse on stacks against 4x4 matrix products and inverses."""
+
     def test_compose_matches_matrix_oracle(self):
         rng = RNG(8)
-        for _ in range(100):
-            a, b = random_pose(rng), random_pose(rng)
-            got = se3.compose(a, b).matrix()
-            want = a.matrix() @ b.matrix()
-            assert np.max(np.abs(got - want)) < 1e-12
+        a, b = pose_stack(rng, 100), pose_stack(rng, 100)
+        got = matrices(*se3.compose(a, b))
+        want = matrices(*a) @ matrices(*b)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_inverse_matches_matrix_oracle(self):
         rng = RNG(9)
-        for _ in range(100):
-            p = random_pose(rng)
-            got = se3.inverse(p).matrix()
-            want = np.linalg.inv(p.matrix())
-            assert np.max(np.abs(got - want)) < 1e-12
+        p = pose_stack(rng, 100)
+        got = matrices(*se3.inverse(p))
+        want = np.linalg.inv(matrices(*p))
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_compose_with_inverse_is_identity(self):
         rng = RNG(10)
-        for _ in range(50):
-            p = random_pose(rng)
-            ident = se3.compose(p, se3.inverse(p))
-            assert se3.geodesic_angle(ident.rotation, se3.Rotation.identity()) < 1e-12
-            assert np.linalg.norm(ident.translation) < 1e-12
+        p = pose_stack(rng, 50)
+        q, t = se3.compose(p, se3.inverse(p))
+        assert np.all(geodesic_angles(q, se3.IDENTITY[0]) < 1e-12)
+        assert np.max(np.linalg.norm(t, axis=1)) < 1e-12
 
     def test_associativity(self):
         rng = RNG(11)
-        for _ in range(100):
-            a, b, c = (random_pose(rng) for _ in range(3))
-            lhs = se3.compose(se3.compose(a, b), c)
-            rhs = se3.compose(a, se3.compose(b, c))
-            assert se3.geodesic_angle(lhs.rotation, rhs.rotation) < 1e-9
-            assert np.linalg.norm(lhs.translation - rhs.translation) < 1e-9
+        a, b, c = (pose_stack(rng, 100) for _ in range(3))
+        lhs = se3.compose(se3.compose(a, b), c)
+        rhs = se3.compose(a, se3.compose(b, c))
+        assert np.all(geodesic_angles(lhs[0], rhs[0]) < 1e-9)
+        assert np.max(np.linalg.norm(lhs[1] - rhs[1], axis=1)) < 1e-9
 
     def test_identity_element(self):
         rng = RNG(12)
-        p = random_pose(rng)
-        e = se3.RelativePose.identity()
-        for other in (se3.compose(p, e), se3.compose(e, p)):
-            assert np.allclose(other.rotation.q, p.rotation.q, atol=1e-15)
-            assert np.allclose(other.translation, p.translation, atol=1e-15)
+        p = pose_stack(rng, 5)
+        e = (np.tile(se3.IDENTITY[0], (5, 1)), np.tile(se3.IDENTITY[1], (5, 1)))
+        for q, t in (se3.compose(p, e), se3.compose(e, p)):
+            assert np.allclose(q, p[0], atol=1e-15)
+            assert np.allclose(t, p[1], atol=1e-15)
+
+    def test_compose_and_inverse_match_scipy(self):
+        # Half turns (w == 0) and quaternions accepted off unit norm included.
+        rng = RNG(13)
+        a, b = TestCheckedBuilders.poses(rng, 1000), TestCheckedBuilders.poses(rng, 1000)
+        def scipy_rotations(q):  # scipy orders quaternions (x, y, z, w)
+            return ScipyRotation.from_quat(np.roll(q, -1, axis=1))
+
+        ra, rb = scipy_rotations(a[0]), scipy_rotations(b[0])
+        q, t = se3.compose(a, b)
+        assert np.max(np.abs(scipy_rotations(q).as_matrix() - (ra * rb).as_matrix())) < 1e-12
+        # scipy normalizes.  Rotating v by s q, q a unit quaternion, gives
+        # v + s^2 (R v - v), which is off by at most 2 |s^2 - 1| |v|, or about
+        # 4 UNIT_NORM_TOL |v| for a quaternion accepted off unit norm.
+        # Translations reach 1e3, so sums may cancel down from that scale.
+        def close(got, want, rotated):
+            bound = 5 * se3.UNIT_NORM_TOL * np.linalg.norm(rotated, axis=1) + 1e-12 * 1e3
+            return np.all(np.linalg.norm(got - want, axis=1) <= bound)
+
+        assert close(t, ra.apply(np.array(b[1])) + a[1], b[1])
+        q, t = se3.inverse(a)
+        assert np.max(np.abs(scipy_rotations(q).as_matrix() - ra.inv().as_matrix())) < 1e-12
+        assert close(t, -ra.inv().apply(np.array(a[1])), a[1])
 
 
 class TestQuatRotate:
+    """compose's rotation of translations, the one rotate."""
+
     def test_matches_cross_product_form_bitwise(self):
         rng = RNG(106)
-        for _ in range(500):
-            q = se3.Rotation(rng.standard_normal(4)).q
-            v = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4)
-            u = q[1:4]
-            t = 2.0 * np.cross(u, v)
-            assert np.array_equal(se3._quat_rotate(q, v), v + q[0] * t + np.cross(u, t))
+        quats, _ = edge_inputs(rng, 2500)
+        q = np.stack([norm_rotation(quat) for quat in quats])
+        v = rng.standard_normal((len(q), 3)) * 10.0 ** rng.integers(-3, 4, (len(q), 1))
+        identity = np.tile(se3.IDENTITY[0], (len(q), 1))
+        _, got = se3.compose((q, np.zeros((len(q), 3))), (identity, v))
+        for qi, vi, row in zip(q, v, got):
+            u = qi[1:4]
+            t = 2.0 * np.cross(u, vi)
+            assert same_bits(row, vi + qi[0] * t + np.cross(u, t) + 0.0), qi
 
 
 class TestQuatMultiply:
+    """compose's product of rotations, the one quaternion product."""
+
     def test_matches_numpy_scalar_form_bitwise(self):
         rng = RNG(107)
-        for _ in range(2000):
-            a, b = rng.standard_normal((2, 4)) * 10.0 ** rng.integers(-3, 4, size=(2, 1))
-            aw, ax, ay, az = a  # numpy float64 scalars
-            bw, bx, by, bz = b
-            want = np.array([
+        a = TestCheckedBuilders.poses(rng, 2000)[0]
+        b = a[rng.permutation(len(a))]
+        zeros = np.zeros((len(a), 3))
+        got, _ = se3.compose((a, zeros), (b, zeros))
+        for qa, qb, row in zip(a, b, got):
+            aw, ax, ay, az = qa  # numpy float64 scalars
+            bw, bx, by, bz = qb
+            want = norm_rotation(np.array([
                 aw * bw - ax * bx - ay * by - az * bz,
                 aw * bx + ax * bw + ay * bz - az * by,
                 aw * by - ax * bz + ay * bw + az * bx,
                 aw * bz + ax * by - ay * bx + az * bw,
-            ])
-            assert np.array_equal(se3._quat_multiply(a, b), want)
+            ]))
+            assert same_bits(row, want), (qa, qb)
 
 
 def norm_rotation(q):
@@ -257,7 +318,7 @@ def norm_rotation(q):
 
 
 def norm_exp(rho):
-    """exp_map's quaternion with np.linalg.norm."""
+    """The exp quaternion of a rotation vector with np.linalg.norm."""
     rho = np.array(rho, dtype=np.float64)
     theta = float(np.linalg.norm(rho))
     if theta < se3.SMALL_ANGLE:
@@ -270,7 +331,7 @@ def norm_exp(rho):
 
 
 def norm_log(q):
-    """log_map of a canonical quaternion with np.linalg.norm."""
+    """The principal log of a canonical quaternion with np.linalg.norm."""
     w, v = float(q[0]), q[1:4]
     s = float(np.linalg.norm(v))
     if s < se3.SMALL_ANGLE:
@@ -310,31 +371,33 @@ def edge_inputs(rng, n):
 
 
 class TestTrimmedFormsMatchNorm:
-    """Rotation, exp_map and log_map take norms as sqrt of a dot product;
-    np.linalg.norm of a 1-d float vector is that same computation."""
+    """Every norm se3 takes is sqrt of a dot product, row by row; the
+    references take np.linalg.norm of each vector, the same computation."""
 
     def test_rotation_exp_and_log_bitwise(self):
         quats, rhos = edge_inputs(RNG(108), 2500)
         assert np.sum(np.abs(np.linalg.norm(quats, axis=1) - 1.0) > se3.UNIT_NORM_TOL) >= 1000
-        for q in quats:
-            got = se3.Rotation(q)
+        stacked, _ = se3.stack(quats, np.zeros((len(quats), 3)))
+        logs = se3.pose_to_state(stacked, np.zeros((len(quats), 3)))[:, :3]
+        for q, row, log in zip(quats, stacked, logs):
             want = norm_rotation(q)
-            assert np.array_equal(got.q, want), q
-            assert np.array_equal(np.signbit(got.q), np.signbit(want)), q
-            assert np.array_equal(se3.log_map(got), norm_log(want)), q
-        for rho in rhos:
-            got = se3.exp_map(rho).q
+            assert same_bits(se3.Rotation(q).q, want), q
+            assert same_bits(row, want), q
+            assert same_bits(log, norm_log(want)), q
+        exps, _ = se3.state_to_pose(np.concatenate([rhos, np.zeros((len(rhos), 3))], axis=1))
+        logs = se3.pose_to_state(exps, np.zeros((len(rhos), 3)))[:, :3]
+        for rho, got, log in zip(rhos, exps, logs):
             want = norm_exp(rho)
-            assert np.array_equal(got, want), rho
-            assert np.array_equal(np.signbit(got), np.signbit(want)), rho
-            assert np.array_equal(se3.log_map(se3.Rotation(got)), norm_log(want)), rho
+            assert same_bits(got, want), rho
+            assert same_bits(log, norm_log(want)), rho
 
     def test_exact_zeros_and_half_turns_bitwise(self):
-        for q in ([0.0, -0.0, 0.6, -0.8], [-0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -0.0, 2.0],
-                  [-1.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, -3.0], [3.0, -0.0, -0.0, -0.0]):
-            got = se3.Rotation(q).q
-            assert np.array_equal(got, norm_rotation(q)), q
-            assert np.array_equal(np.signbit(got), np.signbit(norm_rotation(q))), q
+        quats = [[0.0, -0.0, 0.6, -0.8], [-0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -0.0, 2.0],
+                 [-1.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, -3.0], [3.0, -0.0, -0.0, -0.0]]
+        stacked, _ = se3.stack(quats, np.zeros((len(quats), 3)))
+        for q, row in zip(quats, stacked):
+            assert same_bits(se3.Rotation(q).q, norm_rotation(q)), q
+            assert same_bits(row, norm_rotation(q)), q
 
 
 class TestNonFiniteRejected:
@@ -344,11 +407,15 @@ class TestNonFiniteRejected:
         cases = [
             (lambda: se3.MotionState(vec, np.zeros(3)), f"rho contains non-finite values: {vec}"),
             (lambda: se3.MotionState(np.zeros(3), vec), f"trans contains non-finite values: {vec}"),
-            (lambda: se3.RelativePose(se3.Rotation.identity(), vec),
+            (lambda: se3.RelativePose(se3.Rotation([1.0, 0.0, 0.0, 0.0]), vec),
              f"translation contains non-finite values: {vec}"),
-            (lambda: se3.exp_map(vec), f"rho contains non-finite values: {vec}"),
             (lambda: se3.Rotation(np.append(vec, 1.0)),
              f"quaternion contains non-finite values: {np.append(vec, 1.0)}"),
+            (lambda: se3.stack([[1.0, 0, 0, 0], np.append(vec, 1.0)], np.zeros((2, 3))),
+             f"quaternion contains non-finite values: {np.append(vec, 1.0)}"),
+            (lambda: se3.stack([[1.0, 0, 0, 0]], [vec]),
+             f"translation contains non-finite values: {vec}"),
+            (lambda: exp_quat(vec), f"state contains non-finite values: {np.append(vec, [0, 0, 0])}"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError) as err:
@@ -358,7 +425,7 @@ class TestNonFiniteRejected:
 
 class TestShapeAndTypeRejected:
     @pytest.mark.parametrize("build, error, message", [
-        (lambda: se3.RelativePose(se3.Rotation.identity(), [1.0, 2.0]), ValueError,
+        (lambda: se3.RelativePose(se3.Rotation([1.0, 0.0, 0.0, 0.0]), [1.0, 2.0]), ValueError,
          "translation must have 3 components, got shape (2,)"),
         (lambda: se3.MotionState(np.zeros((2, 2)), np.zeros(3)), ValueError,
          "rho must have 3 components, got shape (4,)"),
@@ -366,12 +433,12 @@ class TestShapeAndTypeRejected:
          "rotation must be a Rotation"),
         (lambda: se3.MotionState.from_vector(np.zeros(5)), ValueError,
          "state vector must have 6 components, got (5,)"),
-        (lambda: se3.log_map(np.array([1.0, 0.0, 0.0, 0.0])), TypeError,
-         "log_map expects a Rotation"),
+        (lambda: se3.stack([[1.0, 0.0, 0.0, 0.0]], np.zeros((2, 3))), ValueError,
+         "1 rotations for 2 translations"),
         (lambda: se3.sample_initial_batch(RNG(0), 0), ValueError,
          "batch size must be >= 1, got 0"),
     ], ids=["translation-shape", "rho-shape", "rotation-type", "state-vector-shape",
-            "log_map-type", "empty-batch"])
+            "stack-mismatch", "empty-batch"])
     def test_messages(self, build, error, message):
         with pytest.raises(error) as err:
             build()
@@ -387,8 +454,8 @@ def read_only(*arrays):
 
 
 class TestCheckedBuilders:
-    """The chart maps, compose and inverse skip the constructors' checks on
-    values already checked; they must build what the constructors build."""
+    """compose, inverse and chain build from checked stacks without the
+    constructors' checks; they must build what the constructors' rule gives."""
 
     @staticmethod
     def poses(rng, n):
@@ -397,51 +464,104 @@ class TestCheckedBuilders:
         near_unit = quats[n // 5:2 * n // 5] * (1.0 + rng.uniform(-1e-9, 1e-9, (n // 5, 1)))
         quats = np.concatenate([quats, near_unit])
         trans = rng.standard_normal((len(quats), 3)) * 10.0 ** rng.integers(-3, 4, (len(quats), 1))
-        return [se3.RelativePose(se3.Rotation(q), t) for q, t in zip(quats, trans)]
+        return se3.stack(quats, trans)
 
     def test_compose_and_inverse_match_constructors_bitwise(self):
-        poses = self.poses(RNG(111), 2500)
-        for a, b in zip(poses, poses[1:] + poses[:1]):
-            qa, qb = a.rotation.q, b.rotation.q
-            got = se3.compose(a, b)
-            want = se3.RelativePose(se3.Rotation(se3._quat_multiply(qa, qb)),
-                                    se3._quat_rotate(qa, b.translation) + a.translation)
-            assert same_bits(got.rotation.q, want.rotation.q), (qa, qb)
-            assert same_bits(got.translation, want.translation), (qa, qb)
-            q_inv = se3._quat_conjugate(qa)
-            got = se3.inverse(a)
-            want = se3.RelativePose(se3.Rotation(q_inv), -np.array(se3._quat_rotate(q_inv, a.translation)))
-            assert same_bits(got.rotation.q, want.rotation.q), qa
-            assert same_bits(got.translation, want.translation), qa
+        # The rule's references: norm_rotation of the scalar-form product and
+        # of the conjugate, and compose's arithmetic written per pose.
+        a = self.poses(RNG(111), 2500)
+        b = tuple(np.roll(x, -1, axis=0) for x in a)
+        composed, inverted = se3.compose(a, b), se3.inverse(a)
+        renormalized = 0
+        for i, (qa, ta, qb, tb) in enumerate(zip(*a, *b)):
+            aw, ax, ay, az = qa
+            bw, bx, by, bz = qb
+            product = np.array([aw * bw - ax * bx - ay * by - az * bz,
+                                aw * bx + ax * bw + ay * bz - az * by,
+                                aw * by - ax * bz + ay * bw + az * bx,
+                                aw * bz + ax * by - ay * bx + az * bw])
+            renormalized += abs(np.linalg.norm(product) - 1.0) > se3.UNIT_NORM_TOL
+            u = qa[1:]
+            t = 2.0 * np.cross(u, tb)
+            assert same_bits(composed[0][i], norm_rotation(product)), (qa, qb)
+            assert same_bits(composed[1][i], tb + aw * t + np.cross(u, t) + ta), (qa, qb)
+            conjugate = qa * [1.0, -1.0, -1.0, -1.0]
+            t = 2.0 * np.cross(-u, ta)
+            assert same_bits(inverted[0][i], norm_rotation(conjugate)), qa
+            assert same_bits(inverted[1][i], -(ta + aw * t + np.cross(-u, t))), qa
+        assert renormalized >= 50
+
+    def test_stack_equals_its_rows(self):
+        a = self.poses(RNG(113), 500)
+        b = tuple(np.roll(x, 7, axis=0) for x in a)
+        composed, inverted = se3.compose(a, b), se3.inverse(a)
+        for i in range(len(a[0])):
+            row = slice(i, i + 1)
+            one = se3.compose((a[0][row], a[1][row]), (b[0][row], b[1][row]))
+            assert same_bits(one[0], composed[0][row]) and same_bits(one[1], composed[1][row])
+            one = se3.inverse((a[0][row], a[1][row]))
+            assert same_bits(one[0], inverted[0][row]) and same_bits(one[1], inverted[1][row])
+
+    def test_chain_equals_the_compose_fold_bitwise(self):
+        # Motions accepted off unit norm make products that renormalize.
+        q, t = self.poses(RNG(114), 1000)
+        motions = (q, t * 1e-3)
+        start = (q[7:8], t[7:8])
+        got = se3.chain(start, motions)
+        traj = trajeval.compose_trajectory(start, motions)
+        pose = start
+        for i in range(len(q) + 1):
+            assert same_bits(got[0][i:i + 1], pose[0]) and same_bits(got[1][i:i + 1], pose[1]), i
+            if i < len(q):
+                pose = se3.compose(pose, (q[i:i + 1], motions[1][i:i + 1]))
+        assert same_bits(traj.q, got[0]) and same_bits(traj.t, got[1])
+        assert np.array_equal(traj.stamps, np.arange(len(q) + 1.0))
 
     def test_results_hold_read_only_arrays(self):
-        a, b = self.poses(RNG(112), 10)[2:4]
-        assert read_only(se3.exp_map([0.3, -0.2, 0.1]).q)
-        for pose in (se3.compose(a, b), se3.inverse(a)):
-            assert isinstance(pose.rotation, se3.Rotation)
-            assert read_only(pose.rotation.q, pose.translation)
+        # Checked stacks are read-only; compose, inverse and chain return
+        # fresh arrays that share no memory with their inputs.
+        a = self.poses(RNG(112), 10)
+        assert read_only(*a, se3.Rotation([0.3, -0.2, 0.1, 0.9]).q, *se3.IDENTITY)
+        for q, t in (se3.compose(a, a), se3.inverse(a), se3.chain(se3.IDENTITY, a)):
+            assert not any(np.shares_memory(x, y) for x in (q, t) for y in a)
 
     def test_overflowing_translation_is_rejected(self):
-        big = se3.RelativePose(se3.Rotation.identity(), [1e308, 0.0, 0.0])
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        big = (np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0]]))
+        with pytest.raises(se3.RowError) as err:
             se3.compose(big, big)  # 1e308 + 1e308 overflows in the add
+        assert err.value.row == 1
         assert str(err.value) == "translation contains non-finite values: [inf  0.  0.]"
         # A quarter turn about z carries 1.7e308 past the float range.
-        turned = se3.RelativePose(se3.exp_map([0.0, 0.0, math.pi / 2]), [1.7e308, 0.0, 0.0])
-        for build in (lambda: se3.inverse(turned), lambda: se3.compose(turned, turned)):
-            with pytest.raises(ValueError, match="^translation contains non-finite values"):
+        turned = (exp_quat([0.0, 0.0, math.pi / 2])[None], np.array([[1.7e308, 0.0, 0.0]]))
+        for build in (lambda: se3.inverse(turned), lambda: se3.compose(turned, turned),
+                      lambda: se3.chain(turned, turned)):
+            with pytest.raises(se3.RowError, match="^translation contains non-finite values"):
                 build()
 
+    @pytest.mark.parametrize("q1, t1, q2, t2, message", [
+        ([1.0, 0, 0, 0], [0, math.nan, 0], [0.0, 0, 0, 0], [0.0, 0, 0],
+         "translation contains non-finite values: [ 0. nan  0.]"),
+        ([0.0, 0, 0, 0], [0.0, 0, 0], [math.nan, 0, 0, 0], [0.0, 0, 0],
+         "quaternion norm is zero or not finite: 0.0"),
+        ([math.inf, 0, 0, 0], [0.0, 0, 0], [0.0, 0, 0, 0], [0.0, 0, 0],
+         "quaternion contains non-finite values: [inf  0.  0.  0.]"),
+    ], ids=["translation-then-quaternion", "zero-then-nan-quaternion", "inf-then-zero-quaternion"])
+    def test_stack_names_its_first_bad_row(self, q1, t1, q2, t2, message):
+        with pytest.raises(se3.RowError) as err:
+            se3.stack([[1.0, 0, 0, 0], q1, q2], [[0.0, 0, 0], t1, t2])
+        assert (err.value.row, str(err.value)) == (1, message)
+
     def test_overflowing_compose_is_rejected_without_a_warning(self):
-        big = se3.RelativePose(se3.Rotation.identity(), [1e308, 0.0, 0.0])
-        with pytest.raises(ValueError) as err:
-            se3.compose(big, big)
-        assert str(err.value) == "translation contains non-finite values: [inf  0.  0.]"
+        big = (np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[1e308, 0.0, 0.0]]))
+        for build in (lambda: se3.compose(big, big), lambda: se3.chain(big, big)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "translation contains non-finite values: [inf  0.  0.]"
 
 
 class TestStackChart:
     """state_to_pose and pose_to_state on stacks of rows: each row must equal
-    exp_map and log_map of that one row, bit for bit."""
+    the np.linalg.norm references norm_exp and norm_log, bit for bit."""
 
     @staticmethod
     def edge_rhos():
@@ -457,7 +577,7 @@ class TestStackChart:
                 rows.append(rho)
         return np.array(rows)
 
-    def test_rows_match_exp_map_and_log_map_bitwise(self):
+    def test_rows_match_norm_exp_and_norm_log_bitwise(self):
         rng = RNG(110)
         _, rhos = edge_inputs(rng, 4000)
         rhos = np.concatenate([rhos, self.edge_rhos()])
@@ -465,17 +585,15 @@ class TestStackChart:
         q, t = se3.state_to_pose(states)
         assert q.shape == (len(states), 4) and same_bits(t, states[:, 3:])
         for rho, got in zip(rhos, q):
-            assert same_bits(got, se3.exp_map(rho).q), rho
-        # The quaternions state_to_pose gives, and those the constructor
-        # gives (near pi, below SMALL_ANGLE, accepted off unit norm).
-        rotations = ([se3.Rotation(quat) for quat in q]
-                     + [pose.rotation for pose in TestCheckedBuilders.poses(rng, 2500)])
-        quats = np.stack([r.q for r in rotations])
+            assert same_bits(got, norm_exp(rho)), rho
+        # The quaternions state_to_pose gives, and those the rule gives
+        # (near pi, below SMALL_ANGLE, accepted off unit norm).
+        quats = np.concatenate([q, TestCheckedBuilders.poses(rng, 2500)[0]])
         trans = rng.standard_normal((len(quats), 3))
         back = se3.pose_to_state(quats, trans)
         assert back.shape == (len(quats), 6) and same_bits(back[:, 3:], trans)
-        for got, rotation in zip(back, rotations):
-            assert same_bits(got[:3], se3.log_map(rotation)), rotation.q
+        for got, quat in zip(back, quats):
+            assert same_bits(got[:3], norm_log(quat)), quat
 
     def test_stack_equals_its_flattened_rows(self):
         rng = RNG(111)
@@ -526,8 +644,8 @@ class TestStateChart:
         assert same_bits(se3.pose_to_state(*se3.state_to_pose(rows))[:, 3:], rows[:, 3:])
 
     def test_geodesic_angle_symmetry_and_known_value(self):
-        a = se3.exp_map([0, 0, 0.3])
-        b = se3.exp_map([0, 0, -0.4])
+        a = se3.Rotation(exp_quat([0, 0, 0.3]))
+        b = se3.Rotation(exp_quat([0, 0, -0.4]))
         assert abs(se3.geodesic_angle(a, b) - 0.7) < 1e-12
         assert abs(se3.geodesic_angle(b, a) - 0.7) < 1e-12
         assert se3.geodesic_angle(a, a) == 0.0
@@ -569,13 +687,12 @@ class TestReferenceSampling:
         assert np.array_equal(batch, singles)
 
     def test_each_row_reads_translation_then_quaternion(self):
-        # The array path is Rotation and log_map in the same operation
-        # order, so each row equals the per-row log bit for bit.
+        # Each row is Rotation's rule and the log of its quaternion, bit for bit.
         batch = se3.sample_initial_batch(RNG(105), 2000)
         normals = RNG(105).standard_normal((2000, 7))
         assert np.array_equal(batch[:, 3:], normals[:, :3])
-        rho = np.stack([se3.log_map(se3.Rotation(q)) for q in normals[:, 3:]])
-        assert np.array_equal(batch[:, :3], rho)
+        rho = np.stack([norm_log(norm_rotation(q)) for q in normals[:, 3:]])
+        assert same_bits(batch[:, :3], rho)
 
     def test_edge_rows_match_rotation_and_log(self):
         class Stub:
@@ -602,9 +719,7 @@ class TestReferenceSampling:
         ]
         batch = se3.sample_initial_batch(Stub([t + q for q in quats]), len(quats))
         for row, q in zip(batch, quats):
-            want = se3.log_map(se3.Rotation(q))
-            assert np.array_equal(row[:3], want), q
-            assert np.array_equal(np.signbit(row[:3]), np.signbit(want)), q
+            assert same_bits(row[:3], norm_log(norm_rotation(q))), q
             assert np.array_equal(row[3:], t)
         assert np.allclose(batch[1, :3], [0.0, 0.6 * math.pi, -0.8 * math.pi])
         with pytest.raises(ValueError, match="norm is zero"):

@@ -5,26 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from motionflow import se3, synthworld, textio
+from motionflow import se3, synthworld, textio, trajeval
 
 RNG = np.random.default_rng
+
+
+def geodesic_angles(a, b):
+    """se3.geodesic_angle of each pair of rows of two quaternion stacks."""
+    b = np.broadcast_to(b, a.shape)
+    return np.array([se3.geodesic_angle(se3.Rotation(x), se3.Rotation(y)) for x, y in zip(a, b)])
 
 
 class TestMakeTrajectory:
     def test_line_is_unit_x_steps(self):
         traj = synthworld.make_trajectory("line", 3, RNG(0))
         assert np.allclose(traj.positions(), [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        for rel in synthworld.relative_motions(traj):
-            assert np.allclose(rel.translation, [1, 0, 0], atol=1e-15)
-            assert se3.geodesic_angle(rel.rotation, se3.Rotation.identity()) < 1e-15
+        q, t = synthworld.relative_motions(traj)
+        assert np.allclose(t, [[1, 0, 0]] * 2, atol=1e-15)
+        assert np.all(geodesic_angles(q, se3.IDENTITY[0]) < 1e-15)
 
     def test_arc_has_constant_relative_motion(self):
         traj = synthworld.make_trajectory("arc", 20, RNG(1))
-        rels = synthworld.relative_motions(traj)
-        first = rels[0]
-        for rel in rels[1:]:
-            assert se3.geodesic_angle(rel.rotation, first.rotation) < 1e-12
-            assert np.max(np.abs(rel.translation - first.translation)) < 1e-12
+        q, t = synthworld.relative_motions(traj)
+        assert np.all(geodesic_angles(q[1:], q[0]) < 1e-12)
+        assert np.max(np.abs(t - t[0])) < 1e-12
 
     @pytest.mark.parametrize("kind", synthworld.TRAJECTORY_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 5, 50, 200])
@@ -32,27 +36,25 @@ class TestMakeTrajectory:
         traj = synthworld.make_trajectory(kind, n, RNG(2))
         assert len(traj) == n
         assert np.all(np.diff(traj.stamps) > 0)
-        for rel in synthworld.relative_motions(traj):
-            angle = se3.geodesic_angle(rel.rotation, se3.Rotation.identity())
-            assert angle <= 0.9 * math.pi
-            step = float(np.linalg.norm(rel.translation))
-            assert 0.01 <= step <= 1.0
+        q, t = synthworld.relative_motions(traj)
+        assert q.shape == (n - 1, 4) and t.shape == (n - 1, 3)
+        assert np.all(geodesic_angles(q, se3.IDENTITY[0]) <= 0.9 * math.pi)
+        steps = np.linalg.norm(t, axis=1)
+        assert np.all((0.01 <= steps) & (steps <= 1.0))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 3000, 20001])
     def test_figure8_steps_span_the_speed_ratio(self, n):
         # |v|^2 = cos^2 t + cos^2 2t lies in [7/16, 2], so no step of the
         # curve scaled to a 0.5 m largest step falls below 0.5 m * sqrt(7/32).
-        steps = [float(np.linalg.norm(rel.translation)) for rel in
-                 synthworld.relative_motions(synthworld.make_trajectory("figure8", n, None))]
+        _, t = synthworld.relative_motions(synthworld.make_trajectory("figure8", n, None))
+        steps = np.linalg.norm(t, axis=1)
         assert 0.5 * math.sqrt(7 / 32) - 1e-12 < min(steps)
         assert max(steps) == pytest.approx(0.5, abs=1e-12)
 
     def test_random_walk_reproducible(self):
         a = synthworld.make_trajectory("random-walk", 30, RNG(3))
         b = synthworld.make_trajectory("random-walk", 30, RNG(3))
-        for pa, pb in zip(a.poses, b.poses):
-            assert np.array_equal(pa.rotation.q, pb.rotation.q)
-            assert np.array_equal(pa.translation, pb.translation)
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
 
     def test_underscore_alias(self):
         # Kinds are spelled only as in TRAJECTORY_KINDS; there is no alias.
@@ -77,7 +79,7 @@ class TestMakeTrajectory:
 class TestConditionEncoder:
     def test_deterministic_without_noise(self):
         enc = synthworld.ConditionEncoder(16, 99)
-        rel = se3.RelativePose(se3.exp_map([0.1, 0.0, 0.2]), [0.3, -0.1, 0.05])
+        rel = [0.1, 0.0, 0.2, 0.3, -0.1, 0.05]
         a = enc.encode(rel, 0.3, 0.0)
         b = enc.encode(rel, 0.3, 0.0)
         assert np.array_equal(a.values, b.values)
@@ -87,10 +89,10 @@ class TestConditionEncoder:
 
     def test_full_ambiguity_hides_translation_scale(self):
         enc = synthworld.ConditionEncoder(16, 7)
-        rot = se3.exp_map([0.05, -0.1, 0.2])
+        rho = np.array([0.05, -0.1, 0.2])
         direction = np.array([0.6, 0.8, 0.0])
-        small = se3.RelativePose(rot, 0.1 * direction)
-        large = se3.RelativePose(rot, 0.9 * direction)
+        small = np.concatenate([rho, 0.1 * direction])
+        large = np.concatenate([rho, 0.9 * direction])
         at_one = enc.encode(small, 1.0, 0.0).values - enc.encode(large, 1.0, 0.0).values
         assert np.max(np.abs(at_one)) < 1e-9
         at_zero = enc.encode(small, 0.0, 0.0).values - enc.encode(large, 0.0, 0.0).values
@@ -101,10 +103,7 @@ class TestConditionEncoder:
         rng = RNG(12)
         conds = []
         for _ in range(1000):
-            rel = se3.RelativePose(
-                se3.exp_map(rng.uniform(-0.5, 0.5, 3)),
-                rng.uniform(-0.8, 0.8, 3),
-            )
+            rel = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.8, 0.8, 3)])
             conds.append(enc.encode(rel, 0.0, 0.0).values)
         conds = np.stack(conds)
         sq = np.sum(conds * conds, axis=1)
@@ -114,7 +113,7 @@ class TestConditionEncoder:
 
     def test_noise_requires_rng_and_perturbs(self):
         enc = synthworld.ConditionEncoder(8, 13)
-        rel = se3.RelativePose(se3.Rotation.identity(), [0.2, 0.0, 0.0])
+        rel = [0.0, 0.0, 0.0, 0.2, 0.0, 0.0]
         with pytest.raises(ValueError):
             enc.encode(rel, 0.0, 0.1, None)
         clean = enc.encode(rel, 0.0, 0.0).values
@@ -124,7 +123,7 @@ class TestConditionEncoder:
 
     def test_rejects_bad_dial_values(self):
         enc = synthworld.ConditionEncoder(8, 15)
-        rel = se3.RelativePose.identity()
+        rel = np.zeros(6)
         with pytest.raises(ValueError):
             enc.encode(rel, -0.1, 0.0)
         with pytest.raises(ValueError):
@@ -133,7 +132,7 @@ class TestConditionEncoder:
             enc.encode(rel, 0.0, -0.5)
 
     def test_module_level_default_encoder(self):
-        rel = se3.RelativePose(se3.exp_map([0, 0, 0.1]), [0.25, 0.0, 0.0])
+        rel = [0.0, 0.0, 0.1, 0.25, 0.0, 0.0]
         a = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
                                         synthworld.DEFAULT_LIFT_SEED).encode(rel, 0.0, 0.0)
         b = synthworld.ConditionEncoder(synthworld.DEFAULT_COND_DIM,
@@ -148,13 +147,11 @@ class TestMakeScenario:
         for kind in synthworld.TRAJECTORY_KINDS:
             scenario = synthworld.make_scenario(kind, kind, 40, 0.2, 0.05, RNG(16))
             assert len(scenario.pairs) == 39
-            poses = [scenario.gt_trajectory.poses[0]]
-            for pair in scenario.pairs:
-                rel = se3.RelativePose(se3.exp_map(pair.target.rho), pair.target.trans)
-                poses.append(se3.compose(poses[-1], rel))
-            for got, want in zip(poses, scenario.gt_trajectory.poses):
-                assert se3.geodesic_angle(got.rotation, want.rotation) < 1e-9, kind
-                assert np.linalg.norm(got.translation - want.translation) < 1e-9, kind
+            gt = scenario.gt_trajectory
+            targets = np.stack([pair.target.as_vector() for pair in scenario.pairs])
+            got = trajeval.compose_trajectory((gt.q[:1], gt.t[:1]), se3.state_to_pose(targets))
+            assert np.all(geodesic_angles(got.q, gt.q) < 1e-9), kind
+            assert np.max(np.linalg.norm(got.t - gt.t, axis=1)) < 1e-9, kind
 
     def test_reproducible_given_seed(self):
         a = synthworld.make_scenario("s", "figure8", 30, 0.5, 0.1, RNG(17))
@@ -169,8 +166,8 @@ class TestMakeScenario:
                                             lift_seed=4242)
         assert scenario.lift_seed == 4242
         enc = synthworld.ConditionEncoder(scenario.cond_dim, 4242)
-        rels = synthworld.relative_motions(scenario.gt_trajectory)
-        want = enc.encode(rels[0], 0.0, 0.0)
+        rows = se3.pose_to_state(*synthworld.relative_motions(scenario.gt_trajectory))
+        want = enc.encode(rows[0], 0.0, 0.0)
         assert np.array_equal(scenario.pairs[0].cond.values, want.values)
 
     @pytest.mark.parametrize("ambiguity, noise, message", [
@@ -361,11 +358,9 @@ class TestAmbiguityInformationProxy:
             axis /= np.linalg.norm(axis)
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
-            rels.append(se3.RelativePose(
-                se3.exp_map(axis * rng.uniform(0, 0.2)),
-                direction * rng.uniform(0.05, 0.5),
-            ))
-        scales = np.array([np.linalg.norm(r.translation) for r in rels])
+            rho = axis * rng.uniform(0, 0.2)
+            rels.append(np.concatenate([rho, direction * rng.uniform(0.05, 0.5)]))
+        scales = np.array([np.linalg.norm(r[3:]) for r in rels])
         enc = synthworld.ConditionEncoder(16, 31)
         noise_rng = RNG(26)
         variances = []
