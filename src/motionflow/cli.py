@@ -342,13 +342,12 @@ def cmd_eval(args, out: Path) -> RunManifest:
     ate_rmse = _ate(est, gt, args, args.est)
     std_rot, std_trans = float("nan"), float("nan")
     if args.estimates is not None:
-        rows = _read_input(args.estimates, "estimates file", sampler.read_estimates_csv)
-        if len(rows) != len(est) - 1:
+        _, stds = _read_input(args.estimates, "estimates file", sampler.read_estimates_csv)
+        if len(stds) != len(est) - 1:
             raise UsageError(
-                f"bad estimates file: {args.estimates} has {len(rows)} rows, but the "
+                f"bad estimates file: {args.estimates} has {len(stds)} rows, but the "
                 f"trajectories have {len(est)} poses; expected {len(est) - 1}")
-        if rows:  # mean sampling std, split into rotation/translation
-            stds = np.stack([std for _, std in rows])
+        if len(stds):  # mean sampling std, split into rotation/translation
             std_rot, std_trans = float(np.mean(stds[:, :3])), float(np.mean(stds[:, 3:]))
     manifest.lap("evaluate")
 

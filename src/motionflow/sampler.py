@@ -23,10 +23,11 @@ so an element's bits do not depend on its block; one flat (n*m, 6)
 matmul would round them differently.  BLOCK_ROWS bounds the memory of a
 stack and its stage buffers, which would otherwise grow with n*m.
 
-The integrated rows go to their principal chart rows, over which the
-statistics are taken, with one call of each of se3's stack chart maps per
-block (or per estimate_pose alone).  A PoseSampleSet keeps the m
-integrated rows, not m pose objects; its samples are built on access.
+One helper, _finish, takes a block's (or estimate_pose's one element's)
+statistics over the principal chart rows, once for the whole stack.  A
+PoseSampleSet is a plain record of one element's read-only arrays: its
+m integrated rows (samples builds their poses on access), mean and
+spread.  read_estimates_csv returns a file's means and spreads as arrays.
 """
 
 from __future__ import annotations
@@ -76,51 +77,27 @@ class SolverConfig:
         return self.steps * STAGES[self.method]
 
 
-def _spread_vector(values) -> np.ndarray:
-    """values as a read-only 6-vector of sample stds: finite and >= 0."""
-    std = np.array(values, dtype=np.float64).reshape(6)
-    if not all(math.isfinite(x) and x >= 0.0 for x in std.tolist()):
-        raise ValueError("std_state must be finite and non-negative")
-    std.setflags(write=False)
-    return std
-
-
-def _sample_rows(values) -> np.ndarray:
-    """values as read-only (m, 6) sample rows: finite."""
-    rows = np.array(values, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 6 or not np.isfinite(rows).all():
-        raise ValueError(f"states must be finite (m, 6) sample rows, got shape {rows.shape}")
-    rows.setflags(write=False)
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class PoseSampleSet:
-    """m flow samples, as their integrated chart rows, plus their chart
-    mean and spread.
+    """Record of m flow samples, as their integrated chart rows, plus
+    their chart mean and spread, all read-only; estimate_pose builds it.
 
-    states holds the m integrated (rho, trans) rows, read-only; samples
-    builds their poses from them on each access.  mean_state/std_state
-    are component-wise over the samples' principal chart rows; std uses
-    the population convention, so m=1 gives exact zeros.
+    states holds the m integrated (rho, trans) rows; samples builds their
+    poses from them on each access.  mean_state/std_state are
+    component-wise over the samples' principal chart rows; std uses the
+    population convention, so m=1 gives exact zeros.
     """
 
     states: np.ndarray
     mean_state: se3.MotionState
     std_state: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", _sample_rows(self.states))
-        object.__setattr__(self, "std_state", _spread_vector(self.std_state))
-
     @property
     def samples(self) -> list:
         """The m sample poses, one se3.state_to_pose call over states."""
         q, t = se3.state_to_pose(self.states)
         q.setflags(write=False)
-        return [se3._frozen(se3.RelativePose, rotation=se3._frozen(se3.Rotation, q=qi),
-                            translation=ti) for qi, ti in zip(q, t)]
-
+        return [se3.RelativePose(se3.Rotation(qi), ti) for qi, ti in zip(q, t)]
 
 
 def integrate_field(field, x0: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -183,16 +160,44 @@ def _integrate(net: vfnet.VectorFieldNet, fold, x0: np.ndarray,
         lambda x, tau: vfnet.forward_batch(net, x, tau, embedded=fold), x0, config)
 
 
-def _chart(states: np.ndarray) -> np.ndarray:
-    """The principal chart rows of integrated (..., 6) states, each row
-    taken to its pose and back: one se3.state_to_pose and one
-    se3.pose_to_state call for the whole stack."""
-    return se3.pose_to_state(*se3.state_to_pose(states))
+def _finish(states: np.ndarray, failures: dict) -> tuple:
+    """(means, stds, failures) of a (k, m, 6) stack of integrated states:
+    each element's (6,) mean and population std over its principal chart
+    rows, and the given failures (elements that diverged) joined by each
+    element whose rotation vectors' norms overflow, flagged before the
+    chart conversion, or whose statistics are not finite.
+
+    The rest go to their chart rows with one se3.state_to_pose and one
+    se3.pose_to_state call.  Each statistic is one np.add.reduce over the
+    stack, which sums an element's rows in the order ndarray.mean and
+    ndarray.std do on that element alone, so their bits match.  states
+    and stds are left read-only.
+    """
+    k, m = states.shape[:2]
+    rho = states[..., :3].reshape(-1, 3)
+    means, stds = np.full((2, k, 6), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is flagged below
+        wide = ~(se3.row_dots(rho, rho) < math.inf).reshape(k, m)
+        live = ~wide.any(axis=1) & [e not in failures for e in range(k)]
+        rows = se3.pose_to_state(*se3.state_to_pose(states[live]))
+        means[live] = np.add.reduce(rows, 1) / m
+        rows -= means[live][:, None]  # the deviations, squared in place as ndarray.std squares them
+        rows *= rows
+        stds[live] = np.sqrt(np.add.reduce(rows, 1) / m)
+    failures = dict(failures)
+    for e in np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)).all(axis=1)).tolist():
+        row = int(np.argmax(wide[e]))
+        failures.setdefault(e, "samples overflow the float range: " + (
+            f"rho norm overflows in row [{row}]: {states[e, row, :3]}" if wide[e, row]
+            else "mean_state and std_state must be finite"))
+    states.setflags(write=False)
+    stds.setflags(write=False)
+    return means, stds, failures
 
 
 def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
                   config: SolverConfig, m: int,
-                  rng: np.random.Generator, *, _states=None) -> PoseSampleSet:
+                  rng: np.random.Generator, *, _finished=None) -> PoseSampleSet:
     """m independent flow samples for one condition, with mean and spread.
 
     All m reference draws come from rng in sequence; the m trajectories
@@ -202,34 +207,22 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     each row the same draw integrated alone (within 1e-14 on the kept
     checkpoint), not bit for bit.  The result is exact given its
     arguments: estimate_sequence's element i equals estimate_pose on that
-    element's child generator.  estimate_sequence passes _states, having
-    drawn them from rng: the element's integrated (m, 6) states and their
-    chart rows from its block's conversion, or None when that conversion
-    failed, so that the element converts its own.
-
-    The statistics are taken over the principal chart rows of the
-    samples (_chart), with the reductions ndarray.mean and ndarray.std
-    run, so their bits match.  Finite samples whose rotation vector or
-    statistics overflow the float range raise IntegrationDivergedError,
-    as non-finite states do.
+    element's child generator, whose draws estimate_sequence has made
+    before it passes _finished: the element's states, mean and std from
+    its block's _finish.  Alone it runs _finish on its one-element stack.
+    Finite samples whose rotation vector or statistics overflow the float
+    range raise IntegrationDivergedError, as non-finite states do.
     """
-    if _states is None:
+    if _finished is None:
         m = textio.whole("sample count m", m, 1)
         x0 = se3.sample_initial_batch(rng, m)
-        final = _integrate(net, vfnet.embed_conditions(net, [cond]), x0[None], config)[0]
-        _states = final, None
-    final, rows = _states
-    try:
-        if rows is None:
-            rows = _chart(final)
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
-            mean = np.add.reduce(rows, 0) / m
-            rows -= mean  # the deviations, squared in place as ndarray.std squares them
-            rows *= rows
-            std = np.sqrt(np.add.reduce(rows, 0) / m)
-        return PoseSampleSet(final, se3.MotionState.from_vector(mean), std)
-    except ValueError as err:
-        raise IntegrationDivergedError(f"samples overflow the float range: {err}") from None
+        states = _integrate(net, vfnet.embed_conditions(net, [cond]), x0[None], config)
+        means, stds, failures = _finish(states, {})
+        if failures:
+            raise IntegrationDivergedError(failures[0])
+        _finished = states[0], means[0], stds[0]
+    final, mean, std = _finished
+    return PoseSampleSet(final, se3.MotionState(mean[:3], mean[3:]), std)
 
 
 def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
@@ -245,11 +238,9 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
     one forward_batch call per stage per block.  Each element keeps the
     bits estimate_pose gives it, since the stacked matmuls run one gemm
     per element; BLOCK_ROWS bounds the memory the stack and its stage
-    buffers take, whatever the sequence's length.  The block's elements
-    that did not diverge then go to their chart rows with one
-    se3.state_to_pose and one se3.pose_to_state call, the same row maps
-    estimate_pose applies to one element, and element i's estimate_pose
-    turns its rows into the estimate.
+    buffers take, whatever the sequence's length.  Each block is then
+    finished by one _finish call, the code estimate_pose runs on one
+    element, and element i's estimate_pose records its finished arrays.
 
     m is checked before any draw, for an empty sequence too.  Every
     element runs to its own end; failures are collected and re-raised
@@ -270,20 +261,13 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
                 net, fold._replace(bias=fold.bias[start:block.stop]), x0, config), {}
         except IntegrationDivergedError as err:
             states, diverged = err.states, err.failures
-        live = [e for e in range(len(block)) if e not in diverged]
-        try:
-            rows = dict(zip(live, _chart(states[live])))
-        except ValueError:  # an element's rotation vectors overflow: each converts its own
-            rows = {}
+        means, stds, faults = _finish(states, diverged)
         for e, i in enumerate(block):
-            if e in diverged:
-                failures.append((i, diverged[e]))
-                continue
-            try:
+            if e in faults:
+                failures.append((i, faults[e]))
+            else:
                 results.append(estimate_pose(net, conds[i], config, m, children[i],
-                                             _states=(states[e], rows.get(e))))
-            except IntegrationDivergedError as err:
-                failures.append((i, err))
+                                             _finished=(states[e], means[e], stds[e])))
     if failures:
         index_list = ", ".join(str(i) for i, _ in failures)
         raise IntegrationDivergedError(
@@ -304,18 +288,26 @@ def write_estimates_csv(path, sample_sets) -> None:
         for i, s in enumerate(sample_sets)])
 
 
-def read_estimates_csv(path):
-    """Inverse of write_estimates_csv: list of (mean MotionState, std 6-vector)."""
+def read_estimates_csv(path) -> tuple:
+    """Inverse of write_estimates_csv: (means, stds), the rows' mean
+    states and spreads as (n, 6) arrays.  A line whose pair_index is not
+    its row's position, whose mean is not finite, or whose spread is not
+    finite and non-negative raises a ValueError naming it."""
     lines = textio.numbered(path, skip_comments=False)
     where, header = next(lines, (path, None))
     if header != ESTIMATES_HEADER:
         raise ValueError(f"{where}: unexpected estimates CSV header")
-    out = []
+    means, stds = [], []
     for where, line in lines:
         with textio.at(where):
             cells = line.split(",")
             values = textio.floats(cells, 13)
-            if cells[0] != str(len(out)):
-                raise ValueError(f"pair_index {cells[0]!r} is not the row's position {len(out)}")
-            out.append((se3.MotionState.from_vector(values[1:7]), _spread_vector(values[7:])))
-    return out
+            if cells[0] != str(len(means)):
+                raise ValueError(f"pair_index {cells[0]!r} is not the row's position {len(means)}")
+            if not all(map(math.isfinite, values[1:7])):
+                raise ValueError("mean_state must be finite")
+            if not all(math.isfinite(x) and x >= 0.0 for x in values[7:]):
+                raise ValueError("std_state must be finite and non-negative")
+            means.append(values[1:7])
+            stds.append(values[7:])
+    return np.array(means).reshape(-1, 6), np.array(stds).reshape(-1, 6)

@@ -7,9 +7,11 @@ branch of the logarithm at rotation angle pi.  One rule, _canonical,
 normalizes and signs every quaternion.
 
 Poses come as stacks: pairs (q, t) of (n, 4) canonical unit quaternions
-and (n, 3) translations in meters, which compose, inverse and chain take.
-Rotation, RelativePose and MotionState are single poses, for the API's
-boundaries.
+and (n, 3) translations in meters, which compose, inverse, chain and
+geodesic_angles take.  Rotation and RelativePose are plain records of one
+pose's read-only arrays, which the library builds from checked rows and
+takes as input nowhere; MotionState is one chart row, checked where it
+enters.
 
 Motion between two camera frames is kept as a 6-vector chart
 (rho, trans) with rho = log(R) the rotation vector and trans the raw
@@ -20,11 +22,10 @@ parameterization.  Its maps work on stacks of rows: state_to_pose takes
 (..., 6) rows to canonical quaternions and translations, and
 pose_to_state takes those back to principal (..., 6) rows.
 
-Values are checked once, where they enter: the constructors, stack,
-state_to_pose and MotionState.from_vector.  A fault in a stack is a
-RowError naming the first bad row.  compose, inverse and chain build from
-checked values, renormalizing products as Rotation does and rejecting
-translations that overflow.
+Values are checked once, where they enter: stack, state_to_pose and
+MotionState.  A fault in a stack is a RowError naming the first bad row.
+compose, inverse and chain build from checked values, renormalizing
+products by the rule and rejecting translations that overflow.
 """
 
 from __future__ import annotations
@@ -77,24 +78,19 @@ def _finite_rows(values, width: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Rotation:
-    """Unit quaternion (w, x, y, z), canonical sign, immutable."""
+    """Record of one canonical unit quaternion (w, x, y, z), a read-only
+    row of a checked stack."""
 
     q: np.ndarray
 
-    def __post_init__(self):
-        q = _finite_vector(self.q, 4, "quaternion")
-        object.__setattr__(self, "q", _unit_rows(q[None])[0])
 
-    def matrix(self) -> np.ndarray:
-        """Equivalent 3x3 rotation matrix."""
-        w, x, y, z = self.q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+@dataclass(frozen=True, eq=False)
+class RelativePose:
+    """Record of one rigid transform: a Rotation and a read-only
+    translation row in meters."""
+
+    rotation: Rotation
+    translation: np.ndarray
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,7 +107,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _canonical(q: np.ndarray, norms=None) -> np.ndarray:
-    """Rotation's rule on (n, 4) rows of finite quaternions, as fresh rows.
+    """The rule on (n, 4) rows of finite quaternions, as fresh rows.
 
     norms are the rows' norms as _row_norms takes them, or None for rows of
     unit norm, which only the sign rule changes.  A row is divided by its
@@ -157,42 +153,6 @@ def first_fault(*checks) -> list:
     return results
 
 
-def _unit_rows(values) -> np.ndarray:
-    """(n, 4) quaternion rows as fresh read-only canonical rows, or
-    RowError naming the first that is not finite or whose norm is zero or
-    overflows."""
-    rows = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected by the rule
-        _, q = first_fault(lambda: _finite_rows(rows, 4, "quaternion"),
-                           lambda: _canonical(rows, _row_norms(rows)))
-    q.setflags(write=False)
-    return q
-
-
-def _frozen(cls, **fields):
-    """A cls holding fields as given, skipping __post_init__: only for checked,
-    read-only arrays of the field's shape (for Rotation, a _canonical q)."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():  # stored as __init__ does: no per-object dict
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-@dataclass(frozen=True, eq=False)
-class RelativePose:
-    """Rigid transform: rotation plus translation in meters."""
-
-    rotation: Rotation
-    translation: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.rotation, Rotation):
-            raise TypeError("rotation must be a Rotation")
-        object.__setattr__(
-            self, "translation", _finite_vector(self.translation, 3, "translation")
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class MotionState:
     """Point in the 6-dim state chart: rotation vector and translation."""
@@ -208,22 +168,20 @@ class MotionState:
         """Stacked (rho, trans) as a fresh writable 6-vector."""
         return np.concatenate([self.rho, self.trans])
 
-    @classmethod
-    def from_vector(cls, vec) -> "MotionState":
-        arr = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if arr.shape != (6,):
-            raise ValueError(f"state vector must have 6 components, got {arr.shape}")
-        return cls(arr[:3], arr[3:])
-
 
 def stack(q, t) -> tuple:
     """A checked pose stack from n quaternion rows q and n translation
-    rows t: fresh read-only (q, t), each q row canonical as Rotation holds
-    it.  A row that is not finite, or a quaternion whose norm is zero or
-    overflows, raises RowError naming it."""
-    q, t = first_fault(lambda: _unit_rows(q), lambda: _finite_rows(t, 3, "translation"))
+    rows t: fresh read-only (q, t), each q row normalized and signed by
+    the rule.  A row that is not finite, or a quaternion whose norm is
+    zero or overflows, raises RowError naming it."""
+    rows = np.asarray(q, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected by the rule
+        _, q, t = first_fault(lambda: _finite_rows(rows, 4, "quaternion"),
+                              lambda: _canonical(rows, _row_norms(rows)),
+                              lambda: _finite_rows(t, 3, "translation"))
     if len(q) != len(t):
         raise ValueError(f"{len(q)} rotations for {len(t)} translations")
+    q.setflags(write=False)
     t.setflags(write=False)
     return q, t
 
@@ -262,7 +220,7 @@ def _rotate(q, v) -> tuple:
 def compose(a, b) -> tuple:
     """Row-wise composition of pose stacks a then b, in a's frame:
     (R_a R_b, R_a t_b + t_a) as a fresh stack.  Each product is
-    renormalized and signed by Rotation's rule; a translation that
+    renormalized and signed by the rule; a translation that
     overflows raises RowError naming its row, with no warning."""
     (qa, ta), (qb, tb) = a, b
     q = np.stack(_product(qa.T, qb.T), axis=-1)
@@ -342,7 +300,7 @@ def state_to_pose(states) -> tuple:
 
 def pose_to_state(q, t) -> np.ndarray:
     """Chart coordinates of a stack of poses: canonical unit quaternions q
-    (..., 4), as state_to_pose or Rotation hold them, and translations t
+    (..., 4), as stack and state_to_pose give them, and translations t
     (..., 3) -> fresh (..., 6) rows (log(q), t).
 
     theta = 2 * atan2(|v|, w) and the axis is v / |v|, with |v| from
@@ -369,11 +327,15 @@ def pose_to_state(q, t) -> np.ndarray:
     return out
 
 
-def geodesic_angle(a: Rotation, b: Rotation) -> float:
-    """Rotation angle of a^-1 b in radians, in [0, pi]."""
-    aw, ax, ay, az = a.q.tolist()
-    w, x, y, z = _product((aw, -ax, -ay, -az), b.q.tolist())
-    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
+def geodesic_angles(qa, qb) -> np.ndarray:
+    """Rotation angle of a_i^-1 b_i in radians, in [0, pi], for each pair
+    of rows of two (n, 4) stacks of unit quaternions; a one-row stack
+    pairs with every row of the other.  q and -q are one rotation, so the
+    angle reads |w| of the product."""
+    qa, qb = np.broadcast_arrays(np.asarray(qa, dtype=np.float64),
+                                 np.asarray(qb, dtype=np.float64))
+    w, x, y, z = _product((qa * [1.0, -1.0, -1.0, -1.0]).T, qb.T)
+    return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
 
 
 def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -386,7 +348,7 @@ def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     for the translation, then 4 for the quaternion, so a batch of n equals
     n batches of 1 drawn from the same stream.
 
-    Each row is normalized and signed by Rotation's rule (_canonical) and
+    Each row is normalized and signed by the rule (_canonical) and
     stored as its principal log (pose_to_state).  A row whose quaternion
     has norm zero, which has probability zero, raises RowError.
     """

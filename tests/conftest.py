@@ -1,4 +1,4 @@
-"""Shared trained-model fixtures.
+"""Shared trained-model fixtures, and the rotation-matrix oracle.
 
 Training runs are the slow part of the suite, so anything needed by more
 than one test module lives here as a session-scoped fixture.  Fixtures
@@ -16,6 +16,17 @@ from motionflow import flowmatch, se3, synthworld
 # Fixed relative motion used by the single-target training fixture.
 DIRAC_RHO = np.array([0.10, -0.20, 0.15])
 DIRAC_TRANS = np.array([0.30, 0.10, -0.20])
+
+
+def rotation_matrix(q) -> np.ndarray:
+    """The 3x3 rotation matrix of one quaternion, normalized and signed
+    by se3.stack first: the matrix oracle of the pose tests."""
+    (w, x, y, z), = se3.stack([q], np.zeros((1, 3)))[0]
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def dirac_pair():

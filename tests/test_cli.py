@@ -225,8 +225,8 @@ class TestInfer:
                        "--out", out) == 0
         est_lines = (out / "est.tum").read_text().splitlines()
         assert len(est_lines) == 9  # 8 motions + the start pose
-        rows = sampler.read_estimates_csv(out / "estimates.csv")
-        assert len(rows) == 8
+        means, stds = sampler.read_estimates_csv(out / "estimates.csv")
+        assert means.shape == stds.shape == (8, 6)
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         data = gen_small(tmp_path)
@@ -749,6 +749,9 @@ class TestMalformedInputs:
         misnumbered = tmp_path / "misnumbered.csv"
         misnumbered.write_text(estimates_header + "\n".join(rows[:7] + [
             "3" + rows[7][1:]]) + "\n")
+        nan_mean = tmp_path / "nan_mean.csv"
+        nan_mean.write_text(estimates_header + "\n".join(rows[:7] + [
+            "7,nan" + ",0.1" * 5 + ",0.5" * 6]) + "\n")
         nan_checkpoint = tmp_path / "nan.txt"
         lines = text.splitlines()
         row = next(i for i, l in enumerate(lines) if l.startswith("tensor state_embed.b ")) + 1
@@ -776,7 +779,8 @@ class TestMalformedInputs:
                 "huge_cond_dim": huge_cond_dim, "header_only": header_only,
                 "one_pose_gt": one_pose_gt, "repeated_key": repeated_key,
                 "repeated_size": repeated_size,
-                "negative_std": negative_std, "misnumbered": misnumbered}
+                "negative_std": negative_std, "misnumbered": misnumbered,
+                "nan_mean": nan_mean}
 
     @pytest.mark.parametrize("argv", [
         ["train", "--dataset", "{headerless}"],
@@ -814,6 +818,13 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"{files['short_estimates']} has 1 rows" in err
         assert f"{poses} poses; expected {poses - 1}" in err
+
+    def test_non_finite_mean_names_its_line(self, files, tmp_path, capsys):
+        # The header is line 1, so the eighth row is line 9.
+        assert run_cli("eval", files["gt"], files["gt"], "--estimates",
+                       files["nan_mean"], "--out", tmp_path / "out") == 2
+        assert (f"error: bad estimates file: {files['nan_mean']}:9: mean_state must be finite"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["infer"],

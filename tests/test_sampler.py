@@ -265,23 +265,6 @@ class TestIntegrateNet:
                                   sampler.SolverConfig(), 1, RNG(0))
 
 
-class TestPoseSampleSet:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-    def test_rejects_non_finite_and_negative_std(self, bad):
-        mean = se3.MotionState(np.zeros(3), np.zeros(3))
-        std = np.full(6, 0.1)
-        std[4] = bad
-        with pytest.raises(ValueError) as err:
-            sampler.PoseSampleSet(np.empty((0, 6)), mean, std)
-        assert str(err.value) == "std_state must be finite and non-negative"
-
-    def test_accepts_zero_std_of_either_sign(self):
-        mean = se3.MotionState(np.zeros(3), np.zeros(3))
-        result = sampler.PoseSampleSet(np.empty((0, 6)), mean, [0.0, -0.0, 0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(result.std_state, [0, 0, 0, 1, 2, 3])
-        assert not result.std_state.flags.writeable
-
-
 def chart_rows(poses) -> np.ndarray:
     """The poses' principal chart rows, one se3.pose_to_state call."""
     return se3.pose_to_state(np.stack([p.rotation.q for p in poses]),
@@ -412,6 +395,24 @@ class TestEstimateSequence:
             for cond, child, got in zip(conds, children, results):
                 assert same_estimate(got, sampler.estimate_pose(net, cond, config, m, child))
 
+    @pytest.mark.parametrize("method", sampler.SOLVER_METHODS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 32, 51, 200])
+    def test_block_statistics_match_each_elements_reductions(self, method, m):
+        # The mean and std of a block are one np.add.reduce per statistic
+        # over the stack; each element's must equal ndarray.mean and
+        # ndarray.std over its own chart rows, bit for bit, in blocks of
+        # one to five elements (three blocks at m = 200).
+        net = vfnet.load_checkpoint(KEPT_CHECKPOINT)
+        rng = RNG(55)
+        conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
+                 for _ in range(5)]
+        results = sampler.estimate_sequence(net, conds, sampler.SolverConfig(method, 3), m,
+                                            RNG(56))
+        for result in results:
+            states = chart_rows(result.samples)
+            assert np.array_equal(result.mean_state.as_vector(), states.mean(axis=0))
+            assert np.array_equal(result.std_state, states.std(axis=0))
+
     def test_order_and_prefix_stability(self):
         net = small_net(14)
         rng = RNG(15)
@@ -534,10 +535,10 @@ class TestEstimatesCsv:
         results = sampler.estimate_sequence(net, conds, sampler.SolverConfig(), 3, RNG(22))
         path = tmp_path / "estimates.csv"
         sampler.write_estimates_csv(path, results)
-        loaded = sampler.read_estimates_csv(path)
-        assert len(loaded) == 4
-        for (mean, std), res in zip(loaded, results):
-            assert np.array_equal(mean.as_vector(), res.mean_state.as_vector())
+        means, stds = sampler.read_estimates_csv(path)
+        assert means.shape == stds.shape == (4, 6)
+        for mean, std, res in zip(means, stds, results):
+            assert np.array_equal(mean, res.mean_state.as_vector())
             assert np.array_equal(std, res.std_state)
 
     def test_header_and_row_shape(self, tmp_path):
@@ -570,6 +571,7 @@ class TestEstimatesCsv:
         ("1" + ",0.5" * 12, "pair_index '1'"),
         ("0" + ",0.5" * 11 + ",-5", "std_state must be finite and non-negative"),
         ("0" + ",0.5" * 11 + ",nan", "std_state must be finite and non-negative"),
+        ("0,nan" + ",0.5" * 11, "mean_state must be finite"),
     ])
     def test_bad_index_or_spread_reports_line(self, tmp_path, row, message):
         path = tmp_path / "estimates.csv"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from scipy.spatial.transform import Rotation as ScipyRotation
 
+from conftest import rotation_matrix
 from motionflow import se3, trajeval
 
 RNG = np.random.default_rng
@@ -33,35 +34,42 @@ def rotvec_strategy(max_norm=math.pi - 1e-3):
     return st.tuples(component, component, component).map(clip)
 
 
+def unit(q):
+    """One quaternion normalized and signed by se3.stack, as a one-row stack does."""
+    return se3.stack([q], np.zeros((1, 3)))[0][0]
+
+
 class TestRotationType:
+    """The rule on one quaternion, through se3.stack."""
+
     def test_constructor_normalizes(self):
-        r = se3.Rotation(np.array([2.0, 0.0, 0.0, 0.0]))
-        assert np.allclose(r.q, [1, 0, 0, 0])
-        assert abs(np.linalg.norm(r.q) - 1.0) < 1e-9
+        q = unit(np.array([2.0, 0.0, 0.0, 0.0]))
+        assert np.allclose(q, [1, 0, 0, 0])
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
     def test_canonical_sign_flips_negative_w(self):
-        r = se3.Rotation(np.array([-0.5, 0.5, 0.5, 0.5]))
-        assert r.q[0] > 0
-        assert np.allclose(r.q, [0.5, -0.5, -0.5, -0.5])
+        q = unit(np.array([-0.5, 0.5, 0.5, 0.5]))
+        assert q[0] > 0
+        assert np.allclose(q, [0.5, -0.5, -0.5, -0.5])
 
     def test_half_turn_sign_rule(self):
         # w == 0: first nonzero vector component must come out positive.
-        r = se3.Rotation(np.array([0.0, -1.0, 0.0, 0.0]))
-        assert r.q[1] > 0
-        r = se3.Rotation(np.array([0.0, 0.0, -0.6, -0.8]))
-        assert r.q[2] > 0
+        q = unit(np.array([0.0, -1.0, 0.0, 0.0]))
+        assert q[1] > 0
+        q = unit(np.array([0.0, 0.0, -0.6, -0.8]))
+        assert q[2] > 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            se3.Rotation(np.array([1.0, 0.0, 0.0]))
+            unit(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            se3.Rotation(np.array([np.nan, 0.0, 0.0, 0.0]))
+            unit(np.array([np.nan, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            se3.Rotation(np.zeros(4))
+            unit(np.zeros(4))
         # The squared norm overflows: rejected, not divided down to zeros.
         for big in ([1e200, 0.0, 0.0, 0.0], [1e155, -1e155, 0.0, 1.0]):
             with pytest.raises(ValueError, match="not finite"):
-                se3.Rotation(np.array(big))
+                unit(np.array(big))
         # |rho| overflows in the chart the same way: rejected by name.
         for big in ([1e200, 0.0, 0.0], [1e155, 1e155, 0.0]):
             with pytest.raises(ValueError) as err:
@@ -69,14 +77,14 @@ class TestRotationType:
             assert str(err.value) == f"rho norm overflows: {np.array(big)}"
 
     def test_quaternion_is_immutable(self):
-        r = se3.Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
+        q = unit(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            r.q[0] = 2.0
+            q[0] = 2.0
 
     def test_matrix_is_orthonormal(self):
         rng = RNG(3)
         for _ in range(20):
-            m = se3.Rotation(rng.standard_normal(4)).matrix()
+            m = rotation_matrix(rng.standard_normal(4))
             assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
@@ -96,17 +104,11 @@ def pose_stack(rng, n):
     return se3.stack(rng.standard_normal((n, 4)), rng.standard_normal((n, 3)))
 
 
-def geodesic_angles(a, b):
-    """geodesic_angle of each pair of rows of two quaternion stacks."""
-    b = np.broadcast_to(b, a.shape)
-    return np.array([se3.geodesic_angle(se3.Rotation(x), se3.Rotation(y)) for x, y in zip(a, b)])
-
-
 def matrices(q, t):
-    """4x4 homogeneous transforms of a stack, built from Rotation.matrix."""
+    """4x4 homogeneous transforms of a stack, built from rotation_matrix."""
     out = np.tile(np.eye(4), (len(q), 1, 1))
     for m, qi, ti in zip(out, q, t):
-        m[:3, :3] = se3.Rotation(qi).matrix()
+        m[:3, :3] = rotation_matrix(qi)
         m[:3, 3] = ti
     return out
 
@@ -116,13 +118,13 @@ class TestExpLog:
 
     def test_identity(self):
         assert np.allclose(exp_quat(np.zeros(3)), [1, 0, 0, 0])
-        assert np.allclose(log_quat(se3.Rotation([1.0, 0.0, 0.0, 0.0]).q), 0.0)
+        assert np.allclose(log_quat(unit([1.0, 0.0, 0.0, 0.0])), 0.0)
 
     def test_known_quarter_turn(self):
         # 90 degrees about z: q = (cos 45, 0, 0, sin 45)
         q = exp_quat([0.0, 0.0, math.pi / 2])
         assert np.allclose(q, [math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)])
-        assert np.allclose(se3.Rotation(q).matrix(), [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+        assert np.allclose(rotation_matrix(q), [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
                            atol=1e-15)
 
     @given(rotvec_strategy())
@@ -165,15 +167,15 @@ class TestExpLog:
             ([0.0, -1.0, 0.0, 0.0], [math.pi, 0, 0]),
             ([0.0, 0.0, -0.6, -0.8], [0, 0.6 * math.pi, 0.8 * math.pi]),
         ]:
-            back = log_quat(se3.Rotation(np.array(quat)).q)
+            back = log_quat(unit(np.array(quat)))
             assert np.allclose(back, want, atol=1e-12)
 
     def test_half_turn_exp_consistency(self):
         # exp of +/-pi about one axis is the same rotation even though the
         # two charts sit on opposite sides of the branch cut.
-        a = se3.Rotation(exp_quat([math.pi, 0.0, 0.0]))
-        b = se3.Rotation(exp_quat([-math.pi, 0.0, 0.0]))
-        assert se3.geodesic_angle(a, b) < 1e-9
+        a = unit(exp_quat([math.pi, 0.0, 0.0]))
+        b = unit(exp_quat([-math.pi, 0.0, 0.0]))
+        assert se3.geodesic_angles([a], [b])[0] < 1e-9
 
     def test_wrap_beyond_pi(self):
         # |rho| = 3*pi/2 about z wraps to pi/2 about -z.
@@ -220,7 +222,7 @@ class TestPoseAlgebra:
         rng = RNG(10)
         p = pose_stack(rng, 50)
         q, t = se3.compose(p, se3.inverse(p))
-        assert np.all(geodesic_angles(q, se3.IDENTITY[0]) < 1e-12)
+        assert np.all(se3.geodesic_angles(q, se3.IDENTITY[0]) < 1e-12)
         assert np.max(np.linalg.norm(t, axis=1)) < 1e-12
 
     def test_associativity(self):
@@ -228,7 +230,7 @@ class TestPoseAlgebra:
         a, b, c = (pose_stack(rng, 100) for _ in range(3))
         lhs = se3.compose(se3.compose(a, b), c)
         rhs = se3.compose(a, se3.compose(b, c))
-        assert np.all(geodesic_angles(lhs[0], rhs[0]) < 1e-9)
+        assert np.all(se3.geodesic_angles(lhs[0], rhs[0]) < 1e-9)
         assert np.max(np.linalg.norm(lhs[1] - rhs[1], axis=1)) < 1e-9
 
     def test_identity_element(self):
@@ -381,7 +383,7 @@ class TestTrimmedFormsMatchNorm:
         logs = se3.pose_to_state(stacked, np.zeros((len(quats), 3)))[:, :3]
         for q, row, log in zip(quats, stacked, logs):
             want = norm_rotation(q)
-            assert same_bits(se3.Rotation(q).q, want), q
+            assert same_bits(unit(q), want), q
             assert same_bits(row, want), q
             assert same_bits(log, norm_log(want)), q
         exps, _ = se3.state_to_pose(np.concatenate([rhos, np.zeros((len(rhos), 3))], axis=1))
@@ -396,7 +398,7 @@ class TestTrimmedFormsMatchNorm:
                  [-1.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, -3.0], [3.0, -0.0, -0.0, -0.0]]
         stacked, _ = se3.stack(quats, np.zeros((len(quats), 3)))
         for q, row in zip(quats, stacked):
-            assert same_bits(se3.Rotation(q).q, norm_rotation(q)), q
+            assert same_bits(unit(q), norm_rotation(q)), q
             assert same_bits(row, norm_rotation(q)), q
 
 
@@ -407,9 +409,7 @@ class TestNonFiniteRejected:
         cases = [
             (lambda: se3.MotionState(vec, np.zeros(3)), f"rho contains non-finite values: {vec}"),
             (lambda: se3.MotionState(np.zeros(3), vec), f"trans contains non-finite values: {vec}"),
-            (lambda: se3.RelativePose(se3.Rotation([1.0, 0.0, 0.0, 0.0]), vec),
-             f"translation contains non-finite values: {vec}"),
-            (lambda: se3.Rotation(np.append(vec, 1.0)),
+            (lambda: unit(np.append(vec, 1.0)),
              f"quaternion contains non-finite values: {np.append(vec, 1.0)}"),
             (lambda: se3.stack([[1.0, 0, 0, 0], np.append(vec, 1.0)], np.zeros((2, 3))),
              f"quaternion contains non-finite values: {np.append(vec, 1.0)}"),
@@ -425,14 +425,14 @@ class TestNonFiniteRejected:
 
 class TestShapeAndTypeRejected:
     @pytest.mark.parametrize("build, error, message", [
-        (lambda: se3.RelativePose(se3.Rotation([1.0, 0.0, 0.0, 0.0]), [1.0, 2.0]), ValueError,
-         "translation must have 3 components, got shape (2,)"),
+        (lambda: se3.stack([[1.0, 0.0, 0.0, 0.0]], [[1.0, 2.0]]), ValueError,
+         "translation rows must have 3 components, got shape (1, 2)"),
         (lambda: se3.MotionState(np.zeros((2, 2)), np.zeros(3)), ValueError,
          "rho must have 3 components, got shape (4,)"),
-        (lambda: se3.RelativePose(np.eye(3), np.zeros(3)), TypeError,
-         "rotation must be a Rotation"),
-        (lambda: se3.MotionState.from_vector(np.zeros(5)), ValueError,
-         "state vector must have 6 components, got (5,)"),
+        (lambda: se3.stack(np.eye(3), np.zeros((3, 3))), ValueError,
+         "quaternion rows must have 4 components, got shape (3, 3)"),
+        (lambda: se3.state_to_pose(np.zeros(5)), ValueError,
+         "state rows must have 6 components, got shape (5,)"),
         (lambda: se3.stack([[1.0, 0.0, 0.0, 0.0]], np.zeros((2, 3))), ValueError,
          "1 rotations for 2 translations"),
         (lambda: se3.sample_initial_batch(RNG(0), 0), ValueError,
@@ -521,7 +521,7 @@ class TestCheckedBuilders:
         # Checked stacks are read-only; compose, inverse and chain return
         # fresh arrays that share no memory with their inputs.
         a = self.poses(RNG(112), 10)
-        assert read_only(*a, se3.Rotation([0.3, -0.2, 0.1, 0.9]).q, *se3.IDENTITY)
+        assert read_only(*a, unit([0.3, -0.2, 0.1, 0.9]), *se3.IDENTITY)
         for q, t in (se3.compose(a, a), se3.inverse(a), se3.chain(se3.IDENTITY, a)):
             assert not any(np.shares_memory(x, y) for x in (q, t) for y in a)
 
@@ -634,7 +634,7 @@ class TestStateChart:
 
     def test_vector_round_trip(self):
         vec = np.array([0.1, -0.2, 0.3, 1.0, 2.0, -3.0])
-        assert np.array_equal(se3.MotionState.from_vector(vec).as_vector(), vec)
+        assert np.array_equal(se3.MotionState(vec[:3], vec[3:]).as_vector(), vec)
 
     def test_translation_is_passthrough(self):
         # The chart never couples translation to rotation.
@@ -644,11 +644,30 @@ class TestStateChart:
         assert same_bits(se3.pose_to_state(*se3.state_to_pose(rows))[:, 3:], rows[:, 3:])
 
     def test_geodesic_angle_symmetry_and_known_value(self):
-        a = se3.Rotation(exp_quat([0, 0, 0.3]))
-        b = se3.Rotation(exp_quat([0, 0, -0.4]))
-        assert abs(se3.geodesic_angle(a, b) - 0.7) < 1e-12
-        assert abs(se3.geodesic_angle(b, a) - 0.7) < 1e-12
-        assert se3.geodesic_angle(a, a) == 0.0
+        a = unit(exp_quat([0, 0, 0.3]))[None]
+        b = unit(exp_quat([0, 0, -0.4]))[None]
+        assert abs(se3.geodesic_angles(a, b)[0] - 0.7) < 1e-12
+        assert abs(se3.geodesic_angles(b, a)[0] - 0.7) < 1e-12
+        assert se3.geodesic_angles(a, a)[0] == 0.0
+
+    def test_geodesic_angles_pair_one_row_with_every_row(self):
+        # Rotations about z by 0.1 k: angle 0.1 |k - 2| from the third,
+        # which a one-row stack pairs with every row, on either side.
+        angles = 0.1 * np.arange(7.0)
+        q, _ = se3.state_to_pose(np.stack([np.zeros(7), np.zeros(7), angles,
+                                           *np.zeros((3, 7))], axis=1))
+        want = np.abs(angles - angles[2])
+        for got in (se3.geodesic_angles(q, q[2:3]), se3.geodesic_angles(q[2:3], q)):
+            assert got.shape == (7,) and np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(se3.geodesic_angles(q, q), np.zeros(7))
+
+    def test_geodesic_angles_of_antipodal_half_turns_read_zero(self):
+        # q and -q are one rotation: the two quaternions of a half turn about
+        # each axis, and of a generic one, are 0 apart, not pi.
+        turns = np.concatenate([np.eye(3), [[0.0, 0.6, -0.8]]])
+        q = np.concatenate([np.zeros((4, 1)), turns], axis=1)
+        assert np.array_equal(se3.geodesic_angles(q, -q), np.zeros(4))
+        assert np.all(np.abs(se3.geodesic_angles(q, se3.IDENTITY[0]) - math.pi) < 1e-15)
 
 
 class TestReferenceSampling:

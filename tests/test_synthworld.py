@@ -10,24 +10,18 @@ from motionflow import se3, synthworld, textio, trajeval
 RNG = np.random.default_rng
 
 
-def geodesic_angles(a, b):
-    """se3.geodesic_angle of each pair of rows of two quaternion stacks."""
-    b = np.broadcast_to(b, a.shape)
-    return np.array([se3.geodesic_angle(se3.Rotation(x), se3.Rotation(y)) for x, y in zip(a, b)])
-
-
 class TestMakeTrajectory:
     def test_line_is_unit_x_steps(self):
         traj = synthworld.make_trajectory("line", 3, RNG(0))
         assert np.allclose(traj.positions(), [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         q, t = synthworld.relative_motions(traj)
         assert np.allclose(t, [[1, 0, 0]] * 2, atol=1e-15)
-        assert np.all(geodesic_angles(q, se3.IDENTITY[0]) < 1e-15)
+        assert np.all(se3.geodesic_angles(q, se3.IDENTITY[0]) < 1e-15)
 
     def test_arc_has_constant_relative_motion(self):
         traj = synthworld.make_trajectory("arc", 20, RNG(1))
         q, t = synthworld.relative_motions(traj)
-        assert np.all(geodesic_angles(q[1:], q[0]) < 1e-12)
+        assert np.all(se3.geodesic_angles(q[1:], q[:1]) < 1e-12)
         assert np.max(np.abs(t - t[0])) < 1e-12
 
     @pytest.mark.parametrize("kind", synthworld.TRAJECTORY_KINDS)
@@ -38,7 +32,7 @@ class TestMakeTrajectory:
         assert np.all(np.diff(traj.stamps) > 0)
         q, t = synthworld.relative_motions(traj)
         assert q.shape == (n - 1, 4) and t.shape == (n - 1, 3)
-        assert np.all(geodesic_angles(q, se3.IDENTITY[0]) <= 0.9 * math.pi)
+        assert np.all(se3.geodesic_angles(q, se3.IDENTITY[0]) <= 0.9 * math.pi)
         steps = np.linalg.norm(t, axis=1)
         assert np.all((0.01 <= steps) & (steps <= 1.0))
 
@@ -150,7 +144,7 @@ class TestMakeScenario:
             gt = scenario.gt_trajectory
             targets = np.stack([pair.target.as_vector() for pair in scenario.pairs])
             got = trajeval.compose_trajectory((gt.q[:1], gt.t[:1]), se3.state_to_pose(targets))
-            assert np.all(geodesic_angles(got.q, gt.q) < 1e-9), kind
+            assert np.all(se3.geodesic_angles(got.q, gt.q) < 1e-9), kind
             assert np.max(np.linalg.norm(got.t - gt.t, axis=1)) < 1e-9, kind
 
     def test_reproducible_given_seed(self):

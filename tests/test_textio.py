@@ -129,7 +129,7 @@ def _estimates(path):
     rng = RNG(6)
     sampler.write_estimates_csv(path, [
         sampler.PoseSampleSet(np.empty((0, 6)),
-                              se3.MotionState.from_vector(rng.uniform(-1, 1, 6)),
+                              se3.MotionState(*np.split(rng.uniform(-1, 1, 6), 2)),
                               rng.uniform(0, 1, 6))
         for _ in range(4)])
 
