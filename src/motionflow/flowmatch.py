@@ -205,7 +205,7 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
             idx = order[lo:lo + config.batch_size]
             b = idx.size
             taus = rng.uniform(size=b)
-            x0 = se3.sample_initial_batch(rng, b)
+            x0 = se3.sample_initial_batch([rng], b)
             x_tau, velocity = path_point(x0, targets[idx], taus)
             loss, grads = cfm_loss(net, x_tau, taus, conds[idx], velocity, grads)
             if not math.isfinite(loss):

@@ -15,13 +15,15 @@ it (vfnet.embed_conditions) before integration, and every stage's
 forward_batch call runs that fold on the states, with its tau as a
 scalar.  States are integrated as (n, m, 6) stacks, n conditions of m
 rows each: estimate_sequence folds the net under all its conditions with
-one call and integrates consecutive elements in blocks of at most
-BLOCK_ROWS rows, one forward_batch call per stage per block, while
-estimate_pose alone integrates a one-element stack.  The stacked matmuls
-stay 3-D, one gemm per element with the operands of a one-element call,
-so an element's bits do not depend on its block; one flat (n*m, 6)
-matmul would round them differently.  BLOCK_ROWS bounds the memory of a
-stack and its stage buffers, which would otherwise grow with n*m.
+one call, which runs the condition branch once, and works through
+consecutive elements in blocks of at most BLOCK_ROWS rows: one reference
+draw over the block's child generators, then one forward_batch call per
+stage.  estimate_pose alone draws and integrates a one-element stack.
+The stacked matmuls stay 3-D, one gemm per element with the operands of
+a one-element call, so an element's bits do not depend on its block; one
+flat (n*m, 6) matmul would round them differently.  BLOCK_ROWS bounds the
+memory of a stack and its stage buffers, which would otherwise grow with
+n*m.
 
 One helper, _finish, takes a block's (or estimate_pose's one element's)
 statistics over the principal chart rows, once for the whole stack.  A
@@ -215,7 +217,7 @@ def estimate_pose(net: vfnet.VectorFieldNet, cond: vfnet.ConditionVector,
     """
     if _finished is None:
         m = textio.whole("sample count m", m, 1)
-        x0 = se3.sample_initial_batch(rng, m)
+        x0 = se3.sample_initial_batch([rng], m)
         states = _integrate(net, vfnet.embed_conditions(net, [cond]), x0[None], config)
         means, stds, failures = _finish(states, {})
         if failures:
@@ -229,16 +231,18 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
                       m: int, rng: np.random.Generator):
     """Independent estimates for a sequence of conditions, order preserved.
 
-    Each element gets its own child generator spawned from rng and draws
-    its m reference rows from it, so the result for element i does not
-    depend on the length of the sequence before or after it.  The net is
-    folded under every condition by one vfnet.embed_conditions call.
-    Consecutive elements are integrated together in blocks of at most
-    BLOCK_ROWS rows (at least one element each): one (n, m, 6) stack and
-    one forward_batch call per stage per block.  Each element keeps the
-    bits estimate_pose gives it, since the stacked matmuls run one gemm
-    per element; BLOCK_ROWS bounds the memory the stack and its stage
-    buffers take, whatever the sequence's length.  Each block is then
+    Each element gets its own child generator spawned from rng, which
+    gives its m reference rows, in order, so the result for element i
+    does not depend on the length of the sequence before or after it.
+    The net is folded under every condition by one vfnet.embed_conditions
+    call, which runs the condition branch once for them all.  Consecutive
+    elements are integrated together in blocks of at most BLOCK_ROWS rows
+    (at least one element each): per block, one se3.sample_initial_batch
+    draw over its elements' child generators, one (n, m, 6) stack and one
+    forward_batch call per stage.  Each element keeps the bits
+    estimate_pose gives it, since the stacked matmuls run one gemm per
+    element; BLOCK_ROWS bounds the memory the stack and its stage buffers
+    take, whatever the sequence's length.  Each block is then
     finished by one _finish call, the code estimate_pose runs on one
     element, and element i's estimate_pose records its finished arrays.
 
@@ -255,7 +259,7 @@ def estimate_sequence(net: vfnet.VectorFieldNet, conds, config: SolverConfig,
     failures = []
     for start in range(0, len(conds), size):
         block = range(start, min(start + size, len(conds)))
-        x0 = np.stack([se3.sample_initial_batch(children[i], m) for i in block])
+        x0 = se3.sample_initial_batch(children[start:block.stop], m).reshape(-1, m, 6)
         try:
             states, diverged = _integrate(
                 net, fold._replace(bias=fold.bias[start:block.stop]), x0, config), {}

@@ -338,22 +338,27 @@ def geodesic_angles(qa, qb) -> np.ndarray:
     return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
 
 
-def sample_initial_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n reference draws as an (n, 6) array of (rho, trans) rows.
+def sample_initial_batch(rngs, n: int) -> np.ndarray:
+    """n reference draws from each generator of the sequence rngs, in
+    order, as one (len(rngs) * n, 6) array of (rho, trans) rows.
 
     trans ~ N(0, I_3) and the rotation is uniform on SO(3): a normalized
     4-dim standard Gaussian is the uniform (Haar) measure on the
     quaternion sphere, and each row stores its principal log, so
-    |rho| <= pi.  One standard_normal((n, 7)) supplies, per row, 3 normals
-    for the translation, then 4 for the quaternion, so a batch of n equals
-    n batches of 1 drawn from the same stream.
+    |rho| <= pi.  One standard_normal((n, 7)) call per generator supplies,
+    per row, 3 normals for the translation, then 4 for the quaternion, so
+    a batch of n equals n batches of 1 drawn from the same stream, and k
+    generators give their k one-generator draws, concatenated.
 
-    Each row is normalized and signed by the rule (_canonical) and
-    stored as its principal log (pose_to_state).  A row whose quaternion
-    has norm zero, which has probability zero, raises RowError.
+    The rows are normalized and signed by the rule (_canonical) and
+    stored as their principal logs (pose_to_state), one call over all of
+    them.  A row whose quaternion has norm zero, which has probability
+    zero, raises RowError.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    normals = rng.standard_normal((n, 7))
+    if not len(rngs):
+        raise ValueError("no generators to draw from")
+    normals = np.concatenate([rng.standard_normal((n, 7)) for rng in rngs])
     raw = normals[:, 3:]
     return pose_to_state(_canonical(raw, _row_norms(raw)), normals[:, :3])

@@ -211,13 +211,16 @@ def _shared_time_features(tau: float, dim: int) -> np.ndarray:
     return row
 
 
-def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
-    """The condition MLP's activations on (B, cond_dim) rows."""
-    if conds.shape[1] != net.config.cond_dim:
+def _check_cond_dim(net: VectorFieldNet, dim: int) -> None:
+    if dim != net.config.cond_dim:
         raise ValueError(
-            f"condition dim {conds.shape[1]} does not match network cond_dim "
-            f"{net.config.cond_dim}"
-        )
+            f"condition dim {dim} does not match network cond_dim {net.config.cond_dim}")
+
+
+def _condition_branch(net: VectorFieldNet, conds: np.ndarray) -> list:
+    """The condition MLP's activations on (B, cond_dim) rows, or on an
+    (n, 1, cond_dim) stack as a stacked chain."""
+    _check_cond_dim(net, conds.shape[-1])
     return _forward_chain(net.cond_embed, conds, True)
 
 
@@ -246,9 +249,14 @@ def embed_conditions(net: VectorFieldNet, conds) -> _Folded:
 
     Only the bias row W_c·emb(cond) + W_s·b_se + b_0, summed in that
     order, depends on the condition: the other arrays are built once per
-    call and shared by every condition, and each condition runs the
-    condition branch once.  Some arrays are views of net: fold again
-    after its parameters change.
+    call and shared by every condition.  The conditions, stacked as
+    (n, 1, cond_dim), run the condition branch once as a stacked chain,
+    and one stacked product forms the bias rows; both run one gemm per
+    condition with the operands of a one-condition call, so a row's bits
+    do not depend on n.  A condition whose dim is not the net's raises
+    ValueError, naming the first such; no conditions give an (n = 0)
+    fold.  Some arrays are views of net: fold again after its parameters
+    change.
     """
     t, s = net.config.time_embed_dim, net.config.state_embed_dim
     (w0, b0), (w_se, b_se) = net.layers[0], net.state_embed
@@ -265,9 +273,11 @@ def embed_conditions(net: VectorFieldNet, conds) -> _Folded:
     state_weight, time_weight, layers = (w_s @ w_se).T, w0[:, :t].T, tuple(layers)
     w_c, state_bias = w0[:, t + s:], w_s @ b_se
     conds = list(conds)
-    bias = np.empty((len(conds), 1, len(b0)))
-    for row, cond in zip(bias, conds):
-        row[0] = w_c @ _condition_branch(net, cond.values[None, :])[-1][0] + state_bias + b0
+    for cond in conds:  # each before stacking, which fails on mixed dims
+        _check_cond_dim(net, cond.dim)
+    values = np.reshape([cond.values for cond in conds], (len(conds), 1, net.config.cond_dim))
+    emb = _condition_branch(net, values)[-1]
+    bias = (w_c @ emb.swapaxes(-1, -2)).swapaxes(-1, -2) + state_bias + b0
     for a in (state_weight, bias, time_weight, *itertools.chain(*layers)):  # none is net's own
         a.setflags(write=False)
     return _Folded(state_weight, bias, time_weight, layers)

@@ -118,7 +118,7 @@ def test_criterion_1_lie_group_suite():
                       float(np.max(np.abs(left[0] - right[0]))))
 
     # Uniform-rotation angle law: density (1 - cos t)/pi, CDF (t - sin t)/pi.
-    states = se3.sample_initial_batch(rng, 100_000)
+    states = se3.sample_initial_batch([rng], 100_000)
     angles = np.sort(np.linalg.norm(states[:, :3], axis=1))
     cdf = (angles - np.sin(angles)) / math.pi
     grid = np.arange(1, angles.size + 1) / angles.size
@@ -161,7 +161,7 @@ def test_criterion_2_gradient_oracle():
             x1.append(pair.target.as_vector())
             conds.append(pair.cond.values)
             taus.append(rng.uniform())
-            x0.append(se3.sample_initial_batch(rng, 1)[0])
+            x0.append(se3.sample_initial_batch([rng], 1)[0])
         taus = np.array(taus)
         states, targets = flowmatch.path_point(np.stack(x0), np.stack(x1), taus)
         batch = (states, taus, np.stack(conds), targets)

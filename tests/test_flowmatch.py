@@ -48,7 +48,7 @@ def random_batch(rng, net_cfg, size):
     (states, taus, conds, target velocities)."""
     pairs = [random_pair(rng, net_cfg.cond_dim) for _ in range(size)]
     taus = rng.uniform(size=size)
-    x0 = se3.sample_initial_batch(rng, size)
+    x0 = se3.sample_initial_batch([rng], size)
     x1 = np.stack([p.target.as_vector() for p in pairs])
     states, targets = flowmatch.path_point(x0, x1, taus)
     return states, taus, np.stack([p.cond.values for p in pairs]), targets
@@ -76,7 +76,7 @@ class TestSamplePath:
 
     def test_endpoints(self):
         rng = RNG(1)
-        x0 = se3.sample_initial_batch(rng, 8)
+        x0 = se3.sample_initial_batch([rng], 8)
         x1 = rng.uniform(-0.5, 0.5, (8, 6))
         at0, _ = flowmatch.path_point(x0, x1, np.zeros(8))
         at1, _ = flowmatch.path_point(x0, x1, np.ones(8))
@@ -86,7 +86,7 @@ class TestSamplePath:
     def test_linear_interpolation_invariant(self):
         rng = RNG(2)
         taus = np.array([0.1, 0.25, 0.5, 0.9])
-        x0 = se3.sample_initial_batch(rng, 4)
+        x0 = se3.sample_initial_batch([rng], 4)
         x1 = rng.uniform(-0.5, 0.5, (4, 6))
         x_tau, _ = flowmatch.path_point(x0, x1, taus)
         # x_tau - x0 = tau (x1 - x0): the point lies on the segment at tau.
@@ -95,7 +95,7 @@ class TestSamplePath:
 
     def test_target_velocity_is_displacement(self):
         rng = RNG(3)
-        x0 = se3.sample_initial_batch(rng, 20)
+        x0 = se3.sample_initial_batch([rng], 20)
         x1 = rng.uniform(-0.5, 0.5, (20, 6))
         _, velocity = flowmatch.path_point(x0, x1, rng.uniform(size=20))
         assert np.array_equal(velocity, x1 - x0)
@@ -106,7 +106,7 @@ class TestSamplePath:
         rng = RNG(5)
         target = random_pair(rng).target.as_vector()
         n = 40_000
-        x0 = se3.sample_initial_batch(rng, n)
+        x0 = se3.sample_initial_batch([rng], n)
         _, velocity = flowmatch.path_point(x0, np.tile(target, (n, 1)),
                                            rng.uniform(size=n))
         assert np.max(np.abs(velocity.mean(axis=0) - target)) < 0.04
@@ -317,7 +317,7 @@ class TestTrain:
         net = vfnet.init_params(rng, SMALL_CONFIG)
         idx = rng.permutation(len(dataset))[:4]
         taus = rng.uniform(size=4)
-        x0 = se3.sample_initial_batch(rng, 4)
+        x0 = se3.sample_initial_batch([rng], 4)
         x1 = np.stack([dataset[i].target.as_vector() for i in idx])
         states, targets = flowmatch.path_point(x0, x1, taus)
         conds = np.stack([dataset[i].cond.values for i in idx])

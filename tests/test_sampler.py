@@ -204,20 +204,21 @@ class TestIntegrateNet:
         sampler.estimate_pose(net, cond, config, 5, RNG(26))
         assert calls == {"fold": 1, "branch": 1, "forward": config.nfe_per_sample}
         # A sequence folds the net under all its conditions in one call,
-        # runs the condition branch once per element, and evaluates the
-        # field once per stage per block of elements.
+        # which runs the condition branch once for them all, and evaluates
+        # the field once per stage per block of elements.
         for m, blocks in ((5, 1), (sampler.BLOCK_ROWS // 2, 2), (sampler.BLOCK_ROWS + 1, 4)):
             calls.update(fold=0, branch=0, forward=0)
             sampler.estimate_sequence(net, [cond] * 4, config, m, RNG(26))
-            assert calls == {"fold": 1, "branch": 4,
+            assert calls == {"fold": 1, "branch": 1,
                              "forward": blocks * config.nfe_per_sample}
 
     def test_chart_converts_each_block_once(self, monkeypatch):
         # A sequence takes each block's integrated samples to their chart
         # rows with one call of each chart map, and estimate_pose runs once
-        # per element for the statistics; per-sample conversion would call
-        # the maps m times per element.  Each element's reference draw
-        # takes its quaternions through pose_to_state once as well.
+        # per element to record them; per-sample conversion would call the
+        # maps m times per element.  Each block's reference rows are one
+        # draw over its elements' generators, which takes their quaternions
+        # through pose_to_state once as well.
         net = small_net(25)
         cond = vfnet.ConditionVector(np.array([0.3, -0.1, 0.2, 0.5]))
         config = sampler.SolverConfig("midpoint", 3)
@@ -233,15 +234,16 @@ class TestIntegrateNet:
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((se3, "state_to_pose"), (se3, "pose_to_state"),
-                             (sampler, "estimate_pose")):
+                             (se3, "sample_initial_batch"), (sampler, "estimate_pose")):
             counted(module, name)
         sampler.estimate_pose(net, cond, config, 5, RNG(26))
-        assert calls == {"estimate_pose": 1, "state_to_pose": 1, "pose_to_state": 2}
+        assert calls == {"estimate_pose": 1, "sample_initial_batch": 1, "state_to_pose": 1,
+                         "pose_to_state": 2}
         for m, blocks in ((5, 1), (sampler.BLOCK_ROWS // 2, 2), (sampler.BLOCK_ROWS + 1, 4)):
             calls.clear()
             results = sampler.estimate_sequence(net, [cond] * 4, config, m, RNG(26))
-            assert calls == {"estimate_pose": 4, "state_to_pose": blocks,
-                             "pose_to_state": blocks + 4}
+            assert calls == {"estimate_pose": 4, "sample_initial_batch": blocks,
+                             "state_to_pose": blocks, "pose_to_state": 2 * blocks}
             # samples are built on access, one state_to_pose call each time
             assert len(results[0].samples) == m and calls["state_to_pose"] == blocks + 1
 
@@ -253,7 +255,7 @@ class TestIntegrateNet:
         net = vfnet.load_checkpoint(KEPT_CHECKPOINT)
         cond = vfnet.ConditionVector(RNG(27).standard_normal(net.config.cond_dim))
         config = sampler.SolverConfig(method, 5)
-        x0 = se3.sample_initial_batch(RNG(28), m)
+        x0 = se3.sample_initial_batch([RNG(28)], m)
         batched = integrate_net(net, x0, cond, config)
         single = np.stack([integrate_net(net, row, cond, config) for row in x0])
         assert np.max(np.abs(batched - single)) <= 1e-14
@@ -368,7 +370,7 @@ class TestEstimatePose:
         net = vfnet.init_params(RNG(12), vfnet.NetConfig(cond_dim=4))
         cond = vfnet.ConditionVector(np.ones(4))
         result = sampler.estimate_pose(net, cond, sampler.SolverConfig(), 6, RNG(13))
-        x0 = se3.sample_initial_batch(RNG(13), 6)
+        x0 = se3.sample_initial_batch([RNG(13)], 6)
         got = chart_rows(result.samples)
         assert np.max(np.abs(got - x0)) < 1e-12
 
@@ -491,8 +493,10 @@ class TestEstimateSequence:
 
 # sha256 over the samples, means and stds of estimate_sequence on three
 # conditions (steps 1 and 5, m 1 and 10 per solver) and of one standalone
-# estimate_pose, taken before the fold builder was merged into one:
-# refactors of inference must keep every bit of every estimate.
+# estimate_pose, taken before the fold builder was merged into one, and of
+# the SPANNING sequences, taken before the reference draws and the
+# condition branch ran once per block: refactors of inference must keep
+# every bit of every estimate.
 INFERENCE_DIGESTS = {
     ("kept", "euler"): "5c1ff24e6711f0ee958b5855a51806929e9da10a2b66f51ce78b2318d989c003",
     ("kept", "midpoint"): "31d054fb4301b68f9357c2004ee757eccf5c4a158416cd5a6d4b3224bd1c4059",
@@ -501,7 +505,17 @@ INFERENCE_DIGESTS = {
     ("no-heads", "midpoint"): "152242287593dc9168d982ddd694334262692f113bdf6269dba1a3b8d18fe162",
     ("no-heads", "rk4"): "829aeb76b42e4862846827f69ca388fcfed81455564d373ce031233c30fd33ff",
     ("kept", "standalone"): "2083eea5d75d5335f89fd5333702984884f71d96125389caaeac8997859c73a7",
+    ("kept", "7x200"): "9083e9a0a9250826734ca72a50ba3a1343df41275874ff8abd5fba4f508f7b2c",
+    ("kept", "600x1"): "5f3aac91c3c142cc455f8b73f2513779b02cd244512fdcc0bdaf789aedeb35ab",
+    ("no-heads", "25x51"): "3995c7a08f53484a65f6660f73019f4031b3507db918e70bfcba1f1eb895a0ef",
 }
+
+# Sequences that span several blocks and end with a short one, as
+# (conditions, m, solver): 2 elements a block at m = 200, 512 at m = 1
+# and 10 at m = 51.
+SPANNING = {"7x200": (7, 200, sampler.SolverConfig("midpoint", 5)),
+            "600x1": (600, 1, sampler.SolverConfig("euler", 1)),
+            "25x51": (25, 51, sampler.SolverConfig("rk4", 2))}
 
 
 @pytest.mark.parametrize("case", INFERENCE_DIGESTS)
@@ -509,10 +523,14 @@ def test_inference_keeps_its_bits(case):
     name, method = case
     net = (vfnet.load_checkpoint(KEPT_CHECKPOINT) if name == "kept"
            else small_net(40, head_widths=()))
+    length, m, config = SPANNING.get(method, (3, None, None))
     rng = RNG(41)
     conds = [vfnet.ConditionVector(rng.standard_normal(net.config.cond_dim))
-             for _ in range(3)]
-    if method == "standalone":
+             for _ in range(length)]
+    if config is not None:
+        assert length > sampler.BLOCK_ROWS // m and length % (sampler.BLOCK_ROWS // m)
+        results = sampler.estimate_sequence(net, conds, config, m, RNG(43))
+    elif method == "standalone":
         results = [sampler.estimate_pose(net, conds[0], sampler.SolverConfig("rk4", 5),
                                          10, RNG(42))]
     else:

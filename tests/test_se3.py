@@ -435,7 +435,7 @@ class TestShapeAndTypeRejected:
          "state rows must have 6 components, got shape (5,)"),
         (lambda: se3.stack([[1.0, 0.0, 0.0, 0.0]], np.zeros((2, 3))), ValueError,
          "1 rotations for 2 translations"),
-        (lambda: se3.sample_initial_batch(RNG(0), 0), ValueError,
+        (lambda: se3.sample_initial_batch([RNG(0)], 0), ValueError,
          "batch size must be >= 1, got 0"),
     ], ids=["translation-shape", "rho-shape", "rotation-type", "state-vector-shape",
             "stack-mismatch", "empty-batch"])
@@ -673,7 +673,7 @@ class TestStateChart:
 class TestReferenceSampling:
     def test_translation_moments(self):
         rng = RNG(100)
-        states = se3.sample_initial_batch(rng, 100_000)
+        states = se3.sample_initial_batch([rng], 100_000)
         trans = states[:, 3:]
         assert np.max(np.abs(trans.mean(axis=0))) < 0.02
         assert np.max(np.abs(trans.var(axis=0) - 1.0)) < 0.03
@@ -684,7 +684,7 @@ class TestReferenceSampling:
         from scipy import stats
 
         rng = RNG(101)
-        states = se3.sample_initial_batch(rng, 100_000)
+        states = se3.sample_initial_batch([rng], 100_000)
         angles = np.linalg.norm(states[:, :3], axis=1)
         assert angles.max() <= math.pi + 1e-9
         cdf = lambda t: (t - np.sin(t)) / math.pi
@@ -693,21 +693,21 @@ class TestReferenceSampling:
 
     def test_rotation_axis_is_isotropic(self):
         rng = RNG(102)
-        states = se3.sample_initial_batch(rng, 50_000)
+        states = se3.sample_initial_batch([rng], 50_000)
         rho = states[:, :3]
         axes = rho / np.linalg.norm(rho, axis=1, keepdims=True)
         assert np.max(np.abs(axes.mean(axis=0))) < 0.02
 
     def test_batch_matches_sequential_draws(self):
         # A batch of n equals n batches of 1 drawn from one stream.
-        batch = se3.sample_initial_batch(RNG(103), 16)
+        batch = se3.sample_initial_batch([RNG(103)], 16)
         rng = RNG(103)
-        singles = np.concatenate([se3.sample_initial_batch(rng, 1) for _ in range(16)])
+        singles = np.concatenate([se3.sample_initial_batch([rng], 1) for _ in range(16)])
         assert np.array_equal(batch, singles)
 
     def test_each_row_reads_translation_then_quaternion(self):
         # Each row is Rotation's rule and the log of its quaternion, bit for bit.
-        batch = se3.sample_initial_batch(RNG(105), 2000)
+        batch = se3.sample_initial_batch([RNG(105)], 2000)
         normals = RNG(105).standard_normal((2000, 7))
         assert np.array_equal(batch[:, 3:], normals[:, :3])
         rho = np.stack([norm_log(norm_rotation(q)) for q in normals[:, 3:]])
@@ -736,15 +736,30 @@ class TestReferenceSampling:
             [-1.0, 0.0, 0.0, 0.0],        # identity with flipped sign
             [1e-3, 0.6, -0.8, 0.0],       # angle just below pi
         ]
-        batch = se3.sample_initial_batch(Stub([t + q for q in quats]), len(quats))
+        batch = se3.sample_initial_batch([Stub([t + q for q in quats])], len(quats))
         for row, q in zip(batch, quats):
             assert same_bits(row[:3], norm_log(norm_rotation(q))), q
             assert np.array_equal(row[3:], t)
         assert np.allclose(batch[1, :3], [0.0, 0.6 * math.pi, -0.8 * math.pi])
         with pytest.raises(ValueError, match="norm is zero"):
-            se3.sample_initial_batch(Stub([t + [0.0, 0.0, 0.0, 0.0]]), 1)
+            se3.sample_initial_batch([Stub([t + [0.0, 0.0, 0.0, 0.0]])], 1)
 
     def test_determinism(self):
-        a = se3.sample_initial_batch(RNG(104), 64)
-        b = se3.sample_initial_batch(RNG(104), 64)
+        a = se3.sample_initial_batch([RNG(104)], 64)
+        b = se3.sample_initial_batch([RNG(104)], 64)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [1, 3, 51])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_draw_from_k_generators_concatenates_their_draws(self, k, n):
+        # Each generator gives its own n rows, in order, with the bits of
+        # a one-generator draw, and is left as that draw leaves it.
+        rngs, alone = RNG(106).spawn(k), RNG(106).spawn(k)
+        batch = se3.sample_initial_batch(rngs, n)
+        singles = np.concatenate([se3.sample_initial_batch([rng], n) for rng in alone])
+        assert batch.shape == (k * n, 6) and np.array_equal(batch, singles)
+        assert [rng.random() for rng in rngs] == [rng.random() for rng in alone]
+        with pytest.raises(ValueError, match="no generators to draw from"):
+            se3.sample_initial_batch([], n)
+        with pytest.raises(ValueError, match="batch size must be >= 1, got 0"):
+            se3.sample_initial_batch(rngs, 0)

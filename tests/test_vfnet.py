@@ -314,10 +314,36 @@ class TestSharedInvariants:
             vfnet.forward_batch(net, np.zeros((2, 6)), 0.5, np.ones((2, 5)),
                                 embedded=embedded)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_fold_bias_rows_equal_one_condition_folds(self, any_net, n):
+        # The condition branch runs once over the stacked conditions, and
+        # each bias row keeps the bits of a fold under its condition alone.
+        rng = RNG(36)
+        conds = [vfnet.ConditionVector(rng.standard_normal(any_net.config.cond_dim) * scale)
+                 for scale in np.geomspace(1e-2, 1e2, n)]
+        bias = vfnet.embed_conditions(any_net, conds).bias
+        alone = [vfnet.embed_conditions(any_net, [cond]).bias for cond in conds]
+        assert bias.shape == (n, 1, any_net.config.trunk_widths[0])
+        assert np.array_equal(bias, np.concatenate(alone))
+
+    def test_empty_fold_has_no_bias_rows(self):
+        net = random_net(RNG(37), SMALL_CONFIG)
+        fold = vfnet.embed_conditions(net, [])
+        assert fold.bias.shape == (0, 1, SMALL_CONFIG.trunk_widths[0])
+        assert not fold.bias.flags.writeable
+        assert vfnet.forward_batch(net, np.zeros((0, 3, 6)), 0.5,
+                                   embedded=fold).shape == (0, 3, 6)
+
     def test_embedding_rejects_mismatched_condition(self):
+        # The first condition whose dim is not the net's is named, also
+        # in a list that mixes dims, which would not stack.
         net = vfnet.init_params(RNG(33), SMALL_CONFIG)
         with pytest.raises(ValueError, match="condition dim 9 does not match"):
             vfnet.embed_conditions(net, [vfnet.ConditionVector(np.zeros(9))])
+        conds = [vfnet.ConditionVector(np.zeros(dim)) for dim in (5, 9, 5, 7)]
+        with pytest.raises(ValueError) as err:
+            vfnet.embed_conditions(net, conds)
+        assert str(err.value) == "condition dim 9 does not match network cond_dim 5"
 
     def test_time_feature_cache_is_read_only_and_bounded(self):
         cache = vfnet._shared_time_features
