@@ -177,13 +177,18 @@ def _ate(est, gt, args, est_path=None) -> float:
     """ATE of est (read from est_path, or computed) against gt, read from
     args.gt, after rescaling est's relative translations by args.scale.
     An overflow makes the input files bad, unless est was computed and
-    lies further from the origin than gt: then the integration diverged."""
+    lies further from the origin than gt: then the integration diverged.
+    Files that cannot be aligned are bad too; a computed est keeps its error."""
     try:
         if args.scale != "none":
             est_q, est_t = _motions(est, est_path) if est_path else synthworld.relative_motions(est)
             scaled = trajeval.scale_align(est_t, _motions(gt, args.gt)[1], args.scale)
             est = trajeval.compose_trajectory((est.q[:1], est.t[:1]), (est_q, scaled))
         return trajeval.ate(est, gt, args.align)
+    except trajeval.DegenerateTrajectoryError as err:
+        if est_path is None:
+            raise
+        raise UsageError(f"bad trajectories: {est_path} and {args.gt} cannot be aligned: {err}")
     except FloatingPointError as err:
         if est_path is None and np.abs(est.positions()).max() > np.abs(gt.positions()).max():
             raise sampler.IntegrationDivergedError(

@@ -1,6 +1,7 @@
 """Linear-path flow matching: loss, Adam, and the training loop.
 
-A training pair is a target motion plus its condition vector.  During
+A training pair is a plain record of a target motion and its condition
+vector; train checks a dataset's pairs once, stacked.  During
 training we draw tau ~ U[0, 1] and a reference state x0 (Gaussian
 translation, uniform rotation), place the path point
 
@@ -30,18 +31,14 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TrainingPair:
-    """Supervised example: target motion in the chart plus its condition."""
+    """Record of a supervised example: target chart row plus its condition."""
 
     target: se3.MotionState
     cond: vfnet.ConditionVector
 
-    def __post_init__(self):
-        if not isinstance(self.target, se3.MotionState):
-            raise TypeError("target must be a MotionState")
-        if not isinstance(self.cond, vfnet.ConditionVector):
-            raise TypeError("cond must be a ConditionVector")
-        if float(np.linalg.norm(self.target.rho)) > math.pi + 1e-9:
-            raise ValueError("target rotation vector leaves the principal ball")
+
+# Largest |rho| of a target: pi, the principal ball's radius, plus rounding.
+MAX_TARGET_ANGLE = math.pi + 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,10 @@ def adam_step(net: vfnet.VectorFieldNet, grads: vfnet.VectorFieldNet, state: Ada
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises, and warns nothing
 def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
           net: vfnet.VectorFieldNet = None):
-    """Train a vector field on a list of TrainingPairs.
+    """Train a vector field on a nonempty list of TrainingPairs, checked
+    once, stacked: ValueError names the first pair whose target is not a
+    finite 6-vector with |rho| <= MAX_TARGET_ANGLE, or whose condition is
+    not finite or not of pair 0's dim.
 
     Pass net to resume from existing parameters (fresh optimizer state);
     otherwise a new network is initialized from net_config.  Returns
@@ -173,11 +173,20 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
     dataset = list(dataset)
     if not dataset:
         raise ValueError("training dataset is empty")
-    cond_dim = dataset[0].cond.dim
-    for i, pair in enumerate(dataset):
-        if pair.cond.dim != cond_dim:
-            raise ValueError(f"pair {i} has condition dim {pair.cond.dim}, "
-                             f"expected {cond_dim}")
+    targets = [p.target.as_vector() for p in dataset]
+    conds = [p.cond.values for p in dataset]
+    for i, (target, cond) in enumerate(zip(targets, conds)):
+        if target.shape != (6,) or cond.shape != conds[0].shape:
+            raise ValueError(f"pair {i} has target shape {target.shape} and condition dim "
+                             f"{cond.size}, expected (6,) and {conds[0].size}")
+    targets, conds = np.stack(targets), np.stack(conds)
+    rho, (n, cond_dim) = targets[:, :3], conds.shape
+    fine = (np.isfinite(targets).all(axis=1) & np.isfinite(conds).all(axis=1)
+            & (np.sqrt(se3.row_dots(rho, rho)) <= MAX_TARGET_ANGLE))
+    if not fine.all():
+        i = int(np.argmin(fine))
+        raise ValueError(f"pair {i} needs a finite target with |rho| <= pi and a finite "
+                         f"condition, got {targets[i]} and {conds[i]}")
 
     rng = np.random.default_rng(config.seed)
     if net is None:
@@ -185,14 +194,8 @@ def train(dataset, config: TrainConfig, net_config: vfnet.NetConfig = None,
             net_config = vfnet.NetConfig(cond_dim=cond_dim)
         net = vfnet.init_params(rng, net_config)
     if net.config.cond_dim != cond_dim:
-        raise ValueError(
-            f"network expects condition dim {net.config.cond_dim}, "
-            f"dataset has {cond_dim}"
-        )
-
-    targets = np.stack([p.target.as_vector() for p in dataset])
-    conds = np.stack([p.cond.values for p in dataset])
-    n = len(dataset)
+        raise ValueError(f"network expects condition dim {net.config.cond_dim}, "
+                         f"dataset has {cond_dim}")
 
     opt = adam_init(net)
     grads = vfnet.zero_gradients(net)  # every step overwrites all of it

@@ -172,8 +172,8 @@ def _finish(states: np.ndarray, failures: dict) -> tuple:
     The rest go to their chart rows with one se3.state_to_pose and one
     se3.pose_to_state call.  Each statistic is one np.add.reduce over the
     stack, which sums an element's rows in the order ndarray.mean and
-    ndarray.std do on that element alone, so their bits match.  states
-    and stds are left read-only.
+    ndarray.std do on that element alone, so their bits match.  states,
+    means and stds are left read-only.
     """
     k, m = states.shape[:2]
     rho = states[..., :3].reshape(-1, 3)
@@ -192,8 +192,8 @@ def _finish(states: np.ndarray, failures: dict) -> tuple:
         failures.setdefault(e, "samples overflow the float range: " + (
             f"rho norm overflows in row [{row}]: {states[e, row, :3]}" if wide[e, row]
             else "mean_state and std_state must be finite"))
-    states.setflags(write=False)
-    stds.setflags(write=False)
+    for a in (states, means, stds):
+        a.setflags(write=False)
     return means, stds, failures
 
 

@@ -8,10 +8,8 @@ normalizes and signs every quaternion.
 
 Poses come as stacks: pairs (q, t) of (n, 4) canonical unit quaternions
 and (n, 3) translations in meters, which compose, inverse, chain and
-geodesic_angles take.  Rotation and RelativePose are plain records of one
-pose's read-only arrays, which the library builds from checked rows and
-takes as input nowhere; MotionState is one chart row, checked where it
-enters.
+geodesic_angles take.  Rotation, RelativePose and MotionState are plain
+records of read-only arrays, which the library builds from checked rows.
 
 Motion between two camera frames is kept as a 6-vector chart
 (rho, trans) with rho = log(R) the rotation vector and trans the raw
@@ -22,8 +20,8 @@ parameterization.  Its maps work on stacks of rows: state_to_pose takes
 (..., 6) rows to canonical quaternions and translations, and
 pose_to_state takes those back to principal (..., 6) rows.
 
-Values are checked once, where they enter: stack, state_to_pose and
-MotionState.  A fault in a stack is a RowError naming the first bad row.
+Values are checked once, where they enter: stack and state_to_pose.  A
+fault in a stack is a RowError naming the first bad row.
 compose, inverse and chain build from checked values, renormalizing
 products by the rule and rejecting translations that overflow.
 """
@@ -35,23 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this rotation angle (radians) the closed-form sin/cos ratios in
-# exp/log are replaced by their second-order series to avoid 0/0.
+# Below this rotation angle (radians) the closed-form sin/cos ratios of the
+# chart maps are replaced by their second-order series to avoid 0/0.
 SMALL_ANGLE = 1e-6
 
 # Unit-norm tolerance accepted on already-normalized quaternion input.
 UNIT_NORM_TOL = 1e-9
-
-
-def _finite_vector(values, n: int, name: str) -> np.ndarray:
-    """Copy input to a read-only float64 vector of length n, or raise."""
-    arr = np.array(values, dtype=np.float64).reshape(-1)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have {n} components, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError(f"{name} contains non-finite values: {arr}")
-    arr.setflags(write=False)
-    return arr
 
 
 class RowError(ValueError):
@@ -155,14 +142,10 @@ def first_fault(*checks) -> list:
 
 @dataclass(frozen=True, eq=False)
 class MotionState:
-    """Point in the 6-dim state chart: rotation vector and translation."""
+    """Record of one chart row: read-only rotation vector rho and translation."""
 
     rho: np.ndarray
     trans: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _finite_vector(self.rho, 3, "rho"))
-        object.__setattr__(self, "trans", _finite_vector(self.trans, 3, "trans"))
 
     def as_vector(self) -> np.ndarray:
         """Stacked (rho, trans) as a fresh writable 6-vector."""

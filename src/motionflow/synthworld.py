@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3, textio, trajeval
-from .flowmatch import TrainingPair
+from .flowmatch import MAX_TARGET_ANGLE, TrainingPair
 from .vfnet import ConditionVector
 
 TRAJECTORY_KINDS = ("line", "arc", "figure8", "random-walk")
@@ -125,9 +125,10 @@ class ConditionEncoder:
         object.__setattr__(self, "_w_base", w_base)
         object.__setattr__(self, "_w_scale", w_scale)
 
+    @np.errstate(over="ignore")  # what overflows raises below, and warns nothing
     def encode(self, motion, ambiguity: float, noise_sigma: float,
                rng: np.random.Generator = None) -> ConditionVector:
-        """The condition vector of a motion given as its chart row (rho, trans)."""
+        """The read-only condition vector of a finite motion chart row (rho, trans)."""
         if not (0.0 <= ambiguity <= 1.0):
             raise ValueError(f"ambiguity must lie in [0, 1], got {ambiguity}")
         if noise_sigma < 0:
@@ -135,19 +136,19 @@ class ConditionEncoder:
         motion = np.asarray(motion, dtype=np.float64)
         rho, trans = motion[:3], motion[3:]
         scale = float(np.linalg.norm(trans))
+        if not (scale < math.inf and np.isfinite(rho).all()):
+            raise ValueError(f"motion is not finite, or its translation norm overflows: {motion}")
         t_hat = trans / scale if scale > 1e-12 else np.zeros(3)
-        base = np.concatenate([
-            rho, t_hat, np.sin(rho), np.cos(rho), np.sin(math.pi * t_hat)
-        ])
+        base = np.concatenate([rho, t_hat, np.sin(rho), np.cos(rho), np.sin(math.pi * t_hat)])
         scale_feats = np.array([scale, math.sin(scale), math.cos(scale)])
         values = self._w_base @ base + (1.0 - ambiguity) * (self._w_scale @ scale_feats)
         if noise_sigma > 0.0:
             if rng is None:
                 raise ValueError("noise_sigma > 0 requires an rng")
-            with np.errstate(over="ignore"):
-                values = values + noise_sigma * rng.standard_normal(self.dim)
-            if not np.isfinite(values).all():
-                raise ValueError(f"noise_sigma {noise_sigma} overflows the condition values")
+            values = values + noise_sigma * rng.standard_normal(self.dim)
+        if not np.isfinite(values).all():
+            raise ValueError(f"the condition values overflow (noise_sigma {noise_sigma})")
+        values.setflags(write=False)
         return ConditionVector(values)
 
 
@@ -166,9 +167,10 @@ def make_scenario(name: str, kind: str, n: int, ambiguity: float,
         lift_seed = int(rng.integers(0, 2 ** 63))
     traj = make_trajectory(kind, n, rng)
     encoder = ConditionEncoder(cond_dim, lift_seed)
+    rows = se3.pose_to_state(*relative_motions(traj))
+    rows.setflags(write=False)
     pairs = [TrainingPair(se3.MotionState(row[:3], row[3:]),
-                          encoder.encode(row, ambiguity, noise_sigma, rng))
-             for row in se3.pose_to_state(*relative_motions(traj))]
+                          encoder.encode(row, ambiguity, noise_sigma, rng)) for row in rows]
     return Scenario(name, traj, pairs, ambiguity, noise_sigma, cond_dim, lift_seed)
 
 
@@ -190,13 +192,10 @@ def make_bimodal_dataset(n: int, rng: np.random.Generator):
         raise ValueError(f"n must be even, got {n}")
     encoder = ConditionEncoder(DEFAULT_COND_DIM, DEFAULT_LIFT_SEED)
     shared = encoder.encode(np.zeros(6), 0.0, 0.0)
-    mode_a = se3.MotionState(*BIMODAL_MODE_A)
-    mode_b = se3.MotionState(*BIMODAL_MODE_B)
-    picks = rng.random(n) < 0.5
-    return [
-        TrainingPair(mode_a if pick else mode_b, shared)
-        for pick in picks
-    ]
+    modes = np.array([BIMODAL_MODE_A, BIMODAL_MODE_B])
+    modes.setflags(write=False)
+    mode_a, mode_b = (se3.MotionState(*mode) for mode in modes)
+    return [TrainingPair(mode_a if pick else mode_b, shared) for pick in rng.random(n) < 0.5]
 
 
 # --- dataset files -----------------------------------------------------------
@@ -226,7 +225,8 @@ class DatasetHeader:
 
 
 # Header key -> parser, in DatasetHeader field order.
-_HEADER_FIELDS = {"k": int, "lift_seed": int, "ambiguity": float, "noise": float}
+_HEADER_FIELDS = {"k": lambda value: textio.whole("k", int(value), 1), "lift_seed": int,
+                  "ambiguity": float, "noise": float}
 
 
 def read_dataset_header(path) -> DatasetHeader:
@@ -249,21 +249,24 @@ def ingest_features(path):
     """Parse a dataset file into (ConditionVector, TrainingPair or None) rows.
 
     Rows with 6+k cells carry ground truth and yield TrainingPairs; rows
-    with exactly k cells are condition-only.  Any other width, a
-    non-numeric cell or a value the row's objects reject is an error
-    reported with its line number.
+    with exactly k cells are condition-only; both hold read-only views of
+    the cells.  Any other width, a cell that is not a finite number or a
+    target |rho| above MAX_TARGET_ANGLE is an error naming its line.
     """
     k = read_dataset_header(path).cond_dim
     out = []
     for where, line in textio.numbered(path):
         with textio.at(where):
             values = np.array([float(cell) for cell in line.split(",")])
-            if values.size == 6 + k:
-                cond = ConditionVector(values[6:])
-                out.append((cond, TrainingPair(se3.MotionState(values[:3], values[3:6]), cond)))
-            elif values.size == k:
-                out.append((ConditionVector(values), None))
-            else:
+            if values.size not in (6 + k, k):
                 raise ValueError(f"row has {values.size} cells, expected {6 + k} "
                                  f"(with ground truth) or {k} (condition only)")
+            if not np.isfinite(values).all():
+                raise ValueError(f"cell {int(np.argmin(np.isfinite(values))) + 1} is not finite")
+            if values.size > k and float(np.linalg.norm(values[:3])) > MAX_TARGET_ANGLE:
+                raise ValueError("target rotation vector leaves the principal ball")
+            values.setflags(write=False)
+            cond = ConditionVector(values[-k:])
+            out.append((cond, TrainingPair(se3.MotionState(values[:3], values[3:6]), cond)
+                        if values.size > k else None))
     return out

@@ -35,8 +35,8 @@ COLLINEAR_TOL = 1e-9
 
 
 class DegenerateTrajectoryError(ValueError):
-    """Alignment is underdetermined: the positions are collinear (or one
-    point), or they admit no positive finite scale."""
+    """Alignment is underdetermined: fewer than 3 poses, positions that are
+    collinear (or one point), or no positive finite scale."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +166,7 @@ def umeyama_align(est: Trajectory, gt: Trajectory, with_scale: bool = True) -> A
     if len(est) != len(gt):
         raise ValueError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
     if len(est) < 3:
-        raise ValueError("alignment needs at least 3 poses")
+        raise DegenerateTrajectoryError("alignment needs at least 3 poses")
     x = est.positions()
     y = gt.positions()
     mu_x, mu_y = x.mean(axis=0), y.mean(axis=0)

@@ -68,22 +68,13 @@ class NetConfig:
 
 @dataclass(frozen=True, eq=False)
 class ConditionVector:
-    """Guidance feature vector the velocity field is conditioned on."""
+    """Record of a guidance feature vector: a read-only (k,) array."""
 
     values: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64).reshape(-1)
-        if arr.size < 1:
-            raise ValueError("condition vector must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("condition vector contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
     @property
     def dim(self) -> int:
-        return self.values.size
+        return np.size(self.values)
 
 
 @dataclass
@@ -253,10 +244,10 @@ def embed_conditions(net: VectorFieldNet, conds) -> _Folded:
     (n, 1, cond_dim), run the condition branch once as a stacked chain,
     and one stacked product forms the bias rows; both run one gemm per
     condition with the operands of a one-condition call, so a row's bits
-    do not depend on n.  A condition whose dim is not the net's raises
-    ValueError, naming the first such; no conditions give an (n = 0)
-    fold.  Some arrays are views of net: fold again after its parameters
-    change.
+    do not depend on n.  A condition whose dim is not the net's, or that
+    holds a non-finite value, raises ValueError naming the first such; no
+    conditions give an (n = 0) fold.  Some arrays are views of net: fold
+    again after its parameters change.
     """
     t, s = net.config.time_embed_dim, net.config.state_embed_dim
     (w0, b0), (w_se, b_se) = net.layers[0], net.state_embed
@@ -276,6 +267,9 @@ def embed_conditions(net: VectorFieldNet, conds) -> _Folded:
     for cond in conds:  # each before stacking, which fails on mixed dims
         _check_cond_dim(net, cond.dim)
     values = np.reshape([cond.values for cond in conds], (len(conds), 1, net.config.cond_dim))
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"condition {int(np.argmin(finite))} contains non-finite values")
     emb = _condition_branch(net, values)[-1]
     bias = (w_c @ emb.swapaxes(-1, -2)).swapaxes(-1, -2) + state_bias + b0
     for a in (state_weight, bias, time_weight, *itertools.chain(*layers)):  # none is net's own

@@ -826,6 +826,50 @@ class TestMalformedInputs:
         assert (f"error: bad estimates file: {files['nan_mean']}:9: mean_state must be finite"
                 in capsys.readouterr().err)
 
+    # Each edit replaces one line of the 9-pose dataset (header lines 1-4,
+    # rows from line 5); the error names that line.
+    DATASET_EDITS = {
+        "k-0": (1, lambda line: "#k=0", "k must be >= 1, got 0"),
+        "k-negative": (1, lambda line: "#k=-3", "k must be >= 1, got -3"),
+        "nan-cell": (7, lambda line: ",".join(line.split(",")[:8] + ["nan"] + line.split(",")[9:]),
+                     "cell 9 is not finite"),
+        "rho-norm-4": (6, lambda line: "0,0,4," + line.split(",", 3)[3],
+                       "target rotation vector leaves the principal ball"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    @pytest.mark.parametrize("edit", DATASET_EDITS)
+    def test_bad_dataset_line_exits_2_and_names_it(self, files, command, edit, tmp_path,
+                                                   capsys):
+        number, replace, message = self.DATASET_EDITS[edit]
+        lines = files["dataset"].read_text().splitlines()
+        lines[number - 1] = replace(lines[number - 1])
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        model = ["--checkpoint", files["good"]] if command == "infer" else []
+        assert run_cli(command, *model, "--dataset", path, "--out", tmp_path / "out") == 2
+        assert f"error: bad dataset: {path}:{number}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, poses, message", [
+        ("line", 9, "estimated trajectory positions are collinear"),
+        ("figure8", 2, "alignment needs at least 3 poses"),
+    ], ids=["collinear", "two-poses"])
+    def test_files_that_cannot_be_aligned_exit_2(self, kind, poses, message, tmp_path, capsys):
+        data = gen_small(tmp_path, kind=kind, n=poses)
+        assert run_cli("eval", data / "gt.tum", data / "gt.tum", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: bad trajectories: {data / 'gt.tum'} and {data / 'gt.tum'} " \
+               f"cannot be aligned: " in err and message in err
+
+    def test_ablate_steps_collinear_gt_exits_1(self, files, tmp_path, capsys):
+        # ablate-steps computes its estimate, and one error covers a
+        # collinear estimate and a collinear ground truth: a runtime failure.
+        data = gen_small(tmp_path, name="line", kind="line")
+        assert run_cli("ablate-steps", "--checkpoint", files["good"], "--dataset",
+                       data / "dataset.csv", "--gt", data / "gt.tum", "--steps", "1",
+                       "--out", tmp_path / "out") == 1
+        assert "ground-truth trajectory positions are collinear" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["infer"],
         ["ablate-steps", "--gt", "{one_pose_gt}", "--align", "none"],

@@ -55,19 +55,41 @@ def random_batch(rng, net_cfg, size):
 
 
 class TestTrainingPair:
-    def test_rejects_rho_outside_principal_ball(self):
-        cond = vfnet.ConditionVector(np.zeros(4))
-        with pytest.raises(ValueError):
-            flowmatch.TrainingPair(
-                se3.MotionState([math.pi + 0.01, 0, 0], [0, 0, 0]), cond)
+    """A TrainingPair checks nothing; train checks its stacked pairs once
+    and names the first bad one."""
 
-    def test_rejects_wrong_types(self):
-        with pytest.raises(TypeError):
-            flowmatch.TrainingPair(np.zeros(6),
-                                   vfnet.ConditionVector(np.zeros(4)))
-        with pytest.raises(TypeError):
-            flowmatch.TrainingPair(se3.MotionState([0, 0, 0], [0, 0, 0]),
-                                   np.zeros(4))
+    @staticmethod
+    def rejects(targets, conds, pair):
+        pairs = [flowmatch.TrainingPair(se3.MotionState(*np.split(np.array(t, float), [3])),
+                                        vfnet.ConditionVector(np.array(c, float)))
+                 for t, c in zip(targets, conds)]
+        with pytest.raises(ValueError) as err:
+            flowmatch.train(pairs, flowmatch.TrainConfig(epochs=1), SMALL_CONFIG)
+        assert str(err.value).startswith(f"pair {pair} needs a finite target with |rho| <= pi "
+                                         f"and a finite condition, got [")
+
+    def test_rejects_rho_outside_principal_ball(self):
+        self.rejects([np.zeros(6), [math.pi + 0.01, 0, 0, 0, 0, 0]], [np.zeros(5)] * 2, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_names_the_first_non_finite_pair(self, bad):
+        vec = [0.5, bad, -0.5]
+        zero, cond = np.zeros(5), [0.1] * 5
+        self.rejects([np.zeros(6), vec + [0, 0, 0]], [zero] * 2, 1)
+        self.rejects([np.zeros(6), [0, 0, 0] + vec], [zero] * 2, 1)
+        self.rejects([np.zeros(6)] * 3, [cond, vec + [0, 0], np.full(5, bad)], 1)
+        # The first bad pair is named, whatever its fault.
+        self.rejects([np.zeros(6), np.zeros(6), [4.0, 0, 0, 0, 0, 0]],
+                     [cond, np.full(5, bad), cond], 1)
+        self.rejects([np.zeros(6), [4.0, 0, 0, 0, 0, 0], vec + [0, 0, 0]], [cond] * 3, 1)
+
+    def test_requires_a_6_vector_per_target(self):
+        pairs = [flowmatch.TrainingPair(se3.MotionState(np.zeros(3), np.zeros(n)),
+                                        vfnet.ConditionVector(np.zeros(5))) for n in (3, 2)]
+        with pytest.raises(ValueError) as err:
+            flowmatch.train(pairs, flowmatch.TrainConfig(epochs=1), SMALL_CONFIG)
+        assert str(err.value) == ("pair 1 has target shape (5,) and condition dim 5, "
+                                  "expected (6,) and 5")
 
 
 class TestSamplePath:

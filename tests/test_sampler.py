@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionflow import sampler, se3, vfnet
+from motionflow import sampler, se3, synthworld, vfnet
 
 RNG = np.random.default_rng
 
@@ -298,7 +298,7 @@ class TestEstimatePose:
         assert np.array_equal(result.mean_state.as_vector(), states.mean(axis=0))
         assert np.array_equal(result.std_state, states.std(axis=0, ddof=0))
 
-    def test_samples_and_mean_hold_read_only_arrays(self):
+    def test_samples_and_mean_hold_read_only_arrays(self, tmp_path):
         # The samples share the rows of the sample set's states: writing
         # through one must fail, not change the estimate.
         net = small_net(6)
@@ -308,7 +308,29 @@ class TestEstimatePose:
                   result.std_state]
         for pose in result.samples:
             arrays += [pose.rotation.q, pose.translation]
+        # So do the records make_scenario, make_bimodal_dataset and ingest_features build.
+        scenario = synthworld.make_scenario("ro", "random-walk", 4, 0.0, 0.1, RNG(8), cond_dim=4)
+        pairs = scenario.pairs + synthworld.make_bimodal_dataset(2, RNG(8))
+        path = tmp_path / "dataset.csv"
+        synthworld.write_scenario_dataset(path, scenario)
+        path.write_text(path.read_text() + "0.1,0.2,0.3,0.4\n")
+        rows = synthworld.ingest_features(path)
+        assert len(rows) == 4 and rows[-1][1] is None
+        pairs += [pair for _, pair in rows if pair is not None]
+        arrays += [cond.values for cond, _ in rows]
+        for pair in pairs:
+            arrays += [pair.target.rho, pair.target.trans, pair.cond.values]
         assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_condition_is_named(self, bad):
+        net = small_net(3)
+        conds = [vfnet.ConditionVector(np.zeros(4)) for _ in range(3)]
+        conds[1] = vfnet.ConditionVector(np.array([0.5, bad, -0.5, 0.0]))
+        with pytest.raises(ValueError, match="^condition 1 contains non-finite values$"):
+            sampler.estimate_sequence(net, conds, sampler.SolverConfig(), 2, RNG(0))
+        with pytest.raises(ValueError, match="^condition 0 contains non-finite values$"):
+            sampler.estimate_pose(net, conds[1], sampler.SolverConfig(), 2, RNG(0))
 
     def test_rejects_bad_m(self):
         net = small_net(8)

@@ -407,8 +407,6 @@ class TestNonFiniteRejected:
     def test_messages_are_unchanged(self, bad):
         vec = np.array([0.5, bad, -0.5])
         cases = [
-            (lambda: se3.MotionState(vec, np.zeros(3)), f"rho contains non-finite values: {vec}"),
-            (lambda: se3.MotionState(np.zeros(3), vec), f"trans contains non-finite values: {vec}"),
             (lambda: unit(np.append(vec, 1.0)),
              f"quaternion contains non-finite values: {np.append(vec, 1.0)}"),
             (lambda: se3.stack([[1.0, 0, 0, 0], np.append(vec, 1.0)], np.zeros((2, 3))),
@@ -427,8 +425,6 @@ class TestShapeAndTypeRejected:
     @pytest.mark.parametrize("build, error, message", [
         (lambda: se3.stack([[1.0, 0.0, 0.0, 0.0]], [[1.0, 2.0]]), ValueError,
          "translation rows must have 3 components, got shape (1, 2)"),
-        (lambda: se3.MotionState(np.zeros((2, 2)), np.zeros(3)), ValueError,
-         "rho must have 3 components, got shape (4,)"),
         (lambda: se3.stack(np.eye(3), np.zeros((3, 3))), ValueError,
          "quaternion rows must have 4 components, got shape (3, 3)"),
         (lambda: se3.state_to_pose(np.zeros(5)), ValueError,
@@ -437,7 +433,7 @@ class TestShapeAndTypeRejected:
          "1 rotations for 2 translations"),
         (lambda: se3.sample_initial_batch([RNG(0)], 0), ValueError,
          "batch size must be >= 1, got 0"),
-    ], ids=["translation-shape", "rho-shape", "rotation-type", "state-vector-shape",
+    ], ids=["translation-shape", "rotation-type", "state-vector-shape",
             "stack-mismatch", "empty-batch"])
     def test_messages(self, build, error, message):
         with pytest.raises(error) as err:

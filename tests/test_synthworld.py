@@ -115,6 +115,15 @@ class TestConditionEncoder:
         assert not np.array_equal(clean, noisy)
         assert np.max(np.abs(noisy - clean)) < 1.0  # sigma 0.1, 8 dims
 
+    @pytest.mark.parametrize("motion", [[0, 0, 0, math.inf, 0, 0], [0, math.nan, 0, 0, 0, 0],
+                                        [0, 0, 0, 1e308, 1e308, 0]],
+                             ids=["inf-translation", "nan-rho", "overflowing-norm"])
+    def test_non_finite_motion_raises_at_noise_0(self, motion):
+        enc = synthworld.ConditionEncoder(8, 15)
+        with pytest.raises(ValueError, match="^motion is not finite, or its translation norm "
+                                             "overflows"):
+            enc.encode(motion, 0.0, 0.0)
+
     def test_rejects_bad_dial_values(self):
         enc = synthworld.ConditionEncoder(8, 15)
         rel = np.zeros(6)
@@ -316,11 +325,34 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=":5"):
             synthworld.ingest_features(path)
         path.write_text("#k=2\n#lift_seed=0\n#ambiguity=0\n#noise=0\n1,2\n1,nan\n")
-        with pytest.raises(ValueError, match=r"bad\.csv:6: condition vector"):
+        with pytest.raises(ValueError, match=r"bad\.csv:6: cell 2 is not finite$"):
             synthworld.ingest_features(path)
         path.write_text("#k=abc\n#lift_seed=0\n#ambiguity=0\n#noise=0\n")
         with pytest.raises(ValueError, match=r"bad\.csv:1: .*'abc'"):
             synthworld.ingest_features(path)
+        for k in (0, -3):
+            path.write_text(f"#k={k}\n#lift_seed=0\n#ambiguity=0\n#noise=0\n")
+            with pytest.raises(ValueError, match=rf"bad\.csv:1: k must be >= 1, got {k}$"):
+                synthworld.ingest_features(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_names_its_line(self, tmp_path, bad):
+        # A row's rho, then its translation, holds [0.5, bad, -0.5].
+        path = tmp_path / "bad.csv"
+        for row, cell in (("0.5,{},-0.5,0,0,0,1,2", 2), ("0,0,0,0.5,{},-0.5,1,2", 5)):
+            path.write_text("#k=2\n#lift_seed=0\n#ambiguity=0\n#noise=0\n"
+                            "0,0,0,0,0,0,1,2\n" + row.format(bad) + "\n")
+            with pytest.raises(ValueError) as err:
+                synthworld.ingest_features(path)
+            assert str(err.value) == f"{path}:6: cell {cell} is not finite"
+
+    def test_rho_outside_principal_ball_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("#k=2\n#lift_seed=0\n#ambiguity=0\n#noise=0\n"
+                        f"0,0,0,0,0,0,1,2\n{math.pi + 0.01},0,0,0,0,0,1,2\n")
+        with pytest.raises(ValueError) as err:
+            synthworld.ingest_features(path)
+        assert str(err.value) == f"{path}:6: target rotation vector leaves the principal ball"
 
     def test_repeated_header_key_names_its_second_line(self, tmp_path):
         scenario = synthworld.make_scenario("rep", "random-walk", 6, 0.0, 0.0, RNG(25))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionflow import vfnet
+from motionflow import sampler, vfnet
 
 RNG = np.random.default_rng
 
@@ -91,8 +91,12 @@ def naive_forward(net, state_vec, tau, cond_vec):
 
 @pytest.mark.parametrize("values", [[], np.zeros((0, 3))], ids=["empty", "empty-2d"])
 def test_condition_vector_rejects_empty_values(values):
-    with pytest.raises(ValueError, match="^condition vector must be nonempty$"):
-        vfnet.ConditionVector(values)
+    # The record takes any array; the net's fold rejects an empty one as a
+    # condition of the wrong dim.
+    net = vfnet.init_params(RNG(33), SMALL_CONFIG)
+    with pytest.raises(ValueError, match="^condition dim 0 does not match network cond_dim 5$"):
+        sampler.estimate_sequence(net, [vfnet.ConditionVector(values)], sampler.SolverConfig(),
+                                  2, RNG(34))
 
 
 class TestTimeEmbedding:
